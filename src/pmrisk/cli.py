@@ -37,7 +37,7 @@ from .calibration import (
 from .copula import CityPortfolio, CopulaSpec
 from .errors import CalibrationError, DataError, DomainError, NumericError, PmriskError
 from .presets import portfolio_to_doc, resolve_portfolio
-from .risk import build_report, exceedance_curve, solve_car
+from .risk import MIN_BUDGET, build_report, exceedance_curve, solve_car
 from .statkit import Rng
 
 EXIT_OK = 0
@@ -73,6 +73,8 @@ class RunConfig:
             for a in self.alphas:
                 if not 0.0 < a < 0.5:
                     raise UsageError(f"alpha {a} outside (0, 0.5)")
+            if self.budget < MIN_BUDGET:
+                raise UsageError(f"--budget must be at least {MIN_BUDGET}")
         if self.mode == "curve" and not self.tau_grid:
             raise UsageError("curve mode requires --tau-grid")
         if self.budget < 2:

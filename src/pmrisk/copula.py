@@ -3,6 +3,12 @@
 The portfolio model: a normal or t copula drives D dependent uniforms, each
 pushed through its city's GH quantile and scaled, and the next-day overall
 concentration is the weighted sum of PM0_d * exp(r_d).
+
+For a fixed portfolio the log-ratio r_d = s_d * G_d^{-1}(F(v)) is a fixed
+monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
+tabulates it once for all cities (cubic Hermite in asinh(v) with exact
+slopes), so a draw costs one table lookup per city instead of the driving
+CDF plus a Newton solve on the GH table.
 """
 
 from __future__ import annotations
@@ -14,11 +20,23 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError
 from .ghdist import GhParams, build_tables, gh_moments, _tables
-from .statkit import Rng, normal_cdf, t_cdf
+from .statkit import Rng, normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
 
 # Uniforms are clamped before the GH quantile: IS pushes V deep into the
 # tails where F(V) rounds to exactly 0 or 1 in float64.
 _UNIFORM_CLIP = 1e-15
+
+# Log-ratio map: an interval is halved while the error at its midpoint
+# exceeds _MAP_TOL and the exact chain's own rounding there (one ulp of
+# F(v), carried through the GH density), down to a width of _MAP_MIN_WIDTH
+# in asinh(v).  The rounding term matters only in the far upper tail, where
+# F(v) lies within a few ulps of 1 and the chain moves in steps of up to
+# ~1e-2.  The width floor binds there and at a few second-derivative kinks
+# of the GH tables below F(v) ~ 1e-5 (residual <= 1e-8).
+_MAP_TOL = 1e-10
+_MAP_ULP = 2.0**-52
+_MAP_MIN_WIDTH = 1e-4
+_MAP_START_INTERVALS = 64
 
 
 def cholesky_factor(sigma) -> np.ndarray:
@@ -119,6 +137,11 @@ class CityPortfolio:
     def chol(self) -> np.ndarray:
         return cholesky_factor(self.copula.sigma)
 
+    @cached_property
+    def log_ratio_map(self) -> "LogRatioMap":
+        """Tabulated v -> r for all cities, built on first use."""
+        return _tabulate_log_ratios(self)
+
     def baseline(self) -> float:
         """Current overall concentration (all log-ratios at zero)."""
         return float(self.weights @ self.pm0)
@@ -136,10 +159,6 @@ class CopulaDraw:
     z: np.ndarray
     y: np.ndarray | None
     v: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
 
 
 def dependent_vector(spec: CopulaSpec, chol: np.ndarray, z: np.ndarray,
@@ -171,13 +190,132 @@ def copula_uniforms(spec: CopulaSpec, v: np.ndarray) -> np.ndarray:
     return np.clip(u, _UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP)
 
 
-def marginal_transform(portfolio: CityPortfolio, draw: CopulaDraw) -> np.ndarray:
-    """Log-ratio matrix r with r_d = s_d * G_d^{-1}(F(V_d))."""
-    u = copula_uniforms(portfolio.copula, draw.v)
-    r = np.empty_like(u)
+@dataclass(frozen=True, eq=False)
+class LogRatioMap:
+    """r_d = s_d * G_d^{-1}(clip(F(v))) for every city d, as one table.
+
+    ``knots`` is an increasing grid in asinh(v) shared by all cities.  Row
+    k of ``coef`` (shape (K + 1, D, 4)) holds, per city, the cubic in
+    asinh(v) - ``anchors[k]`` that applies where ``searchsorted(knots,
+    asinh(v), 'right') == k``.  Rows 0 and K are constants: the exact values
+    at the clipped uniforms, which is what the chain gives beyond the clip.
+    Called on an (n, D) variate matrix, it returns the (n, D) log-ratios.
+    """
+
+    knots: np.ndarray
+    anchors: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        d = np.arcsinh(v)
+        row = np.searchsorted(self.knots, d, side="right")
+        d -= self.anchors[row]
+        row *= self.coef.shape[1]
+        row += np.arange(self.coef.shape[1])  # flat index of coef[k, d]
+        r = self.coef[..., 3].take(row)
+        for j in (2, 1, 0):
+            r *= d
+            r += self.coef[..., j].take(row)
+        return r
+
+
+def _exact_log_ratios(portfolio: CityPortfolio,
+                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain s * G^{-1}(clip(F(v))), its slope in asinh(v) and its rounding.
+
+    All three are (n, D).  The GH quantile stops on an absolute residual,
+    which leaves uniforms far below 1e-12 short of convergence (by up to
+    ~2e-4 in r), so two more Newton steps on the GH table polish every
+    value.  The slope is s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d), with g_d
+    the density of the GH table itself; the rounding is one ulp of u through
+    the same density.
+    """
+    spec = portfolio.copula
+    u = copula_uniforms(spec, v)
+    dens = t_pdf(v, spec.nu) if spec.family == "t" else normal_pdf(v)
+    dens = dens * np.sqrt(1.0 + v * v)
+    r = np.empty((v.shape[0], portfolio.dimension))
+    slope = np.empty_like(r)
+    noise = np.empty_like(r)
     for d, marginal in enumerate(portfolio.marginals):
-        r[:, d] = _tables(marginal).quantile(u[:, d])
-    return r * portfolio.scale[None, :]
+        table = _tables(marginal)
+        x = table.quantile(u)
+        for _ in range(2):
+            step = (table.spline(x) - u) / np.maximum(table.spline_deriv(x), 1e-300)
+            x = np.clip(x - step, table.x_lo, table.x_hi)
+        r[:, d] = x * portfolio.scale[d]
+        inv_density = portfolio.scale[d] / table.spline_deriv(x)
+        slope[:, d] = dens * inv_density
+        noise[:, d] = _MAP_ULP * u * inv_density
+    return r, slope, noise
+
+
+def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
+    spec = portfolio.copula
+    clip = np.array([_UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP])
+    v_ends = t_quantile(clip, spec.nu) if spec.family == "t" else normal_quantile(clip)
+    x = np.linspace(np.arcsinh(v_ends[0]), np.arcsinh(v_ends[1]), _MAP_START_INTERVALS + 1)
+    v = np.sinh(x)
+    v[[0, -1]] = v_ends
+    y, m, _ = _exact_log_ratios(portfolio, v)
+    # end values exactly as the unpolished chain gives them at the clip
+    y[[0, -1]] = np.stack(
+        [_tables(mg).quantile(clip) * s for mg, s in zip(portfolio.marginals, portfolio.scale)],
+        axis=1,
+    )
+
+    # intervals still to check; one no wider than twice the floor is kept as is
+    pending = np.ones(x.shape[0] - 1, dtype=bool)
+    while True:
+        pending &= np.diff(x) > 2.0 * _MAP_MIN_WIDTH
+        if not pending.any():
+            break
+        k = np.flatnonzero(pending)
+        mid = 0.5 * (x[k] + x[k + 1])
+        y_mid, m_mid, noise = _exact_log_ratios(portfolio, np.sinh(mid))
+        h = (x[k + 1] - x[k])[:, None]
+        hermite_mid = 0.5 * (y[k] + y[k + 1]) + 0.125 * h * (m[k] - m[k + 1])
+        split = np.any(np.abs(hermite_mid - y_mid) > np.maximum(noise, _MAP_TOL), axis=1)
+        order = np.argsort(np.concatenate([x, mid[split]]), kind="stable")
+        pending = np.zeros(x.shape[0] + int(split.sum()), dtype=bool)
+        pending[k[split]] = True  # left halves
+        pending[x.shape[0]:] = True  # right halves start at the new knots
+        x = np.concatenate([x, mid[split]])[order]
+        y = np.concatenate([y, y_mid[split]])[order]
+        m = np.concatenate([m, m_mid[split]])[order]
+        pending = pending[order][:-1]
+
+    # The end values are unpolished and the far upper tail is noisy (see
+    # _MAP_TOL): keep the values within the end values and nondecreasing,
+    # and cap the slopes at three times the neighbouring secants, which makes
+    # each cubic monotone.
+    y = np.maximum.accumulate(np.clip(y, y[0], y[-1]), axis=0)
+    h = np.diff(x)[:, None]
+    secant = np.diff(y, axis=0) / h
+    np.minimum(m[:-1], 3.0 * secant, out=m[:-1])
+    np.minimum(m[1:], 3.0 * secant, out=m[1:])
+
+    coef = np.zeros((x.shape[0] + 1, y.shape[1], 4))
+    coef[0, :, 0] = y[0]
+    coef[-1, :, 0] = y[-1]
+    inner = coef[1:-1]
+    inner[..., 0] = y[:-1]
+    inner[..., 1] = m[:-1]
+    inner[..., 2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
+    inner[..., 3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
+    anchors = np.concatenate([x[:1], x])
+    return LogRatioMap(knots=x, anchors=anchors, coef=coef)
+
+
+def marginal_transform(portfolio: CityPortfolio, draw: CopulaDraw) -> np.ndarray:
+    """Log-ratio matrix r with r_d = s_d * G_d^{-1}(F(V_d)).
+
+    Evaluated through ``portfolio.log_ratio_map``; V must be finite.
+    """
+    v = np.asarray(draw.v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("copula variates must be finite")
+    return portfolio.log_ratio_map(v)
 
 
 def portfolio_concentration(portfolio: CityPortfolio, r: np.ndarray) -> np.ndarray:

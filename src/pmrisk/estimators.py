@@ -25,13 +25,11 @@ from scipy import optimize, special
 from .copula import (
     CityPortfolio,
     CopulaDraw,
-    copula_uniforms,
     dependent_vector,
     marginal_transform,
     portfolio_concentration,
 )
 from .errors import DomainError, NumericError
-from .ghdist import _tables
 from .statkit import Rng, normal_quantile
 
 CHUNK = 1 << 16
@@ -277,13 +275,10 @@ def naive_estimate(portfolio: CityPortfolio, tau: float, n: int,
 
 def _concentration_at(portfolio: CityPortfolio, z: np.ndarray, y: float) -> float:
     spec = portfolio.copula
+    z_row = z[None, :]
     y_arr = np.array([y]) if spec.family == "t" else None
-    v = dependent_vector(spec, portfolio.chol, z[None, :], y_arr)
-    u = copula_uniforms(spec, v)
-    r = np.empty_like(u)
-    for d, marginal in enumerate(portfolio.marginals):
-        r[:, d] = _tables(marginal).quantile(u[:, d])
-    return float(portfolio_concentration(portfolio, r * portfolio.scale[None, :])[0])
+    draw = CopulaDraw(z=z_row, y=y_arr, v=dependent_vector(spec, portfolio.chol, z_row, y_arr))
+    return float(portfolio_concentration(portfolio, marginal_transform(portfolio, draw))[0])
 
 
 def _growth_direction(portfolio: CityPortfolio, z: np.ndarray, y: float) -> np.ndarray:
@@ -505,14 +500,12 @@ def aoa_allocate(budget: int, probs: np.ndarray, sigma: np.ndarray,
 
 
 class _StratumSums:
-    __slots__ = ("n", "hits", "sy", "syy", "sx", "sxx", "sxy", "conc", "weight")
+    __slots__ = ("n", "hits", "sy", "syy", "sx", "sxx", "sxy")
 
     def __init__(self):
         self.n = 0
         self.hits = 0
         self.sy = self.syy = self.sx = self.sxx = self.sxy = 0.0
-        self.conc: list[np.ndarray] = []
-        self.weight: list[np.ndarray] = []
 
     def add(self, conc: np.ndarray, weight: np.ndarray, tau: float) -> None:
         hit = conc > tau
@@ -525,8 +518,6 @@ class _StratumSums:
         self.sx += float(x.sum())
         self.sxx += float((x * x).sum())
         self.sxy += float((x * y).sum())
-        self.conc.append(conc)
-        self.weight.append(weight)
 
     def residual_sigma(self, ratio: float) -> float:
         if self.n < 2:
@@ -733,37 +724,4 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
         stratum=labels,
         probs=scheme.probs.copy(),
         counts=alloc.copy(),
-    )
-
-
-def sis_sample(portfolio: CityPortfolio, tau: float, is_params: IsParams,
-               scheme: StratificationScheme, total_n: int, rng: Rng, *,
-               n_min: int = N_MIN) -> SisSample:
-    """Materialized SIS sample; ``tau`` only steers the adaptive allocation."""
-    if scheme.n_strata == 1:
-        conc, weight = simulate_tilted(portfolio, is_params, total_n, rng)
-        return SisSample(
-            conc=conc,
-            weight=weight,
-            sample_weight=weight / total_n,
-            stratum=np.zeros(total_n, dtype=int),
-            probs=np.ones(1),
-            counts=np.array([total_n]),
-        )
-    if total_n < scheme.n_strata * n_min * len(STAGE_FRACTIONS):
-        raise DomainError("budget cannot cover the per-stratum floor in every stage")
-    sums = _run_sis(portfolio, tau, is_params, scheme, total_n, rng, n_min)
-    conc = np.concatenate([np.concatenate(s.conc) for s in sums])
-    weight = np.concatenate([np.concatenate(s.weight) for s in sums])
-    sample_w = np.concatenate(
-        [p * np.concatenate(s.weight) / s.n for p, s in zip(scheme.probs, sums)]
-    )
-    labels = np.concatenate([np.full(s.n, i, dtype=int) for i, s in enumerate(sums)])
-    return SisSample(
-        conc=conc,
-        weight=weight,
-        sample_weight=sample_w,
-        stratum=labels,
-        probs=scheme.probs.copy(),
-        counts=np.array([s.n for s in sums]),
     )

@@ -30,6 +30,9 @@ from .statkit import Rng
 
 _ESTIMATORS = ("naive", "is", "sis")
 
+# smallest replication budget of a CaR/CCaR query
+MIN_BUDGET = 1000
+
 # fixed substream labels so every query draws from its own independent stream
 _STREAM_CAR = 1
 _STREAM_CCAR = 2
@@ -51,8 +54,8 @@ class RiskQuery:
             raise DomainError("alpha must lie in (0, 0.5)")
         if self.estimator not in _ESTIMATORS:
             raise DomainError(f"estimator must be one of {_ESTIMATORS}")
-        if self.budget < 1000:
-            raise DomainError("budget must be at least 1000")
+        if self.budget < MIN_BUDGET:
+            raise DomainError(f"budget must be at least {MIN_BUDGET}")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,12 @@ def normal_cdf(x):
     return _scalar_like(special.ndtr(arr), x)
 
 
+def normal_pdf(x):
+    """Standard normal density phi(x)."""
+    arr = _as_finite_array(x, "x")
+    return _scalar_like(np.exp(-0.5 * arr * arr) / np.sqrt(2.0 * np.pi), x)
+
+
 def normal_quantile(p):
     """Inverse of ``normal_cdf`` for p in (0, 1)."""
     arr = _as_finite_array(p, "p")
@@ -85,6 +91,17 @@ def t_cdf(x, nu):
     if not np.isfinite(nu) or nu <= 0.0:
         raise DomainError("nu must be a positive finite real")
     return _scalar_like(special.stdtr(nu, arr), x)
+
+
+def t_pdf(x, nu):
+    """Student-t density with (possibly non-integer) degrees of freedom nu > 0."""
+    arr = _as_finite_array(x, "x")
+    nu = float(nu)
+    if not np.isfinite(nu) or nu <= 0.0:
+        raise DomainError("nu must be a positive finite real")
+    log_const = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+                 - 0.5 * np.log(nu * np.pi))
+    return _scalar_like(np.exp(log_const - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu)), x)
 
 
 def t_quantile(p, nu):

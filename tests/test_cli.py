@@ -112,6 +112,27 @@ class TestRunModes:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize("mode,budget", [("car", "500"), ("simulate", "999")])
+    def test_budget_below_query_floor_is_usage_error(self, tmp_path, mode, budget):
+        out = tmp_path / "x.csv"
+        rc = main([
+            mode, "--preset", "paper", "--alpha", "0.05", "--budget", budget,
+            "--out", str(out),
+        ])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_curve_keeps_its_own_budget_floor(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        rc = main([
+            "curve", "--preset", "paper", "--estimator", "naive",
+            "--tau-grid", "100:300:100", "--budget", "500", "--seed", "2",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert out.exists()
+
     def test_missing_model_file_is_data_error(self, tmp_path):
         rc = main([
             "simulate", "--model", str(tmp_path / "nope.json"),

@@ -17,7 +17,7 @@ from pmrisk import (
     scaling_factor,
     t_cdf,
 )
-from pmrisk.copula import CopulaDraw, dependent_vector
+from pmrisk.copula import CopulaDraw, copula_uniforms, dependent_vector
 
 from conftest import GH_ROWS, NU, SIGMA
 
@@ -80,8 +80,6 @@ class TestSampleCopula:
 
     def test_independent_uniforms_pass_chi_square(self):
         spec = CopulaSpec(family="normal", sigma=np.eye(5))
-        from pmrisk.copula import copula_uniforms
-
         draw = sample_copula(spec, np.eye(5), Rng(17), 100_000)
         u = copula_uniforms(spec, draw.v).ravel()
         counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
@@ -122,6 +120,78 @@ class TestMarginalTransform:
         r = marginal_transform(portfolio, draw)
         expected = gh_quantile(portfolio.marginals[0], t_cdf(2.0, NU))
         assert abs(r[0, 0] - expected) <= 1e-6
+
+
+def _twin(portfolio, copula=None, scale=None):
+    return CityPortfolio(
+        names=portfolio.names,
+        weights=portfolio.weights,
+        pm0=portfolio.pm0,
+        scale=portfolio.scale if scale is None else np.asarray(scale, dtype=float),
+        marginals=portfolio.marginals,
+        copula=portfolio.copula if copula is None else copula,
+    )
+
+
+_MAP_CASES = {
+    "paper": lambda p: p,
+    "t3": lambda p: _twin(p, copula=CopulaSpec(family="t", sigma=SIGMA, nu=3.0)),
+    "normal": lambda p: _twin(p, copula=CopulaSpec(family="normal", sigma=SIGMA)),
+    "scaled": lambda p: _twin(p, scale=[0.5, 1.7, 1.0, 2.3, 0.8]),
+}
+
+
+def _mapped(portfolio, v):
+    cols = np.repeat(np.asarray(v, dtype=float)[:, None], portfolio.dimension, axis=1)
+    return marginal_transform(portfolio, CopulaDraw(z=cols, y=None, v=cols))
+
+
+def _exact_chain(portfolio, v):
+    u = copula_uniforms(portfolio.copula, np.asarray(v, dtype=float))
+    return np.stack(
+        [gh_quantile(m, u) * s for m, s in zip(portfolio.marginals, portfolio.scale)], axis=1
+    )
+
+
+class TestLogRatioMap:
+    """The tabulated map against the exact chain s * G^{-1}(clip(F(v)))."""
+
+    @pytest.fixture(params=sorted(_MAP_CASES))
+    def case(self, request, portfolio):
+        return _MAP_CASES[request.param](portfolio)
+
+    def test_matches_exact_chain(self, case):
+        x = np.sort(np.random.default_rng(3).uniform(-14.0, 14.0, 60_000))
+        v = np.sinh(x)
+        u = copula_uniforms(case.copula, v)
+        err = np.max(np.abs(_mapped(case, v) - _exact_chain(case, v)), axis=1)
+        inner = (u >= 1e-6) & (u <= 1.0 - 1e-6)
+        outer = (u >= 1e-9) & (u <= 1.0 - 1e-9)
+        assert inner.sum() > 1000
+        assert err[inner].max() <= 1e-8
+        assert err[outer].max() <= 1e-6
+
+    def test_constant_and_exact_beyond_the_clip(self, case):
+        far = np.array([-1e300, -1e6, -1e3, 1e3, 1e6, 1e300])
+        u = copula_uniforms(case.copula, far)
+        far = far[(u <= 1e-15) | (u >= 1.0 - 1e-15)]
+        assert {-1e300, 1e300} <= set(far)
+        assert np.array_equal(_mapped(case, far), _exact_chain(case, far))
+
+    def test_nondecreasing(self, case):
+        v = np.sinh(np.linspace(-14.0, 14.0, 200_001))
+        assert np.all(np.diff(_mapped(case, v), axis=0) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_variates(self, portfolio, bad):
+        with pytest.raises(DomainError):
+            _mapped(portfolio, np.array([0.0, bad]))
+
+    def test_built_on_first_use(self, portfolio):
+        fresh = _twin(portfolio)
+        assert "log_ratio_map" not in vars(fresh)
+        _mapped(fresh, np.zeros(1))
+        assert "log_ratio_map" in vars(fresh)
 
 
 class TestPortfolioConcentration:

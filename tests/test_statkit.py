@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from pmrisk import DomainError, Rng, bessel_k, normal_cdf, normal_quantile, sample_gamma, t_cdf
+from pmrisk.statkit import normal_pdf, t_pdf
 
 # Oracle values, frozen from adaptive quadrature of the respective densities
 # (see the quadrature recomputation inside the tests that keep the oracle live).
@@ -82,6 +83,32 @@ class TestTCdf:
             t_cdf(0.3, 0.0)
         with pytest.raises(DomainError):
             t_cdf(0.3, -2.0)
+
+
+class TestDensities:
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 11.78])
+    def test_t_pdf_is_the_cdf_slope(self, nu):
+        xs = np.linspace(-30.0, 0.0, 31)  # lower half: no cancellation near 1
+        h = 1e-5
+        slope = (t_cdf(xs + h, nu) - t_cdf(xs - h, nu)) / (2.0 * h)
+        assert np.allclose(t_pdf(xs, nu), slope, rtol=1e-6, atol=0.0)
+        assert np.array_equal(t_pdf(xs, nu), t_pdf(-xs, nu))
+
+    def test_cauchy_closed_form(self):
+        assert abs(t_pdf(1.0, 1.0) - 1.0 / (2.0 * np.pi)) <= 1e-15
+
+    def test_normal_pdf_is_the_cdf_slope(self):
+        xs = np.linspace(-8.0, 0.0, 17)
+        h = 1e-5
+        slope = (normal_cdf(xs + h) - normal_cdf(xs - h)) / (2.0 * h)
+        assert np.allclose(normal_pdf(xs), slope, rtol=1e-6, atol=0.0)
+        assert np.array_equal(normal_pdf(xs), normal_pdf(-xs))
+
+    def test_reject_nonfinite(self):
+        with pytest.raises(DomainError):
+            t_pdf(np.nan, 3.0)
+        with pytest.raises(DomainError):
+            normal_pdf(np.inf)
 
 
 class TestSampleGamma:
