@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
@@ -123,15 +123,82 @@ def _unpack(x: np.ndarray) -> GhParams:
                     beta=float(beta), mu=float(mu))
 
 
+# optimizer box for (lam, log gamma, log delta, beta); mu is left unbounded:
+# with every entry boxed, L-BFGS-B takes a unit first step along the raw
+# gradient, far outside the range where the likelihood is finite
+_BOUNDS = [(-50.0, 50.0)] * 4 + [(None, None)]
+# forward-difference step in the Bessel order, for the derivative in lambda
+_ORDER_STEP = 1e-6
+# log(delta) of the second polish candidate, relative to log(std): the
+# variance-gamma ridge (delta -> 0) on which some samples have their optimum
+_RIDGE_LOG_DELTA = -12.0
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_SCREEN = {"maxiter": 15, "ftol": 1e-6, "gtol": 1e-3}
+_POLISH = {"maxiter": 500, "ftol": 1e-13, "gtol": 1e-7}
+
+
 def _negloglik(x: np.ndarray, samples: np.ndarray) -> float:
-    if np.any(np.abs(x) > 50.0):
-        return 1e18
     try:
         params = _unpack(x)
         val = -float(np.sum(gh_logpdf(params, samples)))
     except (DomainError, FloatingPointError, OverflowError):
         return 1e18
     return val if np.isfinite(val) else 1e18
+
+
+def _log_bessel_terms(order: float, z):
+    """log kve(order, z), K_{order-1}/K_order and d/d(order) log K_order at z."""
+    k = special.kve(order, z)
+    log_k = np.log(k)
+    ratio = special.kve(order - 1.0, z) / k
+    d_order = (np.log(special.kve(order + _ORDER_STEP, z)) - log_k) / _ORDER_STEP
+    return log_k, ratio, d_order
+
+
+def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood and its gradient in x = (lam, log gamma,
+    log delta, beta, mu).
+
+    With z = alpha * q, q = hypot(delta, x - mu), nu = lam - 1/2 and
+    r = K_{nu-1}(z) / K_nu(z), the recurrence K'_nu = -K_{nu-1} - (nu/z) K_nu
+    gives d log K_nu(z) / dz = -r - nu/z, from which the (gamma, delta,
+    beta, mu) derivatives are closed form; the lambda derivative is a forward
+    difference in the Bessel order.  Bessel functions enter only as
+    exponentially scaled values and their ratios, so delta * gamma -> 0 stays
+    finite.  A point where the likelihood is not finite, or whose parameters
+    GhParams rejects, gets a 1e18 penalty with a zero gradient, which makes
+    the line search step back.
+    """
+    lam, g, log_delta, beta, mu = x
+    gamma, delta = np.exp(g), np.exp(log_delta)
+    alpha = np.hypot(beta, gamma)
+    nu = lam - 0.5
+    n = samples.size
+    dx = samples - mu
+    q = np.hypot(delta, dx)
+    z = alpha * q
+    zeta = delta * gamma
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_k_lam, rho, d_lam_norm = _log_bessel_terms(lam, zeta)
+        log_k_nu, r, d_nu = _log_bessel_terms(nu, z)
+        log_q = np.log(q)
+        log_alpha = np.log(alpha)
+        loglik = n * (lam * g - _LOG_SQRT_2PI - nu * log_alpha - lam * log_delta
+                      - log_k_lam + zeta) + np.sum(nu * log_q + log_k_nu - z + beta * dx)
+        # d loglik / d alpha, the route by which beta and gamma enter the tails
+        d_alpha = -(2.0 * n * nu + np.sum(z * r)) / alpha
+        slope = alpha * r / q
+        grad = np.array([
+            n * (g - log_alpha - log_delta - d_lam_norm) + np.sum(log_q + d_nu),
+            n * (2.0 * lam + zeta * rho) + gamma * gamma / alpha * d_alpha,
+            n * zeta * rho - delta * delta * np.sum(slope),
+            beta / alpha * d_alpha + np.sum(dx),
+            np.sum(slope * dx) - n * beta,
+        ])
+    # alpha rounds to |beta| once gamma is below |beta| * 1e-8: outside GhParams
+    if not (np.isfinite(loglik) and np.all(np.isfinite(grad)) and alpha > abs(beta)):
+        return 1e18, np.zeros(5)
+    return -float(loglik), -grad
 
 
 def _start_points(samples: np.ndarray, rng: Rng) -> list[np.ndarray]:
@@ -151,11 +218,20 @@ def _start_points(samples: np.ndarray, rng: Rng) -> list[np.ndarray]:
     return starts
 
 
+def _lbfgsb(samples: np.ndarray, x0: np.ndarray, options: dict):
+    return optimize.minimize(_negloglik_grad, x0, args=(samples,), jac=True,
+                             method="L-BFGS-B", bounds=_BOUNDS, options=options)
+
+
 def fit_gh_marginal(samples, *, rng: Rng | None = None) -> GhFit:
     """GH parameters maximizing the log-likelihood of ``samples``.
 
-    Derivative-free simplex search restarted from five moment-informed points
-    on an unconstrained scale (log delta, log of the alpha-|beta| slack).
+    Bounded L-BFGS-B with an analytic gradient on an unconstrained scale
+    (log gamma, log delta).  A short screen runs from each of five
+    moment-informed starts; the best screened point is then polished to tight
+    tolerance, and so is the same point moved onto the variance-gamma ridge
+    (delta -> 0), where the optimum of some samples lies.  The better polish
+    wins.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -165,33 +241,17 @@ def fit_gh_marginal(samples, *, rng: Rng | None = None) -> GhFit:
     warning = None if samples.size >= 100 else "fewer than 100 samples; fit is fragile"
     rng = rng if rng is not None else Rng(20140101)
 
-    trace = []
-    best = None
-    for x0 in _start_points(samples, rng):
-        res = optimize.minimize(
-            _negloglik,
-            x0,
-            args=(samples,),
-            method="Nelder-Mead",
-            options={"maxfev": 400, "xatol": 1e-4, "fatol": 1e-3, "adaptive": True},
-        )
-        trace.append((res.fun, res.message))
-        if np.isfinite(res.fun) and res.fun < 1e17 and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
+    screened = [_lbfgsb(samples, x0, _SCREEN) for x0 in _start_points(samples, rng)]
+    best = min(screened, key=lambda res: res.fun)
+    if not best.fun < 1e17:
+        trace = [(res.fun, res.message) for res in screened]
         raise CalibrationError(f"GH likelihood maximization failed; trace: {trace}")
-    # polish the winning restart; fatol well below the 0.5-log-point scale at
-    # which competing fits are compared
-    polished = optimize.minimize(
-        _negloglik,
-        best.x,
-        args=(samples,),
-        method="Nelder-Mead",
-        options={"maxfev": 1500, "xatol": 1e-5, "fatol": 1e-4, "adaptive": True},
-    )
-    if np.isfinite(polished.fun) and polished.fun <= best.fun:
-        best = polished
-    return GhFit(params=_unpack(best.x), loglik=-float(best.fun), warning=warning)
+    ridge = best.x.copy()
+    ridge[2] = np.log(max(float(np.std(samples)), 1e-3)) + _RIDGE_LOG_DELTA
+    best = min((_lbfgsb(samples, x0, _POLISH) for x0 in (best.x, ridge)),
+               key=lambda res: res.fun)
+    return GhFit(params=_unpack(best.x), loglik=-_negloglik(best.x, samples),
+                 warning=warning)
 
 
 def _nearest_correlation(mat: np.ndarray) -> tuple[np.ndarray, bool]:

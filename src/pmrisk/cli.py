@@ -36,6 +36,7 @@ from .calibration import (
 )
 from .copula import CityPortfolio, CopulaSpec
 from .errors import CalibrationError, DataError, DomainError, NumericError, PmriskError
+from .ghdist import gh_logpdf
 from .presets import portfolio_to_doc, resolve_portfolio
 from .risk import MIN_BUDGET, build_report, exceedance_curve, solve_car
 from .statkit import Rng
@@ -175,12 +176,12 @@ def run(config: RunConfig) -> None:
     portfolio, digest = resolve_portfolio(config.preset, config.model_path)
     buf = io.StringIO()
     buf.write("\n".join(_metadata_lines(config, digest)) + "\n")
+    warnings: list[str] = []
     if config.mode == "simulate":
         report = build_report(
             portfolio, config.alphas, config.estimator, config.budget, config.seed, digest
         )
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        warnings.extend(report.warnings)
         buf.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
         for row in report.rows:
             buf.write(
@@ -191,17 +192,21 @@ def run(config: RunConfig) -> None:
         buf.write("alpha,car\n")
         for k, alpha in enumerate(sorted(config.alphas, reverse=True)):
             seed_k = Rng(config.seed).split(10 + k).stream
-            tau = solve_car(portfolio, alpha, config.estimator, config.budget, seed_k)
+            tau = solve_car(portfolio, alpha, config.estimator, config.budget, seed_k,
+                            warnings=warnings)
             buf.write(f"{alpha!r},{tau!r}\n")
     elif config.mode == "curve":
         points = exceedance_curve(
-            portfolio, np.array(config.tau_grid), config.estimator, config.budget, config.seed
+            portfolio, np.array(config.tau_grid), config.estimator, config.budget,
+            config.seed, warnings=warnings,
         )
         buf.write("tau,ep,ep_halfwidth,hits\n")
         for p in points:
             buf.write(f"{p.tau!r},{p.ep!r},{p.halfwidth95!r},{p.hits}\n")
     else:
         raise UsageError(f"unknown mode {config.mode!r}")
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _atomic_write(config.out_path, buf.getvalue())
 
 
@@ -228,6 +233,14 @@ def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) ->
         }
         if cfit.warning:
             meta_copula["warning"] = cfit.warning
+    # out-of-sample evidence for the fitted marginals
+    holdout_logliks = {}
+    for j, city in enumerate(panel.cities):
+        ratios = holdout.city_ratios(j)
+        holdout_logliks[city] = {
+            "loglik": float(np.sum(gh_logpdf(marginals[j], ratios))),
+            "rows": int(ratios.size),
+        }
     portfolio = CityPortfolio(
         names=panel.cities,
         weights=np.full(d, 1.0 / d),
@@ -246,6 +259,7 @@ def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) ->
             "marginal_logliks": {
                 panel.cities[j]: fits[j].loglik for j in range(d)
             },
+            "holdout_logliks": holdout_logliks,
             "copula": meta_copula,
         },
     )

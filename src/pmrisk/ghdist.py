@@ -206,13 +206,18 @@ class _GhTables:
         return out
 
     def quantile(self, u) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        arr = np.asarray(u, dtype=float).ravel()
         x = np.interp(arr, self.cdf_values, self.edges)
+        # each entry stops on its own residual, so its result does not depend
+        # on the other entries of the batch
+        active = np.arange(arr.size)
         for _ in range(8):
-            resid = self.spline(x) - arr
-            dens = np.maximum(self.spline_deriv(x), 1e-300)
-            x = np.clip(x - resid / dens, self.x_lo, self.x_hi)
-            if np.max(np.abs(resid)) < 1e-13:
+            xa = x[active]
+            resid = self.spline(xa) - arr[active]
+            dens = np.maximum(self.spline_deriv(xa), 1e-300)
+            x[active] = np.clip(xa - resid / dens, self.x_lo, self.x_hi)
+            active = active[np.abs(resid) >= 1e-13]
+            if active.size == 0:
                 break
         resid = self.spline(x) - arr
         stuck = np.abs(resid) > 1e-10

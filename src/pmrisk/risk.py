@@ -101,9 +101,18 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float, *,
     return float(values[order[min(idx, values.shape[0] - 1)]])
 
 
+def _note(warnings: list[str] | None, message: str) -> None:
+    if warnings is not None and message not in warnings:
+        warnings.append(message)
+
+
 def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
-              seed: int, *, rel_tol: float = 1e-3, max_iter: int = 8) -> float:
-    """Threshold tau with P(C > tau) ~= alpha under the requested estimator."""
+              seed: int, *, rel_tol: float = 1e-3, max_iter: int = 8,
+              warnings: list[str] | None = None) -> float:
+    """Threshold tau with P(C > tau) ~= alpha under the requested estimator.
+
+    IS-calibration warnings are appended to ``warnings`` when it is given.
+    """
     query = RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
     rng = Rng(seed).split(_STREAM_CAR)
     q = 1.0 - query.alpha
@@ -118,6 +127,8 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
     trace = [tau]
     for _ in range(max_iter):
         params = calibrate_is(portfolio, tau)
+        if params.warning:
+            _note(warnings, f"alpha={alpha}: {params.warning}")
         if estimator == "is":
             conc, weight = simulate_tilted(portfolio, params, budget, rng)
             tau_new = weighted_quantile(conc, weight / budget, q, total_mass=1.0)
@@ -160,7 +171,7 @@ class CurvePoint:
 
 
 def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget: int,
-                     seed: int) -> list[CurvePoint]:
+                     seed: int, *, warnings: list[str] | None = None) -> list[CurvePoint]:
     """EP with confidence halfwidths on a threshold grid, from one shared run.
 
     All grid points reuse the same sample, which makes the EP column exactly
@@ -170,6 +181,7 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
     ratio keeps a finite second moment everywhere on the curve, not just in
     the deep tail.  SIS spreads the budget proportionally over the strata;
     allocation tuned to a single threshold would starve the rest of the grid.
+    IS-calibration warnings are appended to ``warnings`` when it is given.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -196,11 +208,9 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
         # clamp into the grid but never below the calibration domain
         ref = max(min(max(ref, grid[0]), grid[-1]), baseline * 1.05)
         calibrated = calibrate_is(portfolio, ref)
-        params = IsParams(
-            mean_shift=calibrated.mean_shift,
-            theta=max(calibrated.theta, 1.2),
-            warning=calibrated.warning,
-        )
+        if calibrated.warning:
+            _note(warnings, calibrated.warning)
+        params = IsParams(mean_shift=calibrated.mean_shift, theta=max(calibrated.theta, 1.2))
         if estimator == "is":
             conc, weight = simulate_tilted(portfolio, params, budget, rng)
         else:
@@ -250,7 +260,8 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
     for k, alpha in enumerate(alphas):
         # distinct substreams per row keep rows independent and reproducible
         row_seed_car = Rng(seed).split(10 + k)
-        tau = solve_car(portfolio, alpha, estimator, budget, row_seed_car.stream)
+        tau = solve_car(portfolio, alpha, estimator, budget, row_seed_car.stream,
+                        warnings=warnings)
         ce = compute_ccar(portfolio, alpha, tau, estimator, budget, row_seed_car.stream)
         if ce.empty_tail:
             raise NumericError(f"empty tail at alpha={alpha}; increase the budget")
@@ -263,13 +274,11 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
             )
             if ce_naive.empty_tail:
                 vr = float("inf")
-                warnings.append(
-                    f"alpha={alpha}: naive reference saw no exceedances; VR unbounded"
-                )
+                _note(warnings, f"alpha={alpha}: naive reference saw no exceedances; VR unbounded")
             else:
                 vr = variance_reduction_factor(ce_naive, ce)
         if ce.warning:
-            warnings.append(f"alpha={alpha}: {ce.warning}")
+            _note(warnings, f"alpha={alpha}: {ce.warning}")
         rows.append(
             RiskRow(
                 alpha=float(alpha),

@@ -15,7 +15,8 @@ from pmrisk import (
     gh_quantile,
     split_train_holdout,
 )
-from pmrisk.calibration import LogRatioPanel, _negloglik
+from pmrisk import calibration
+from pmrisk.calibration import LogRatioPanel, _negloglik, _negloglik_grad
 from pmrisk.copula import marginal_transform, sample_copula
 from pmrisk.ghdist import gh_logpdf
 
@@ -109,6 +110,60 @@ class TestFitGhMarginal:
         fit = fit_gh_marginal(samples, rng=Rng(56))
         normal_ll = float(np.sum(stats.norm.logpdf(samples, samples.mean(), samples.std())))
         assert fit.loglik >= normal_ll
+
+    @pytest.mark.parametrize("x", [
+        [1.0, 0.5, -1.0, 0.3, 0.2],
+        [-1.5, 0.5, -1.0, 0.3, 0.2],  # lambda < 0
+        [0.7, -3.0, -1.0, 2.0, 0.2],  # |beta| / alpha = 0.9997
+        [0.7, 1.0, np.log(1e-6), -0.5, 0.2],  # delta = 1e-6
+        [2.5, 1.2, np.log(1e-6), -1.0, 0.6],
+    ])
+    def test_analytic_gradient_matches_finite_differences(self, x):
+        u = Rng(65).generator().random(250)
+        samples = gh_quantile(GH_ROWS["Bj"], np.clip(u, 1e-12, 1 - 1e-12))
+        x = np.array(x)
+        value, grad = _negloglik_grad(x, samples)
+        assert abs(value - _negloglik(x, samples)) <= 1e-10 * abs(value)
+        h = 1e-6
+        fd = np.array([
+            (_negloglik(x + h * e, samples) - _negloglik(x - h * e, samples)) / (2 * h)
+            for e in np.eye(5)
+        ])
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.linalg.norm(fd)
+
+    def test_variance_gamma_ridge(self):
+        # delta -> 0 is the variance-gamma limit; the fit must find the ridge
+        vg = GhParams(lam=2.0, alpha=4.0, delta=1e-6, beta=-1.0, mu=0.3)
+        u = Rng(66).generator().random(1000)
+        samples = gh_quantile(vg, np.clip(u, 1e-12, 1 - 1e-12))
+        fit = fit_gh_marginal(samples, rng=Rng(67))
+
+        def profile_nll(x):
+            lam, g, beta, mu = x
+            return _negloglik(np.array([lam, g, np.log(vg.delta), beta, mu]), samples)
+
+        res = optimize.minimize(
+            profile_nll,
+            np.array([vg.lam, np.log(vg.gamma), vg.beta, vg.mu]),
+            method="Nelder-Mead",
+            options={"maxfev": 2000, "xatol": 1e-6, "fatol": 1e-7},
+        )
+        assert fit.loglik >= -res.fun - 1e-6
+
+    def test_evaluation_count(self, monkeypatch):
+        calls = []
+        objective = calibration._negloglik_grad
+
+        def counted(x, samples):
+            calls.append(1)
+            return objective(x, samples)
+
+        monkeypatch.setattr(calibration, "_negloglik_grad", counted)
+        u = Rng(68).generator().random(250)
+        samples = gh_quantile(GH_ROWS["Bj"], np.clip(u, 1e-12, 1 - 1e-12))
+        fit = fit_gh_marginal(samples, rng=Rng(69))
+        assert np.isfinite(fit.loglik)
+        assert 0 < len(calls) <= 400
 
     def test_small_sample_warning(self):
         u = Rng(57).generator().random(60)

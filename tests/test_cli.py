@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -133,6 +134,32 @@ class TestRunModes:
         assert rc == EXIT_OK
         assert out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "0.05"],
+        ["car", "--alpha", "0.05"],
+        ["curve", "--tau-grid", "200:400:100"],
+    ])
+    def test_calibration_warning_reaches_stderr(self, tmp_path, monkeypatch, capsys, argv):
+        import pmrisk.risk as risk_mod
+
+        args = argv + ["--preset", "paper", "--estimator", "is", "--budget", "4000",
+                       "--seed", "3"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(args + ["--out", str(plain)]) == EXIT_OK
+        assert "warning:" not in capsys.readouterr().err
+
+        calibrate = risk_mod.calibrate_is
+
+        def failing(portfolio, tau, **kwargs):
+            params = calibrate(portfolio, tau, **kwargs)
+            return dataclasses.replace(params, warning="IS calibration failed (synthetic)")
+
+        monkeypatch.setattr(risk_mod, "calibrate_is", failing)
+        assert main(args + ["--out", str(flagged)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning: " in err and "IS calibration failed (synthetic)" in err
+        assert flagged.read_bytes() == plain.read_bytes()
+
     def test_missing_model_file_is_data_error(self, tmp_path):
         rc = main([
             "simulate", "--model", str(tmp_path / "nope.json"),
@@ -210,6 +237,11 @@ class TestFit:
         assert doc["copula"]["family"] == "t" and doc["copula"]["nu"] > 0.0
         assert "loglik_t" in doc["meta"]["copula"]
         assert doc["meta"]["train_rows"] + doc["meta"]["holdout_rows"] == 299
+        holdout = doc["meta"]["holdout_logliks"]
+        assert sorted(holdout) == ["Bj", "Cd", "Tj"]
+        for city in holdout.values():
+            assert city["rows"] == doc["meta"]["holdout_rows"]
+            assert np.isfinite(city["loglik"]) and city["loglik"] != 0.0
 
     def test_empty_csv_no_output(self, tmp_path):
         bad = tmp_path / "empty.csv"

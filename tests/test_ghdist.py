@@ -110,6 +110,13 @@ class TestQuantile:
         qs = gh_quantile(params, us)
         assert np.all(np.diff(qs) > 0.0)
 
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_tail_value_does_not_depend_on_batch(self, city):
+        params = GH_ROWS[city]
+        alone = gh_quantile(params, np.array([1e-15]))
+        mixed = gh_quantile(params, np.array([0.3, 1e-15, 0.5, 0.9]))
+        assert alone[0] == mixed[1]
+
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_out_of_range(self, u):
         with pytest.raises(DomainError):
