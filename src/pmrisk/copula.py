@@ -195,11 +195,13 @@ class LogRatioMap:
     """r_d = s_d * G_d^{-1}(clip(F(v))) for every city d, as one table.
 
     ``knots`` is an increasing grid in asinh(v) shared by all cities.  Row
-    k of ``coef`` (shape (K + 1, D, 4)) holds, per city, the cubic in
-    asinh(v) - ``anchors[k]`` that applies where ``searchsorted(knots,
-    asinh(v), 'right') == k``.  Rows 0 and K are constants: the exact values
-    at the clipped uniforms, which is what the chain gives beyond the clip.
-    Called on an (n, D) variate matrix, it returns the (n, D) log-ratios.
+    k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
+    table is contiguous) holds, per city, the coefficient of power j of the
+    cubic in asinh(v) - ``anchors[k]`` that applies where
+    ``searchsorted(knots, asinh(v), 'right') == k``.  Rows 0 and K are
+    constants: the exact values at the clipped uniforms, which is what the
+    chain gives beyond the clip.  Called on an (n, D) variate matrix, it
+    returns the (n, D) log-ratios.
     """
 
     knots: np.ndarray
@@ -210,12 +212,12 @@ class LogRatioMap:
         d = np.arcsinh(v)
         row = np.searchsorted(self.knots, d, side="right")
         d -= self.anchors[row]
-        row *= self.coef.shape[1]
-        row += np.arange(self.coef.shape[1])  # flat index of coef[k, d]
-        r = self.coef[..., 3].take(row)
+        row *= self.coef.shape[2]
+        row += np.arange(self.coef.shape[2])  # flat index of coef[j, k, d]
+        r = self.coef[3].take(row)
         for j in (2, 1, 0):
             r *= d
-            r += self.coef[..., j].take(row)
+            r += self.coef[j].take(row)
         return r
 
 
@@ -295,14 +297,14 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     np.minimum(m[:-1], 3.0 * secant, out=m[:-1])
     np.minimum(m[1:], 3.0 * secant, out=m[1:])
 
-    coef = np.zeros((x.shape[0] + 1, y.shape[1], 4))
-    coef[0, :, 0] = y[0]
-    coef[-1, :, 0] = y[-1]
-    inner = coef[1:-1]
-    inner[..., 0] = y[:-1]
-    inner[..., 1] = m[:-1]
-    inner[..., 2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
-    inner[..., 3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
+    coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
+    coef[0, 0] = y[0]
+    coef[0, -1] = y[-1]
+    inner = coef[:, 1:-1]
+    inner[0] = y[:-1]
+    inner[1] = m[:-1]
+    inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
+    inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
     anchors = np.concatenate([x[:1], x])
     return LogRatioMap(knots=x, anchors=anchors, coef=coef)
 
