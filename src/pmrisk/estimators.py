@@ -10,9 +10,27 @@ Three routes to EP = P(C > tau) and CE = E[C | C > tau]:
   over the drift direction and the mixing-variable score, with the
   replication budget spread over four stages by adaptive optimal allocation.
 
-The naive estimator is the IS estimator at the identity tilt (mu = 0,
-theta = 2), where the likelihood ratio is exactly 1; both therefore share one
-code path and produce bitwise-identical results under a shared seed.
+All three run on one engine: labels -> ``stratified_sample`` -> pool ->
+composer.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
+likelihood ratio is exactly 1), and IS is SIS on a one-cell scheme, so the
+three differ only in the tilt and the scheme they pass in.
+
+* A stage turns an allocation (replications per stratum) into a vector of
+  1-based stratum labels, ordered by stratum, and draws it in chunks of
+  ``CHUNK`` rows, one ``stratified_sample`` call per chunk.
+* The chunks' concentrations and likelihood ratios join one pooled
+  ``SisSample``.
+* One ``np.bincount`` accumulator (``SisSample.tail_sums``) gives the
+  per-stratum tail sums; one composer turns them into the EP and CE results,
+  and the AOA stages take their per-stratum deviations from the same sums.
+
+Stream layout: stage s draws from ``rng.split(s + 1)`` (a one-stage pool
+from ``split(1)``), and chunk c of a stage from ``.split(c)`` of that.  A
+chunk of m rows draws ``standard_normal((m, k))``, then one ``random(m)`` per
+direction cut into more than one slice.  A one-slice direction conditions
+nothing and draws nothing, so a one-cell scheme's draws do not depend on its
+direction.  ``CHUNK`` bounds the working set of a draw: at 2**16 rows the
+peak memory of a 2e5-row curve sample rose by 15%.
 """
 
 from __future__ import annotations
@@ -32,7 +50,7 @@ from .copula import (
 from .errors import DomainError, NumericError
 from .statkit import Rng, normal_quantile
 
-CHUNK = 1 << 16
+CHUNK = 1 << 14
 
 # SIS defaults: equiprobable strata, four stages consuming ~10/20/30/40% of
 # the total budget, at least N_MIN replications per stratum per stage.
@@ -102,17 +120,7 @@ class StratificationScheme:
     @classmethod
     def equiprobable(cls, direction: np.ndarray, n_strata: int = N_STRATA) -> "StratificationScheme":
         """Single-direction scheme with I equiprobable slices."""
-        direction = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm <= 0.0:
-            raise DomainError("stratification direction must be nonzero")
-        if n_strata < 1:
-            raise DomainError("need at least one stratum")
-        return cls(
-            directions=direction[None, :] / norm,
-            counts=(n_strata,),
-            probs=np.full(n_strata, 1.0 / n_strata),
-        )
+        return cls.grid([direction], (n_strata,))
 
     @classmethod
     def grid(cls, directions, counts) -> "StratificationScheme":
@@ -120,6 +128,8 @@ class StratificationScheme:
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms <= 0.0):
             raise DomainError("stratification directions must be nonzero")
+        if any(int(c) < 1 for c in counts):
+            raise DomainError("stratum counts must be at least 1")
         total = int(np.prod([int(c) for c in counts]))
         return cls(
             directions=dirs / norms[:, None],
@@ -130,12 +140,6 @@ class StratificationScheme:
     @property
     def n_strata(self) -> int:
         return self.probs.shape[0]
-
-    def cell(self, stratum: int) -> tuple[int, ...]:
-        """0-based grid cell of a flat 1-based stratum index."""
-        if not 1 <= stratum <= self.n_strata:
-            raise DomainError(f"stratum must lie in 1..{self.n_strata}")
-        return tuple(int(i) for i in np.unravel_index(stratum - 1, self.counts))
 
 
 @dataclass(frozen=True)
@@ -171,106 +175,6 @@ def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
         theta = is_params.theta
         w = w * ((theta / 2.0) ** (nu / 2.0) * np.exp(draw.y * (1.0 / theta - 0.5)))
     return w
-
-
-def _chunk_spans(n: int) -> list[tuple[int, int]]:
-    return [(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
-
-
-def _draw_tilted_chunk(portfolio: CityPortfolio, is_params: IsParams, rng: Rng,
-                       m: int) -> CopulaDraw:
-    g = rng.generator()
-    spec = portfolio.copula
-    z = g.standard_normal((m, portfolio.dimension)) + is_params.mean_shift
-    y = None
-    if spec.family == "t":
-        y = is_params.theta * g.standard_gamma(spec.nu / 2.0, size=m)
-    return CopulaDraw(z=z, y=y, v=dependent_vector(spec, portfolio.chol, z, y))
-
-
-def simulate_tilted(portfolio: CityPortfolio, is_params: IsParams, n: int,
-                    rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Concentrations and likelihood ratios for n replications under the tilt.
-
-    Replications are generated in fixed-size chunks with per-chunk substreams,
-    so results do not depend on how the chunks are executed, and rerunning
-    with the same rng reuses the same underlying draws (common random
-    numbers) no matter how the tilt parameters change.
-    """
-    conc = np.empty(n)
-    weight = np.empty(n)
-    nu = portfolio.copula.nu
-    for c, (s, e) in enumerate(_chunk_spans(n)):
-        draw = _draw_tilted_chunk(portfolio, is_params, rng.split(c), e - s)
-        conc[s:e] = portfolio_concentration(portfolio, marginal_transform(portfolio, draw))
-        weight[s:e] = likelihood_ratio(draw, is_params, nu)
-    return conc, weight
-
-
-def _tail_sums(conc: np.ndarray, weight: np.ndarray, tau: float) -> dict:
-    hit = conc > tau
-    y = np.where(hit, weight, 0.0)
-    x = np.where(hit, conc * weight, 0.0)
-    return {
-        "n": conc.shape[0],
-        "hits": int(hit.sum()),
-        "sy": float(y.sum()),
-        "syy": float((y * y).sum()),
-        "sx": float(x.sum()),
-        "sxx": float((x * x).sum()),
-        "sxy": float((x * y).sum()),
-    }
-
-
-def _ep_ce_from_sums(sums: dict, estimator: str,
-                     warning: str | None = None) -> tuple[EstimateResult, EstimateResult]:
-    n = sums["n"]
-    ep_mean = sums["sy"] / n
-    ep_var = max(sums["syy"] - n * ep_mean**2, 0.0) / (n - 1)
-    ep = EstimateResult(
-        estimate=float(ep_mean),
-        variance=float(ep_var),
-        halfwidth95=float(1.96 * np.sqrt(ep_var / n)),
-        n=n,
-        estimator=estimator,
-        warning=warning,
-    )
-    if sums["hits"] == 0 or sums["sy"] <= 0.0:
-        ce = EstimateResult(
-            estimate=float("nan"), variance=float("nan"), halfwidth95=float("nan"),
-            n=n, estimator=estimator, empty_tail=True, warning=warning,
-        )
-        return ep, ce
-    ratio = sums["sx"] / sums["sy"]
-    resid_ss = max(sums["sxx"] - 2.0 * ratio * sums["sxy"] + ratio**2 * sums["syy"], 0.0)
-    ce_var = resid_ss / (n - 1) / ep_mean**2  # delta method for the ratio
-    ce = EstimateResult(
-        estimate=float(ratio),
-        variance=float(ce_var),
-        halfwidth95=float(1.96 * np.sqrt(ce_var / n)),
-        n=n,
-        estimator=estimator,
-        warning=warning,
-    )
-    return ep, ce
-
-
-def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,
-                rng: Rng) -> tuple[EstimateResult, EstimateResult]:
-    """IS estimates of EP and CE at threshold tau."""
-    if n < 2:
-        raise DomainError("need at least 2 replications")
-    if not np.isfinite(tau) or tau < 0.0:
-        raise DomainError("tau must be a nonnegative finite threshold")
-    conc, weight = simulate_tilted(portfolio, is_params, n, rng)
-    return _ep_ce_from_sums(_tail_sums(conc, weight, tau), "is", is_params.warning)
-
-
-def naive_estimate(portfolio: CityPortfolio, tau: float, n: int,
-                   rng: Rng) -> tuple[EstimateResult, EstimateResult]:
-    """Naive Monte Carlo estimates of EP and CE at threshold tau."""
-    ep, ce = is_estimate(portfolio, tau, IsParams.identity(portfolio.dimension), n, rng)
-    return replace(ep, estimator="naive"), replace(ce, estimator="naive")
 
 
 def _concentration_at(portfolio: CityPortfolio, z: np.ndarray, y: float) -> float:
@@ -387,25 +291,33 @@ def _padded_directions(scheme: StratificationScheme, dim: int, family: str) -> n
 
 
 def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
-                      stratum: int, is_params: IsParams, rng: Rng,
-                      n: int = 1) -> CopulaDraw:
-    """Draws from the IS density conditioned on stratum ``stratum`` (1-based).
+                      strata, is_params: IsParams, rng: Rng) -> CopulaDraw:
+    """Draws from the IS density, row i conditioned on stratum ``strata[i]``.
 
-    Each scheme direction's projection of the Gaussianized inputs (Z - mu,
-    plus the normal score of Y for the t family) is forced into its slice of
-    the grid cell via the conditional quantile xi = normal_quantile((i-1+U)/I);
-    the orthogonal complement stays unconditioned.
+    ``strata`` is a vector of 1-based flat stratum labels (C order over the
+    grid).  Each scheme direction's projection of the Gaussianized inputs
+    (Z - mu, plus the normal score of Y for the t family) is forced into its
+    slice of the row's grid cell via the conditional quantile
+    xi = normal_quantile((i-1+U)/I); the orthogonal complement stays
+    unconditioned.  A direction cut into one slice conditions nothing and
+    draws no uniform.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    cell = scheme.cell(stratum)
+    labels = np.asarray(strata)
+    if labels.ndim != 1 or labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
+        raise DomainError("strata must be a nonempty vector of integer labels")
+    if labels.min() < 1 or labels.max() > scheme.n_strata:
+        raise DomainError(f"stratum must lie in 1..{scheme.n_strata}")
     g = rng.generator()
     spec = portfolio.copula
     dim = portfolio.dimension
     dirs = _padded_directions(scheme, dim, spec.family)
-    gauss = g.standard_normal((n, dirs.shape[1]))
-    for w, slices, idx in zip(dirs, scheme.counts, cell):
-        u = g.random(n)
+    m = labels.shape[0]
+    gauss = g.standard_normal((m, dirs.shape[1]))
+    cells = np.unravel_index(labels - 1, scheme.counts)
+    for w, slices, idx in zip(dirs, scheme.counts, cells):
+        if slices == 1:
+            continue
+        u = g.random(m)
         grid = np.clip((idx + u) / slices, 1e-16, 1.0 - 1e-16)
         xi = normal_quantile(grid)
         gauss += np.outer(xi - gauss @ w, w)
@@ -433,11 +345,7 @@ def default_scheme(portfolio: CityPortfolio, is_params: IsParams, budget: int, *
     """
     dim = portfolio.dimension
     drift = np.linalg.norm(is_params.mean_shift)
-    w_z = np.zeros(dim)
-    if drift > 0.0:
-        w_z = is_params.mean_shift / drift
-    else:
-        w_z[0] = 1.0
+    w_z = is_params.mean_shift / drift if drift > 0.0 else np.eye(dim)[0]
     max_cells = int(budget * min(STAGE_FRACTIONS)) // n_min
     if portfolio.copula.family == "normal":
         slices = max(min(N_STRATA, int(max_cells)), 1)
@@ -445,12 +353,8 @@ def default_scheme(portfolio: CityPortfolio, is_params: IsParams, budget: int, *
     w1 = np.concatenate([w_z, [0.0]])
     w2 = np.zeros(dim + 1)
     w2[dim] = 1.0
-    for counts in _GRID_LADDER:
-        if int(np.prod(counts)) <= max_cells:
-            if counts == (1, 1):
-                return StratificationScheme.grid([w1], (1,))
-            return StratificationScheme.grid([w1, w2], counts)
-    return StratificationScheme.grid([w1], (1,))
+    counts = next((c for c in _GRID_LADDER if int(np.prod(c)) <= max_cells), (1, 1))
+    return StratificationScheme.grid([w1, w2], counts)
 
 
 def aoa_allocate(budget: int, probs: np.ndarray, sigma: np.ndarray,
@@ -499,122 +403,127 @@ def aoa_allocate(budget: int, probs: np.ndarray, sigma: np.ndarray,
     return alloc
 
 
-class _StratumSums:
-    __slots__ = ("n", "hits", "sy", "syy", "sx", "sxx", "sxy")
+@dataclass(frozen=True, eq=False)
+class SisSample:
+    """Pooled stratified sample, one entry per replication.
 
-    def __init__(self):
-        self.n = 0
-        self.hits = 0
-        self.sy = self.syy = self.sx = self.sxx = self.sxy = 0.0
+    ``stratum`` holds 0-based labels and ``counts`` the rows per stratum.
+    ``sample_weight`` is p_i W / n_i, so plain weighted sums over the pool are
+    unbiased for the corresponding expectations.
+    """
 
-    def add(self, conc: np.ndarray, weight: np.ndarray, tau: float) -> None:
-        hit = conc > tau
-        y = np.where(hit, weight, 0.0)
-        x = np.where(hit, conc * weight, 0.0)
-        self.n += conc.shape[0]
-        self.hits += int(hit.sum())
-        self.sy += float(y.sum())
-        self.syy += float((y * y).sum())
-        self.sx += float(x.sum())
-        self.sxx += float((x * x).sum())
-        self.sxy += float((x * y).sum())
+    conc: np.ndarray
+    weight: np.ndarray
+    stratum: np.ndarray
+    probs: np.ndarray
+    counts: np.ndarray
 
-    def residual_sigma(self, ratio: float) -> float:
-        if self.n < 2:
-            return 0.0
-        ss = self.sxx - 2.0 * ratio * self.sxy + ratio**2 * self.syy
-        mean = (self.sx - ratio * self.sy) / self.n
-        var = max(ss / self.n - mean**2, 0.0) * self.n / (self.n - 1)
-        return float(np.sqrt(var))
+    @property
+    def sample_weight(self) -> np.ndarray:
+        return (self.probs / np.maximum(self.counts, 1))[self.stratum] * self.weight
 
-    def indicator_sigma(self) -> float:
-        if self.n < 2:
-            return 0.0
-        var = max(self.syy / self.n - (self.sy / self.n) ** 2, 0.0) * self.n / (self.n - 1)
-        return float(np.sqrt(var))
+    def tail_sums(self, tau: float, *, ce: bool = True) -> np.ndarray:
+        """Per-stratum sums of y, y^2 and, with ``ce``, x, x^2, xy.
 
+        y = W 1{C > tau} and x = C y; the result has one row per moment.
+        """
+        y = np.where(self.conc > tau, self.weight, 0.0)
+        moments = [y, y * y]
+        if ce:
+            x = self.conc * y
+            moments += [x, x * x, x * y]
+        n_strata = self.probs.shape[0]
+        return np.array([np.bincount(self.stratum, weights=m, minlength=n_strata)
+                         for m in moments])
 
-def _stage_budgets(total_n: int) -> list[int]:
-    raw = np.asarray(STAGE_FRACTIONS) * total_n
-    base = np.floor(raw).astype(int)
-    shortfall = total_n - base.sum()
-    remainder = raw - base
-    order = np.lexsort((np.arange(remainder.size), -remainder))
-    base[order[:shortfall]] += 1
-    return base.tolist()
+    def ep_at(self, tau: float) -> tuple[float, float]:
+        """Stratified EP estimate and 95% halfwidth at one threshold."""
+        ep, var = _stratified_mean(self.probs, self.counts, *self.tail_sums(tau, ce=False))
+        return ep, 1.96 * np.sqrt(var)
 
 
-def _run_sis(portfolio: CityPortfolio, tau: float, is_params: IsParams,
-             scheme: StratificationScheme, total_n: int, rng: Rng,
-             n_min: int) -> list[_StratumSums]:
+def _stratum_var(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Per-stratum sample variances (n - 1 divisor) from sums and sums of squares."""
+    return np.maximum(ss - s * s / np.maximum(n, 1), 0.0) / np.maximum(n - 1, 1)
+
+
+def _stratified_mean(probs: np.ndarray, counts: np.ndarray, s: np.ndarray,
+                     ss: np.ndarray) -> tuple[float, float]:
+    """Stratified mean sum_i p_i s_i / n_i and its variance."""
+    n = np.maximum(counts, 1)
+    mean = float(probs @ (s / n))
+    var = float(np.sum(probs**2 * _stratum_var(counts, s, ss) / n))
+    return mean, var
+
+
+def _residual_sums(sums: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stratum sums and sums of squares of x - ratio * y."""
+    sy, syy, sx, sxx, sxy = sums
+    return sx - ratio * sy, sxx - 2.0 * ratio * sxy + ratio**2 * syy
+
+
+def _compose(pool: SisSample, tau: float, estimator: str,
+             warning: str | None) -> tuple[EstimateResult, EstimateResult]:
+    """EP and CE results from a pool's per-stratum tail sums.
+
+    ``variance`` is n times the stratified variance; the CE variance is the
+    delta-method variance of the ratio of the two stratified means.
+    """
+    n = int(pool.counts.sum())
+    sums = pool.tail_sums(tau)
+
+    def result(estimate: float, var: float, **flags) -> EstimateResult:
+        return EstimateResult(estimate=estimate, variance=var * n,
+                              halfwidth95=float(1.96 * np.sqrt(var)), n=n,
+                              estimator=estimator, warning=warning, **flags)
+
+    ep, ep_var = _stratified_mean(pool.probs, pool.counts, sums[0], sums[1])
+    numer = float(pool.probs @ (sums[2] / np.maximum(pool.counts, 1)))
+    if ep <= 0.0 or numer <= 0.0:
+        return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
+    ratio = numer / ep
+    _, resid_var = _stratified_mean(pool.probs, pool.counts, *_residual_sums(sums, ratio))
+    return result(ep, ep_var), result(ratio, resid_var / ep**2)
+
+
+def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:
+    """Per-stratum deviations of the CE residual for AOA; ones before any tail hit."""
+    sums = pool.tail_sums(tau)
+    total_sy = sums[0].sum()
+    if total_sy <= 0.0:
+        return np.ones(pool.probs.shape[0])
+    s, ss = _residual_sums(sums, sums[2].sum() / total_sy)
+    return np.sqrt(_stratum_var(pool.counts, s, ss))
+
+
+def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
+               scheme: StratificationScheme, budgets: list[int], n_min: int,
+               rng: Rng, tau: float | None = None) -> SisSample:
+    """Pooled sample over stages; stage s spends ``budgets[s]`` replications.
+
+    The first stage allocates proportionally to the stratum probabilities,
+    later ones by AOA on the tail at ``tau`` of everything pooled so far.
+    """
     n_strata = scheme.n_strata
-    probs = scheme.probs
-    sums = [_StratumSums() for _ in range(n_strata)]
-
-    def sample_into(stage: int, alloc: np.ndarray) -> None:
-        for i in range(n_strata):
-            need = int(alloc[i])
-            base = rng.split(stage + 1).split(i)
-            for c, (s, e) in enumerate(_chunk_spans(need)):
-                draw = stratified_sample(
-                    portfolio, scheme, i + 1, is_params, base.split(c), e - s
-                )
-                conc = portfolio_concentration(
-                    portfolio, marginal_transform(portfolio, draw)
-                )
-                weight = likelihood_ratio(draw, is_params, portfolio.copula.nu)
-                sums[i].add(conc, weight, tau)
-
-    budgets = _stage_budgets(total_n)
-    sample_into(0, aoa_allocate(budgets[0], probs, np.ones(n_strata), n_min))
-    for stage in range(1, len(budgets)):
-        total_sy = sum(s.sy for s in sums)
-        total_sx = sum(s.sx for s in sums)
-        if total_sy > 0.0:
-            ratio = total_sx / total_sy
-            sigma = np.array([s.residual_sigma(ratio) for s in sums])
-        else:
-            sigma = np.array([s.indicator_sigma() for s in sums])
-        sample_into(stage, aoa_allocate(budgets[stage], probs, sigma, n_min))
-    return sums
-
-
-def _sis_results(sums: list[_StratumSums], probs: np.ndarray, estimator: str,
-                 warning: str | None) -> tuple[EstimateResult, EstimateResult]:
-    n_total = sum(s.n for s in sums)
-    ep_mean = float(sum(p * s.sy / s.n for p, s in zip(probs, sums)))
-    ep_var = float(
-        sum(p**2 * s.indicator_sigma() ** 2 / s.n for p, s in zip(probs, sums))
-    )
-    ep = EstimateResult(
-        estimate=float(ep_mean),
-        variance=float(ep_var * n_total),
-        halfwidth95=float(1.96 * np.sqrt(ep_var)),
-        n=n_total,
-        estimator=estimator,
-        warning=warning,
-    )
-    hits = sum(s.hits for s in sums)
-    numer = float(sum(p * s.sx / s.n for p, s in zip(probs, sums)))
-    if hits == 0 or ep_mean <= 0.0 or numer <= 0.0:
-        ce = EstimateResult(
-            estimate=float("nan"), variance=float("nan"), halfwidth95=float("nan"),
-            n=n_total, estimator=estimator, empty_tail=True, warning=warning,
-        )
-        return ep, ce
-    ratio = numer / ep_mean
-    ce_var = float(
-        sum(p**2 * s.residual_sigma(ratio) ** 2 / s.n for p, s in zip(probs, sums))
-    ) / ep_mean**2
-    ce = EstimateResult(
-        estimate=float(ratio),
-        variance=float(ce_var * n_total),
-        halfwidth95=float(1.96 * np.sqrt(ce_var)),
-        n=n_total,
-        estimator=estimator,
-        warning=warning,
-    )
-    return ep, ce
+    nu = portfolio.copula.nu
+    conc, weight, labels = [np.empty(0)], [np.empty(0)], []
+    counts = np.zeros(n_strata, dtype=int)
+    pool = None
+    for stage, budget in enumerate(budgets):
+        sigma = np.ones(n_strata) if pool is None else _aoa_sigma(pool, tau)
+        alloc = aoa_allocate(budget, scheme.probs, sigma, n_min)
+        strata = np.repeat(np.arange(n_strata), alloc)
+        stage_rng = rng.split(stage + 1)
+        for c, start in enumerate(range(0, budget, CHUNK)):
+            draw = stratified_sample(portfolio, scheme, strata[start:start + CHUNK] + 1,
+                                     is_params, stage_rng.split(c))
+            conc.append(portfolio_concentration(portfolio, marginal_transform(portfolio, draw)))
+            weight.append(likelihood_ratio(draw, is_params, nu))
+        labels.append(strata)
+        counts = counts + alloc
+        pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
+                         stratum=np.concatenate(labels), probs=scheme.probs, counts=counts)
+    return pool
 
 
 def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
@@ -624,54 +533,21 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
 
     Four stages consume the total budget; the first allocates proportionally
     to the stratum probabilities, later stages rebalance via ``aoa_allocate``
-    with standard deviations pooled over everything sampled so far.  A single
-    stratum degenerates to plain importance sampling and is delegated to
-    ``is_estimate`` (same draws, same budget, one stage).
+    with standard deviations pooled over everything sampled so far.  A
+    one-cell scheme has no per-stratum floor: it is plain importance sampling
+    on the same four stages, and needs two replications.
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
-    if scheme.n_strata == 1:
-        if total_n < max(2, n_min):
-            raise DomainError("budget below the stratum floor")
-        ep, ce = is_estimate(portfolio, tau, is_params, total_n, rng)
-        return replace(ep, estimator="sis"), replace(ce, estimator="sis")
-    if total_n < scheme.n_strata * n_min * len(STAGE_FRACTIONS):
+    floor = n_min if scheme.n_strata > 1 else 0
+    if total_n < max(2, scheme.n_strata * floor * len(STAGE_FRACTIONS)):
         raise DomainError(
-            "budget cannot cover the per-stratum floor in every stage"
+            "budget cannot cover two replications and the per-stratum floor in every stage"
         )
-    sums = _run_sis(portfolio, tau, is_params, scheme, total_n, rng, n_min)
-    return _sis_results(sums, scheme.probs, "sis", is_params.warning)
-
-
-@dataclass(frozen=True, eq=False)
-class SisSample:
-    """Pooled SIS sample with stratum bookkeeping.
-
-    ``sample_weight`` is p_i W / n_i, so plain weighted sums over the pool are
-    unbiased for the corresponding expectations; ``stratum`` holds 0-based
-    labels for per-stratum variance composition.
-    """
-
-    conc: np.ndarray
-    weight: np.ndarray
-    sample_weight: np.ndarray
-    stratum: np.ndarray
-    probs: np.ndarray
-    counts: np.ndarray
-
-    def ep_at(self, tau: float) -> tuple[float, float]:
-        """Stratified EP estimate and 95% halfwidth at one threshold."""
-        y = np.where(self.conc > tau, self.weight, 0.0)
-        n_strata = self.probs.shape[0]
-        sy = np.bincount(self.stratum, weights=y, minlength=n_strata)
-        syy = np.bincount(self.stratum, weights=y * y, minlength=n_strata)
-        means = sy / self.counts
-        with np.errstate(invalid="ignore"):
-            variances = np.maximum(syy / self.counts - means**2, 0.0)
-        variances *= self.counts / np.maximum(self.counts - 1, 1)
-        ep = float(self.probs @ means)
-        var = float(np.sum(self.probs**2 * variances / self.counts))
-        return ep, 1.96 * np.sqrt(var)
+    fractions = np.asarray(STAGE_FRACTIONS)
+    budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
+    pool = _draw_pool(portfolio, is_params, scheme, budgets, floor, rng, tau)
+    return _compose(pool, tau, "sis", is_params.warning)
 
 
 def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
@@ -683,45 +559,19 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
     quantile inversion, where adaptive allocation at one threshold would
     starve the rest of the support.
     """
-    if total_n < scheme.n_strata:
-        raise DomainError("budget below one replication per stratum")
-    if scheme.n_strata == 1:
-        conc, weight = simulate_tilted(portfolio, is_params, total_n, rng)
-        return SisSample(
-            conc=conc,
-            weight=weight,
-            sample_weight=weight / total_n,
-            stratum=np.zeros(total_n, dtype=int),
-            probs=np.ones(1),
-            counts=np.array([total_n]),
-        )
-    alloc = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
-    nu = portfolio.copula.nu
-    concs, weights = [], []
-    for i in range(scheme.n_strata):
-        parts_c, parts_w = [], []
-        base = rng.split(1).split(i)
-        for c, (s, e) in enumerate(_chunk_spans(int(alloc[i]))):
-            draw = stratified_sample(portfolio, scheme, i + 1, is_params, base.split(c), e - s)
-            parts_c.append(
-                portfolio_concentration(portfolio, marginal_transform(portfolio, draw))
-            )
-            parts_w.append(likelihood_ratio(draw, is_params, nu))
-        concs.append(np.concatenate(parts_c))
-        weights.append(np.concatenate(parts_w))
-    conc = np.concatenate(concs)
-    weight = np.concatenate(weights)
-    sample_w = np.concatenate(
-        [p * w / w.shape[0] for p, w in zip(scheme.probs, weights)]
-    )
-    labels = np.concatenate(
-        [np.full(int(alloc[i]), i, dtype=int) for i in range(scheme.n_strata)]
-    )
-    return SisSample(
-        conc=conc,
-        weight=weight,
-        sample_weight=sample_w,
-        stratum=labels,
-        probs=scheme.probs.copy(),
-        counts=alloc.copy(),
-    )
+    return _draw_pool(portfolio, is_params, scheme, [total_n], 1, rng)
+
+
+def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,
+                rng: Rng) -> tuple[EstimateResult, EstimateResult]:
+    """IS estimates of EP and CE at threshold tau: SIS on one cell."""
+    one_cell = StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
+    ep, ce = sis_estimate(portfolio, tau, is_params, one_cell, n, rng)
+    return replace(ep, estimator="is"), replace(ce, estimator="is")
+
+
+def naive_estimate(portfolio: CityPortfolio, tau: float, n: int,
+                   rng: Rng) -> tuple[EstimateResult, EstimateResult]:
+    """Naive Monte Carlo estimates of EP and CE at threshold tau."""
+    ep, ce = is_estimate(portfolio, tau, IsParams.identity(portfolio.dimension), n, rng)
+    return replace(ep, estimator="naive"), replace(ce, estimator="naive")

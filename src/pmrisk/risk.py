@@ -9,7 +9,7 @@ numbers until the threshold stabilizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from .errors import DomainError, NumericError
 from .estimators import (
     EstimateResult,
     IsParams,
+    SisSample,
+    StratificationScheme,
     calibrate_is,
     default_scheme,
-    is_estimate,
-    naive_estimate,
     proportional_sis_sample,
-    simulate_tilted,
     sis_estimate,
 )
 from .statkit import Rng
@@ -106,6 +105,24 @@ def _note(warnings: list[str] | None, message: str) -> None:
         warnings.append(message)
 
 
+def _scheme(portfolio: CityPortfolio, estimator: str, params: IsParams,
+            budget: int) -> StratificationScheme:
+    """The estimator's stratification: the default grid for SIS, one cell otherwise."""
+    if estimator == "sis":
+        return default_scheme(portfolio, params, budget)
+    return StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
+
+
+def _pool(portfolio: CityPortfolio, estimator: str, params: IsParams, budget: int,
+          rng: Rng) -> SisSample:
+    scheme = _scheme(portfolio, estimator, params, budget)
+    return proportional_sis_sample(portfolio, params, scheme, budget, rng)
+
+
+def _upper_quantile(pool: SisSample, q: float) -> float:
+    return weighted_quantile(pool.conc, pool.sample_weight, q, total_mass=1.0)
+
+
 def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
               seed: int, *, rel_tol: float = 1e-3, max_iter: int = 8,
               warnings: list[str] | None = None) -> float:
@@ -117,10 +134,8 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
     rng = Rng(seed).split(_STREAM_CAR)
     q = 1.0 - query.alpha
 
-    conc, weight = simulate_tilted(
-        portfolio, IsParams.identity(portfolio.dimension), budget, rng
-    )
-    tau = weighted_quantile(conc, weight / budget, q, total_mass=1.0)
+    identity = IsParams.identity(portfolio.dimension)
+    tau = _upper_quantile(_pool(portfolio, "naive", identity, budget, rng), q)
     if estimator == "naive":
         return tau
 
@@ -129,15 +144,7 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
         params = calibrate_is(portfolio, tau)
         if params.warning:
             _note(warnings, f"alpha={alpha}: {params.warning}")
-        if estimator == "is":
-            conc, weight = simulate_tilted(portfolio, params, budget, rng)
-            tau_new = weighted_quantile(conc, weight / budget, q, total_mass=1.0)
-        else:
-            pool = proportional_sis_sample(
-                portfolio, params, default_scheme(portfolio, params, budget),
-                budget, rng,
-            )
-            tau_new = weighted_quantile(pool.conc, pool.sample_weight, q, total_mass=1.0)
+        tau_new = _upper_quantile(_pool(portfolio, estimator, params, budget, rng), q)
         trace.append(tau_new)
         if abs(tau_new - tau) <= rel_tol * abs(tau):
             return tau_new
@@ -151,15 +158,12 @@ def compute_ccar(portfolio: CityPortfolio, alpha: float, tau: float, estimator: 
     RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
     rng = Rng(seed).split(_STREAM_CCAR)
     if estimator == "naive":
-        _, ce = naive_estimate(portfolio, tau, budget, rng)
-        return ce
-    params = calibrate_is(portfolio, tau)
-    if estimator == "is":
-        _, ce = is_estimate(portfolio, tau, params, budget, rng)
-        return ce
-    scheme = default_scheme(portfolio, params, budget)
+        params = IsParams.identity(portfolio.dimension)
+    else:
+        params = calibrate_is(portfolio, tau)
+    scheme = _scheme(portfolio, estimator, params, budget)
     _, ce = sis_estimate(portfolio, tau, params, scheme, budget, rng)
-    return ce
+    return replace(ce, estimator=estimator)
 
 
 @dataclass(frozen=True)
@@ -195,15 +199,9 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
 
     rng = Rng(seed).split(_STREAM_CURVE)
     baseline = portfolio.baseline()
-    pool = None
-    if estimator == "naive":
-        conc, weight = simulate_tilted(
-            portfolio, IsParams.identity(portfolio.dimension), budget, rng
-        )
-    else:
-        pilot, _ = simulate_tilted(
-            portfolio, IsParams.identity(portfolio.dimension), 2048, rng.split(5)
-        )
+    params = IsParams.identity(portfolio.dimension)
+    if estimator != "naive":
+        pilot = _pool(portfolio, "naive", params, 2048, rng.split(5)).conc
         ref = float(np.quantile(pilot, 0.9))
         # clamp into the grid but never below the calibration domain
         ref = max(min(max(ref, grid[0]), grid[-1]), baseline * 1.05)
@@ -211,29 +209,14 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
         if calibrated.warning:
             _note(warnings, calibrated.warning)
         params = IsParams(mean_shift=calibrated.mean_shift, theta=max(calibrated.theta, 1.2))
-        if estimator == "is":
-            conc, weight = simulate_tilted(portfolio, params, budget, rng)
-        else:
-            pool = proportional_sis_sample(
-                portfolio, params, default_scheme(portfolio, params, budget),
-                budget, rng,
-            )
-            conc = pool.conc
+    pool = _pool(portfolio, estimator, params, budget, rng)
 
     points = []
-    n = conc.shape[0]
     for tau in grid:
-        hits = int((conc > tau).sum())
-        if pool is not None:
-            ep, halfwidth = pool.ep_at(float(tau))
-        else:
-            y = np.where(conc > tau, weight, 0.0)
-            ep = float(y.mean())
-            var = max(float((y * y).mean()) - ep**2, 0.0) * n / max(n - 1, 1)
-            halfwidth = 1.96 * np.sqrt(var / n)
+        ep, halfwidth = pool.ep_at(float(tau))
         points.append(
             CurvePoint(tau=float(tau), ep=float(ep), halfwidth95=float(halfwidth),
-                       hits=hits)
+                       hits=int((pool.conc > tau).sum()))
         )
     return points
 

@@ -31,7 +31,12 @@ from pmrisk import (
 )
 from pmrisk.calibration import LogRatioPanel, fit_gh_marginal, fit_t_copula
 from pmrisk.copula import CityPortfolio, marginal_transform, sample_copula
-from pmrisk.estimators import calibrate_is, default_scheme, simulate_tilted
+from pmrisk.estimators import (
+    StratificationScheme,
+    calibrate_is,
+    default_scheme,
+    proportional_sis_sample,
+)
 
 from conftest import CAR_ROWS, GH_ROWS, SIGMA
 
@@ -106,7 +111,8 @@ def test_criterion_3_figure2_regime(portfolio):
 
 def test_criterion_4_identity_tilt_equivalence(portfolio):
     identity = IsParams.identity(portfolio.dimension)
-    _, weight = simulate_tilted(portfolio, identity, 8192, Rng(77))
+    one_cell = StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
+    weight = proportional_sis_sample(portfolio, identity, one_cell, 8192, Rng(77)).weight
     assert np.all(weight == 1.0)
     ep_nv, ce_nv = naive_estimate(portfolio, 352.03, 40_000, Rng(78))
     ep_is, ce_is = is_estimate(portfolio, 352.03, identity, 40_000, Rng(78))

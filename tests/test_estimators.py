@@ -17,7 +17,7 @@ from pmrisk import (
     stratified_sample,
 )
 from pmrisk.copula import CopulaDraw
-from pmrisk.estimators import default_scheme, simulate_tilted
+from pmrisk.estimators import SisSample, _compose, default_scheme, proportional_sis_sample
 from pmrisk.statkit import normal_quantile
 
 from conftest import NU
@@ -27,12 +27,16 @@ CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
 class TestLikelihoodRatio:
     def test_identity_tilt_is_exactly_one(self, portfolio):
-        conc, weight = simulate_tilted(portfolio, IsParams.identity(5), 4096, Rng(1))
+        one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
+        weight = proportional_sis_sample(
+            portfolio, IsParams.identity(5), one_cell, 4096, Rng(1)
+        ).weight
         assert np.all(weight == 1.0)
 
     def test_unbiased_mean_one(self, portfolio):
         params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
-        _, weight = simulate_tilted(portfolio, params, 1_000_000, Rng(4))
+        one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
+        weight = proportional_sis_sample(portfolio, params, one_cell, 1_000_000, Rng(4)).weight
         se = weight.std(ddof=1) / np.sqrt(weight.size)
         assert abs(weight.mean() - 1.0) <= 3.0 * se
 
@@ -127,6 +131,14 @@ class TestIsEstimate:
         _, ce_is = is_estimate(portfolio, CAR_001, params, 100_000, Rng(8))
         assert (ce_nv.halfwidth95 / ce_is.halfwidth95) ** 2 >= 5.0
 
+    def test_two_replications_suffice(self, portfolio):
+        # one cell has no per-stratum floor: naive and IS keep accepting n = 2
+        params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
+        for ep, ce in (naive_estimate(portfolio, 100.0, 2, Rng(0)),
+                       is_estimate(portfolio, 100.0, params, 2, Rng(0))):
+            assert ep.n == ce.n == 2
+            assert np.isfinite(ep.estimate) and np.isfinite(ep.variance)
+
     def test_single_city_analytic_with_variance_gain(self, single_city):
         tau = 465.0  # ~1% tail for the Beijing marginal
         exact = 1.0 - gh_cdf(single_city.marginals[0], np.log(tau / 100.0))
@@ -141,9 +153,17 @@ class TestIsEstimate:
 class TestStratifiedSample:
     def test_first_stratum_bounded_projection(self, portfolio):
         scheme = StratificationScheme.equiprobable(np.eye(5)[0], 4)
-        draw = stratified_sample(portfolio, scheme, 1, IsParams.identity(5), Rng(10), 4000)
+        draw = stratified_sample(
+            portfolio, scheme, np.ones(4000, dtype=int), IsParams.identity(5), Rng(10)
+        )
         xi = draw.z @ np.eye(5)[0]
         assert np.all(xi < normal_quantile(0.25))
+        # a mixed label vector: every row lands in its own slice
+        labels = np.random.default_rng(0).integers(1, 5, size=4000)
+        draw = stratified_sample(portfolio, scheme, labels, IsParams.identity(5), Rng(10))
+        xi = draw.z @ np.eye(5)[0]
+        edges = np.concatenate([[-np.inf], normal_quantile(np.array([0.25, 0.5, 0.75])), [np.inf]])
+        assert np.all((edges[labels - 1] < xi) & (xi < edges[labels]))
 
     def test_equiprobable_probabilities(self):
         scheme = StratificationScheme.equiprobable(np.array([1.0, 0.0]), 8)
@@ -153,7 +173,7 @@ class TestStratifiedSample:
         scheme = StratificationScheme.equiprobable(np.eye(5)[1], 10)
         params = IsParams.identity(5)
         parts = [
-            stratified_sample(portfolio, scheme, i + 1, params, Rng(11).split(i), 10_000)
+            stratified_sample(portfolio, scheme, np.full(10_000, i + 1), params, Rng(11).split(i))
             for i in range(10)
         ]
         xi = np.concatenate([p.z @ np.eye(5)[1] for p in parts])
@@ -164,9 +184,13 @@ class TestStratifiedSample:
     def test_invalid_stratum_index(self, portfolio):
         scheme = StratificationScheme.equiprobable(np.eye(5)[0], 4)
         with pytest.raises(DomainError):
-            stratified_sample(portfolio, scheme, 0, IsParams.identity(5), Rng(0))
+            stratified_sample(portfolio, scheme, np.array([0]), IsParams.identity(5), Rng(0))
         with pytest.raises(DomainError):
-            stratified_sample(portfolio, scheme, 5, IsParams.identity(5), Rng(0))
+            stratified_sample(portfolio, scheme, np.array([5]), IsParams.identity(5), Rng(0))
+        with pytest.raises(DomainError):
+            stratified_sample(
+                portfolio, scheme, np.array([1, 2, 5, 3]), IsParams.identity(5), Rng(0)
+            )
 
 
 class TestAoaAllocate:
@@ -241,6 +265,53 @@ class TestSisEstimate:
         ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 50_000, Rng(15))
         joint = np.hypot(ep_nv.halfwidth95, ep_sis.halfwidth95) / 1.96
         assert abs(ep_nv.estimate - ep_sis.estimate) <= 3.0 * joint
+
+
+class TestComposer:
+    @staticmethod
+    def _pool(counts, probs, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        conc = rng.uniform(0.0, 2.0, size=labels.size) + labels
+        weight = rng.lognormal(0.0, 0.5, size=labels.size)
+        return SisSample(conc=conc, weight=weight, stratum=labels,
+                         probs=np.asarray(probs, dtype=float), counts=np.asarray(counts))
+
+    def test_matches_per_stratum_loop(self):
+        # unequal allocations; stratum 0 has conc < 2 and no hit above tau
+        pool = self._pool([40, 170, 25, 90], [0.1, 0.4, 0.2, 0.3], 1)
+        tau = 2.5
+        n = pool.counts.sum()
+        parts = []
+        for i, p in enumerate(pool.probs):
+            c, w = pool.conc[pool.stratum == i], pool.weight[pool.stratum == i]
+            y = np.where(c > tau, w, 0.0)
+            parts.append((p, y, c * y))
+        assert not parts[0][1].any() and parts[1][1].any()
+        ep = sum(p * y.mean() for p, y, _ in parts)
+        ep_var = sum(p**2 * y.var(ddof=1) / y.size for p, y, _ in parts)
+        ratio = sum(p * x.mean() for p, _, x in parts) / ep
+        ce_var = sum(p**2 * (x - ratio * y).var(ddof=1) / y.size for p, y, x in parts) / ep**2
+        got_ep, got_ce = _compose(pool, tau, "sis", None)
+        for got, want in ((got_ep.estimate, ep), (got_ep.variance, ep_var * n),
+                          (got_ce.estimate, ratio), (got_ce.variance, ce_var * n)):
+            assert got == pytest.approx(want, rel=1e-12)
+        assert got_ep.halfwidth95 == pytest.approx(1.96 * np.sqrt(ep_var), rel=1e-12)
+
+    def test_one_cell_is_textbook_is(self):
+        pool = self._pool([500], [1.0], 2)
+        tau = 1.5
+        n = 500
+        y = np.where(pool.conc > tau, pool.weight, 0.0)
+        x = pool.conc * y
+        ratio = x.sum() / y.sum()
+        ep, ce = _compose(pool, tau, "is", None)
+        assert ep.estimate == pytest.approx(y.mean(), rel=1e-12)
+        assert ep.variance == pytest.approx(np.sum((y - y.mean()) ** 2) / (n - 1), rel=1e-12)
+        assert ce.estimate == pytest.approx(ratio, rel=1e-12)
+        ce_var = np.sum((x - ratio * y) ** 2) / (n - 1) / y.mean() ** 2
+        assert ce.variance == pytest.approx(ce_var, rel=1e-12)
+        assert ce.halfwidth95 == pytest.approx(1.96 * np.sqrt(ce_var / n), rel=1e-12)
 
 
 class TestCrossEstimatorAgreement:

@@ -15,7 +15,7 @@ from pmrisk import (
     naive_estimate,
     sis_estimate,
 )
-from pmrisk.estimators import default_scheme, simulate_tilted
+from pmrisk.estimators import StratificationScheme, default_scheme, proportional_sis_sample
 
 from conftest import GH_ROWS, SIGMA
 
@@ -46,7 +46,10 @@ def normal_single():
 
 
 def test_identity_weight_is_one(normal_portfolio):
-    _, weight = simulate_tilted(normal_portfolio, IsParams.identity(5), 2048, Rng(1))
+    one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
+    weight = proportional_sis_sample(
+        normal_portfolio, IsParams.identity(5), one_cell, 2048, Rng(1)
+    ).weight
     assert np.all(weight == 1.0)
 
 
@@ -84,4 +87,4 @@ def test_mixing_direction_rejected(normal_portfolio):
 
     scheme = StratificationScheme.equiprobable(np.ones(6) / np.sqrt(6.0), 4)
     with pytest.raises(DomainError):
-        stratified_sample(normal_portfolio, scheme, 1, IsParams.identity(5), Rng(0))
+        stratified_sample(normal_portfolio, scheme, np.array([1]), IsParams.identity(5), Rng(0))
