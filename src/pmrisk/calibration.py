@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .copula import CopulaSpec, cholesky_factor
-from .errors import CalibrationError, DataError, DomainError
+from .errors import CalibrationError, DataError, DomainError, UsageError
 from .ghdist import GhParams, gh_cdf, gh_logpdf
 from .statkit import Rng, normal_quantile, t_quantile
 
@@ -302,6 +302,10 @@ def normal_copula_loglik(u: np.ndarray, sigma: np.ndarray) -> float:
     return float(-0.5 * (u.shape[0] * logdet + np.sum(q)))
 
 
+# search interval of the profile likelihood for the t-copula nu
+_NU_BOUNDS = (0.5, 200.0)
+
+
 @dataclass(frozen=True)
 class CopulaFit:
     spec: CopulaSpec
@@ -310,8 +314,7 @@ class CopulaFit:
     warning: str | None = None
 
 
-def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams], *,
-                 nu_bounds: tuple[float, float] = (0.5, 200.0)) -> CopulaFit:
+def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams]) -> CopulaFit:
     """t-copula fit: Kendall-tau inversion for sigma, profile likelihood for nu.
 
     Pseudo-observations come from the supplied marginal CDFs on complete
@@ -347,7 +350,7 @@ def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams], *,
 
     res = optimize.minimize_scalar(
         lambda lnu: -t_copula_loglik(u, sigma, float(np.exp(lnu))),
-        bounds=(np.log(nu_bounds[0]), np.log(nu_bounds[1])),
+        bounds=(np.log(_NU_BOUNDS[0]), np.log(_NU_BOUNDS[1])),
         method="bounded",
         options={"xatol": 1e-5},
     )
@@ -374,7 +377,7 @@ def split_train_holdout(panel: LogRatioPanel, fraction: float,
                         rng: Rng) -> tuple[LogRatioPanel, LogRatioPanel]:
     """Random row split: ceil(fraction * n) training rows, rest held out."""
     if not 0.0 < fraction < 1.0:
-        raise DomainError("fraction must lie in (0, 1)")
+        raise UsageError(f"train fraction {fraction} outside (0, 1)")
     n = panel.n_rows
     perm = rng.generator().permutation(n)
     n_train = int(np.ceil(fraction * n))

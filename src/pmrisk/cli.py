@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,51 +34,16 @@ from .calibration import (
     split_train_holdout,
 )
 from .copula import CityPortfolio, CopulaSpec
-from .errors import CalibrationError, DataError, DomainError, NumericError, PmriskError
+from .errors import CalibrationError, DataError, DomainError, NumericError, UsageError
 from .ghdist import gh_logpdf
 from .presets import portfolio_to_doc, resolve_portfolio
-from .risk import MIN_BUDGET, build_report, exceedance_curve, solve_car
+from .risk import build_report, exceedance_curve, queries, solve_car
 from .statkit import Rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-
-class UsageError(PmriskError):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration for simulate/car/curve runs."""
-
-    mode: str
-    preset: str | None
-    model_path: str | None
-    estimator: str
-    alphas: tuple[float, ...]
-    budget: int
-    seed: int
-    tau_grid: tuple[float, ...] | None
-    out_path: str
-
-    def __post_init__(self):
-        if (self.preset is None) == (self.model_path is None):
-            raise UsageError("exactly one of --preset and --model is required")
-        if self.mode in ("simulate", "car"):
-            if not self.alphas:
-                raise UsageError("--alpha list must be nonempty")
-            for a in self.alphas:
-                if not 0.0 < a < 0.5:
-                    raise UsageError(f"alpha {a} outside (0, 0.5)")
-            if self.budget < MIN_BUDGET:
-                raise UsageError(f"--budget must be at least {MIN_BUDGET}")
-        if self.mode == "curve" and not self.tau_grid:
-            raise UsageError("curve mode requires --tau-grid")
-        if self.budget < 2:
-            raise UsageError("--budget must be at least 2")
 
 
 def ingest_csv(path) -> list[ConcentrationSeries]:
@@ -155,31 +119,34 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _metadata_lines(config: RunConfig, digest: str) -> list[str]:
+def _metadata_lines(args: argparse.Namespace, digest: str) -> list[str]:
     lines = [
         "# pmrisk artifact v1",
-        f"# command: {config.mode}",
-        f"# estimator: {config.estimator}",
-        f"# budget: {config.budget}",
-        f"# seed: {config.seed}",
+        f"# command: {args.command}",
+        f"# estimator: {args.estimator}",
+        f"# budget: {args.budget}",
+        f"# seed: {args.seed}",
         f"# model_sha256: {digest}",
     ]
-    if config.mode in ("simulate", "car"):
-        lines.append("# alphas: " + ",".join(repr(float(a)) for a in config.alphas))
-    if config.mode == "curve" and config.tau_grid:
-        lines.append("# tau_grid: " + ",".join(repr(float(t)) for t in config.tau_grid))
+    if args.command in ("simulate", "car"):
+        lines.append("# alphas: " + ",".join(repr(float(a)) for a in args.alpha))
+    if args.command == "curve":
+        lines.append("# tau_grid: " + ",".join(repr(float(t)) for t in args.tau_grid))
     return lines
 
 
-def run(config: RunConfig) -> None:
-    """Execute a simulate/car/curve configuration and write its artifact."""
-    portfolio, digest = resolve_portfolio(config.preset, config.model_path)
+def run(args: argparse.Namespace) -> None:
+    """Execute a parsed simulate/car/curve command and write its artifact."""
+    # a bad alpha or budget is reported before any model file is read
+    rows = [] if args.command == "curve" else queries(
+        args.alpha, args.estimator, args.budget, args.seed)
+    portfolio, digest = resolve_portfolio(args.preset, args.model)
     buf = io.StringIO()
-    buf.write("\n".join(_metadata_lines(config, digest)) + "\n")
+    buf.write("\n".join(_metadata_lines(args, digest)) + "\n")
     warnings: list[str] = []
-    if config.mode == "simulate":
+    if args.command == "simulate":
         report = build_report(
-            portfolio, config.alphas, config.estimator, config.budget, config.seed, digest
+            portfolio, args.alpha, args.estimator, args.budget, args.seed, digest
         )
         warnings.extend(report.warnings)
         buf.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
@@ -188,26 +155,23 @@ def run(config: RunConfig) -> None:
                 f"{row.alpha!r},{row.car!r},{row.ccar!r},"
                 f"{row.ccar_ci_pct!r},{row.vr_factor!r}\n"
             )
-    elif config.mode == "car":
+    elif args.command == "car":
         buf.write("alpha,car\n")
-        for k, alpha in enumerate(sorted(config.alphas, reverse=True)):
-            seed_k = Rng(config.seed).split(10 + k).stream
-            tau = solve_car(portfolio, alpha, config.estimator, config.budget, seed_k,
+        for query in rows:
+            tau = solve_car(portfolio, query.alpha, query.estimator, query.budget, query.seed,
                             warnings=warnings)
-            buf.write(f"{alpha!r},{tau!r}\n")
-    elif config.mode == "curve":
+            buf.write(f"{query.alpha!r},{tau!r}\n")
+    else:
         points = exceedance_curve(
-            portfolio, np.array(config.tau_grid), config.estimator, config.budget,
-            config.seed, warnings=warnings,
+            portfolio, np.array(args.tau_grid), args.estimator, args.budget, args.seed,
+            warnings=warnings,
         )
         buf.write("tau,ep,ep_halfwidth,hits\n")
         for p in points:
             buf.write(f"{p.tau!r},{p.ep!r},{p.halfwidth95!r},{p.hits}\n")
-    else:
-        raise UsageError(f"unknown mode {config.mode!r}")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _atomic_write(config.out_path, buf.getvalue())
+    _atomic_write(args.out, buf.getvalue())
 
 
 def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) -> None:
@@ -271,21 +235,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse keeps the message of an ArgumentTypeError; any other error of a
+# type= function becomes a generic "invalid value" message
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise UsageError(f"bad --alpha list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from None
 
 
 def _parse_tau_grid(text: str) -> tuple[float, ...]:
     try:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = (float(f) for f in text.split(":"))
     except ValueError:
-        raise UsageError(f"bad --tau-grid {text!r}; expected start:stop:step") from None
-    if step <= 0.0 or stop < start:
-        raise UsageError(f"bad --tau-grid {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}; expected start:stop:step") from None
+    if not np.all(np.isfinite([start, stop, step])) or step <= 0.0 or stop < start:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
 
@@ -302,13 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("simulate", "car", "curve"):
         p = sub.add_parser(name)
-        p.add_argument("--preset", choices=["paper"])
-        p.add_argument("--model")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--preset", choices=["paper"])
+        source.add_argument("--model")
         p.add_argument("--estimator", choices=["naive", "is", "sis"], default="sis")
-        p.add_argument("--alpha", default="0.05,0.01,0.005,0.002,0.001")
+        p.add_argument("--alpha", type=_parse_alpha_list,
+                       default="0.05,0.01,0.005,0.002,0.001")
         p.add_argument("--budget", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tau-grid")
+        p.add_argument("--tau-grid", type=_parse_tau_grid, required=name == "curve")
         p.add_argument("--out", required=True)
     return parser
 
@@ -318,22 +286,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "fit":
-            if not 0.0 < args.train_fraction < 1.0:
-                raise UsageError("--train-fraction must lie in (0, 1)")
             fit(args.csv, args.out, args.seed, args.train_fraction)
         else:
-            config = RunConfig(
-                mode=args.command,
-                preset=args.preset,
-                model_path=args.model,
-                estimator=args.estimator,
-                alphas=_parse_alpha_list(args.alpha),
-                budget=args.budget,
-                seed=args.seed,
-                tau_grid=_parse_tau_grid(args.tau_grid) if args.tau_grid else None,
-                out_path=args.out,
-            )
-            run(config)
+            run(args)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CalibrationError, DomainError
-from .ghdist import GhParams, build_tables, gh_moments, _tables
+from .ghdist import GhParams, gh_moments, _tables
 from .statkit import Rng, normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
 
 # Uniforms are clamped before the GH quantile: IS pushes V deep into the
@@ -126,8 +126,6 @@ class CityPortfolio:
             raise DomainError(
                 f"copula dimension {self.copula.dimension} != city count {d}"
             )
-        for m in self.marginals:
-            build_tables(m)  # eager cache construction at portfolio load
 
     @property
     def dimension(self) -> int:

@@ -9,6 +9,10 @@ class DomainError(PmriskError, ValueError):
     """An argument or parameter value is outside its mathematical domain."""
 
 
+class UsageError(DomainError):
+    """A run's own settings are invalid: alpha, estimator, budget, grid, split."""
+
+
 class DataError(PmriskError):
     """Input data is malformed, inconsistent, or insufficient."""
 

@@ -58,6 +58,9 @@ N_STRATA = 22
 N_MIN = 10
 STAGE_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
+# coordinate-search rounds of calibrate_is (each refreshes the growth direction)
+REFINE_ROUNDS = 3
+
 
 @dataclass(frozen=True, eq=False)
 class IsParams:
@@ -89,7 +92,8 @@ class StratificationScheme:
 
     Each row of ``directions`` is a unit vector, rows mutually orthogonal;
     axis j is cut into ``counts[j]`` equiprobable slices and a stratum is one
-    cell of the product grid (flat 1-based index, C order).  Direction
+    cell of the product grid (flat 1-based index, C order), so every cell has
+    probability 1 / n_strata.  Direction
     vectors of length D act on Z - mu alone; length D + 1 (t copula only)
     adds a coordinate for the normal score of the chi-square mixing variable,
     which carries most of the residual likelihood-ratio variance.
@@ -97,13 +101,11 @@ class StratificationScheme:
 
     directions: np.ndarray
     counts: tuple[int, ...]
-    probs: np.ndarray
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if len(self.counts) != dirs.shape[0]:
             raise DomainError("need one stratum count per direction")
         if any(c < 1 for c in self.counts):
@@ -111,11 +113,6 @@ class StratificationScheme:
         gram = dirs @ dirs.T
         if not np.allclose(gram, np.eye(dirs.shape[0]), atol=1e-9):
             raise DomainError("directions must be orthonormal unit vectors")
-        total = int(np.prod(self.counts))
-        if self.probs.shape != (total,):
-            raise DomainError("probs must have one entry per grid cell")
-        if np.any(self.probs <= 0.0) or not np.isclose(self.probs.sum(), 1.0, atol=1e-12):
-            raise DomainError("stratum probabilities must be positive and sum to 1")
 
     @classmethod
     def equiprobable(cls, direction: np.ndarray, n_strata: int = N_STRATA) -> "StratificationScheme":
@@ -128,18 +125,15 @@ class StratificationScheme:
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms <= 0.0):
             raise DomainError("stratification directions must be nonzero")
-        if any(int(c) < 1 for c in counts):
-            raise DomainError("stratum counts must be at least 1")
-        total = int(np.prod([int(c) for c in counts]))
-        return cls(
-            directions=dirs / norms[:, None],
-            counts=tuple(counts),
-            probs=np.full(total, 1.0 / total),
-        )
+        return cls(directions=dirs / norms[:, None], counts=tuple(counts))
 
     @property
     def n_strata(self) -> int:
-        return self.probs.shape[0]
+        return int(np.prod(self.counts))
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.full(self.n_strata, 1.0 / self.n_strata)
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,7 @@ def _growth_direction(portfolio: CityPortfolio, z: np.ndarray, y: float) -> np.n
     return grad / norm
 
 
-def calibrate_is(portfolio: CityPortfolio, tau: float, *, refine_rounds: int = 3) -> IsParams:
+def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     """IS parameters from the constrained mode of the original density.
 
     Finds (z*, y*) maximizing the joint log-density of (Z, Y) subject to
@@ -230,7 +224,7 @@ def calibrate_is(portfolio: CityPortfolio, tau: float, *, refine_rounds: int = 3
     try:
         direction = _growth_direction(portfolio, np.zeros(portfolio.dimension), y_mode)
         t_star, y_star = 1.0, y_mode
-        for _ in range(refine_rounds):
+        for _ in range(REFINE_ROUNDS):
 
             def shift_size(y: float) -> float:
                 def gap(t: float) -> float:
@@ -335,8 +329,8 @@ _GRID_LADDER = ((24, 10), (20, 8), (16, 8), (12, 6), (10, 5), (8, 4), (6, 3),
                 (4, 2), (3, 2), (2, 1), (1, 1))
 
 
-def default_scheme(portfolio: CityPortfolio, is_params: IsParams, budget: int, *,
-                   n_min: int = N_MIN) -> StratificationScheme:
+def default_scheme(portfolio: CityPortfolio, is_params: IsParams,
+                   budget: int) -> StratificationScheme:
     """Stratification grid for a budget: IS drift direction x mixing score.
 
     Picks the largest ladder grid whose per-stratum floor fits into the
@@ -346,7 +340,7 @@ def default_scheme(portfolio: CityPortfolio, is_params: IsParams, budget: int, *
     dim = portfolio.dimension
     drift = np.linalg.norm(is_params.mean_shift)
     w_z = is_params.mean_shift / drift if drift > 0.0 else np.eye(dim)[0]
-    max_cells = int(budget * min(STAGE_FRACTIONS)) // n_min
+    max_cells = int(budget * min(STAGE_FRACTIONS)) // N_MIN
     if portfolio.copula.family == "normal":
         slices = max(min(N_STRATA, int(max_cells)), 1)
         return StratificationScheme.equiprobable(w_z, slices)
@@ -505,13 +499,14 @@ def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
     later ones by AOA on the tail at ``tau`` of everything pooled so far.
     """
     n_strata = scheme.n_strata
+    probs = scheme.probs
     nu = portfolio.copula.nu
     conc, weight, labels = [np.empty(0)], [np.empty(0)], []
     counts = np.zeros(n_strata, dtype=int)
     pool = None
     for stage, budget in enumerate(budgets):
         sigma = np.ones(n_strata) if pool is None else _aoa_sigma(pool, tau)
-        alloc = aoa_allocate(budget, scheme.probs, sigma, n_min)
+        alloc = aoa_allocate(budget, probs, sigma, n_min)
         strata = np.repeat(np.arange(n_strata), alloc)
         stage_rng = rng.split(stage + 1)
         for c, start in enumerate(range(0, budget, CHUNK)):
@@ -522,13 +517,13 @@ def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
         labels.append(strata)
         counts = counts + alloc
         pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
-                         stratum=np.concatenate(labels), probs=scheme.probs, counts=counts)
+                         stratum=np.concatenate(labels), probs=probs, counts=counts)
     return pool
 
 
 def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
-                 scheme: StratificationScheme, total_n: int, rng: Rng, *,
-                 n_min: int = N_MIN) -> tuple[EstimateResult, EstimateResult]:
+                 scheme: StratificationScheme, total_n: int,
+                 rng: Rng) -> tuple[EstimateResult, EstimateResult]:
     """SIS estimates of EP and CE at threshold tau.
 
     Four stages consume the total budget; the first allocates proportionally
@@ -539,7 +534,7 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
-    floor = n_min if scheme.n_strata > 1 else 0
+    floor = N_MIN if scheme.n_strata > 1 else 0
     if total_n < max(2, scheme.n_strata * floor * len(STAGE_FRACTIONS)):
         raise DomainError(
             "budget cannot cover two replications and the per-stratum floor in every stage"

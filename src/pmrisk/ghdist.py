@@ -241,11 +241,6 @@ def _tables(params: GhParams) -> _GhTables:
     return _GhTables(params)
 
 
-def build_tables(params: GhParams) -> None:
-    """Force eager construction of the CDF tables (portfolio load time)."""
-    _tables(params)
-
-
 def gh_cdf(p: GhParams, x):
     """CDF of the GH law, absolute error well inside 1e-9."""
     arr = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .copula import CityPortfolio, CopulaSpec
-from .errors import DataError
+from .errors import DataError, DomainError
 from .ghdist import GhParams
 
 MODEL_SCHEMA = "pmrisk-model.v1"
@@ -116,6 +116,10 @@ def portfolio_from_doc(doc: dict) -> CityPortfolio:
         )
     except KeyError as exc:
         raise DataError(f"model document is missing key {exc}") from exc
+    except DomainError:
+        raise  # a ValueError subclass: a value outside its domain keeps its own message
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model document: {exc}") from exc
 
 
 def model_hash(doc: dict) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .copula import CityPortfolio
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UsageError
 from .estimators import (
     EstimateResult,
     IsParams,
@@ -32,6 +32,10 @@ _ESTIMATORS = ("naive", "is", "sis")
 # smallest replication budget of a CaR/CCaR query
 MIN_BUDGET = 1000
 
+# CaR fixed-point loop: stop at this relative change, fail after CAR_MAX_ITER rounds
+CAR_REL_TOL = 1e-3
+CAR_MAX_ITER = 8
+
 # fixed substream labels so every query draws from its own independent stream
 _STREAM_CAR = 1
 _STREAM_CCAR = 2
@@ -41,7 +45,10 @@ _STREAM_CURVE = 4
 
 @dataclass(frozen=True)
 class RiskQuery:
-    """One (alpha, estimator, budget, seed) risk request."""
+    """One (alpha, estimator, budget, seed) risk request.
+
+    ``queries`` builds a run's rows; there ``seed`` is the row's own stream.
+    """
 
     alpha: float
     estimator: str
@@ -50,11 +57,22 @@ class RiskQuery:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
-            raise DomainError("alpha must lie in (0, 0.5)")
+            raise UsageError(f"alpha {self.alpha} outside (0, 0.5)")
         if self.estimator not in _ESTIMATORS:
-            raise DomainError(f"estimator must be one of {_ESTIMATORS}")
+            raise UsageError(f"estimator must be one of {_ESTIMATORS}")
         if self.budget < MIN_BUDGET:
-            raise DomainError(f"budget must be at least {MIN_BUDGET}")
+            raise UsageError(f"budget must be at least {MIN_BUDGET}")
+
+
+def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
+    """A run's rows: distinct alphas, largest first, each on its own stream."""
+    unique = sorted({float(a) for a in alphas}, reverse=True)
+    if not unique:
+        raise UsageError("alpha list must be nonempty")
+    # distinct substreams per row keep rows independent and reproducible
+    return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
+                      seed=Rng(seed).split(10 + k).stream)
+            for k, a in enumerate(unique)]
 
 
 @dataclass(frozen=True)
@@ -124,8 +142,7 @@ def _upper_quantile(pool: SisSample, q: float) -> float:
 
 
 def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
-              seed: int, *, rel_tol: float = 1e-3, max_iter: int = 8,
-              warnings: list[str] | None = None) -> float:
+              seed: int, *, warnings: list[str] | None = None) -> float:
     """Threshold tau with P(C > tau) ~= alpha under the requested estimator.
 
     IS-calibration warnings are appended to ``warnings`` when it is given.
@@ -140,13 +157,13 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
         return tau
 
     trace = [tau]
-    for _ in range(max_iter):
+    for _ in range(CAR_MAX_ITER):
         params = calibrate_is(portfolio, tau)
         if params.warning:
             _note(warnings, f"alpha={alpha}: {params.warning}")
         tau_new = _upper_quantile(_pool(portfolio, estimator, params, budget, rng), q)
         trace.append(tau_new)
-        if abs(tau_new - tau) <= rel_tol * abs(tau):
+        if abs(tau_new - tau) <= CAR_REL_TOL * abs(tau):
             return tau_new
         tau = tau_new
     raise NumericError(f"CaR iteration did not stabilize; trace: {trace}")
@@ -189,13 +206,13 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("tau grid must be a nonempty vector")
+        raise UsageError("tau grid must be a nonempty vector")
     if np.any(np.diff(grid) <= 0.0):
-        raise DomainError("tau grid must be strictly increasing")
+        raise UsageError("tau grid must be strictly increasing")
     if estimator not in _ESTIMATORS:
-        raise DomainError(f"estimator must be one of {_ESTIMATORS}")
+        raise UsageError(f"estimator must be one of {_ESTIMATORS}")
     if budget < 2:
-        raise DomainError("budget must be at least 2")
+        raise UsageError("budget must be at least 2")
 
     rng = Rng(seed).split(_STREAM_CURVE)
     baseline = portfolio.baseline()
@@ -234,18 +251,13 @@ def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> f
 
 def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
                  seed: int, model_hash: str) -> RiskReport:
-    """Table-shaped report: one row per alpha with CaR, CCaR, CI% and VR."""
-    alphas = sorted(set(float(a) for a in alphas), reverse=True)
-    if not alphas:
-        raise DomainError("alpha list must be nonempty")
+    """Table-shaped report: one row per distinct alpha with CaR, CCaR, CI% and VR."""
     rows = []
     warnings: list[str] = []
-    for k, alpha in enumerate(alphas):
-        # distinct substreams per row keep rows independent and reproducible
-        row_seed_car = Rng(seed).split(10 + k)
-        tau = solve_car(portfolio, alpha, estimator, budget, row_seed_car.stream,
-                        warnings=warnings)
-        ce = compute_ccar(portfolio, alpha, tau, estimator, budget, row_seed_car.stream)
+    for k, query in enumerate(queries(alphas, estimator, budget, seed)):
+        alpha = query.alpha
+        tau = solve_car(portfolio, alpha, estimator, budget, query.seed, warnings=warnings)
+        ce = compute_ccar(portfolio, alpha, tau, estimator, budget, query.seed)
         if ce.empty_tail:
             raise NumericError(f"empty tail at alpha={alpha}; increase the budget")
         if estimator == "naive":

@@ -58,6 +58,13 @@ def _as_finite_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _positive_nu(nu) -> float:
+    nu = float(nu)
+    if not np.isfinite(nu) or nu <= 0.0:
+        raise DomainError("nu must be a positive finite real")
+    return nu
+
+
 def _scalar_like(value: np.ndarray, template) -> float | np.ndarray:
     if np.ndim(template) == 0:
         return float(value)
@@ -87,18 +94,14 @@ def normal_quantile(p):
 def t_cdf(x, nu):
     """Student-t CDF with (possibly non-integer) degrees of freedom nu > 0."""
     arr = _as_finite_array(x, "x")
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise DomainError("nu must be a positive finite real")
+    nu = _positive_nu(nu)
     return _scalar_like(special.stdtr(nu, arr), x)
 
 
 def t_pdf(x, nu):
     """Student-t density with (possibly non-integer) degrees of freedom nu > 0."""
     arr = _as_finite_array(x, "x")
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise DomainError("nu must be a positive finite real")
+    nu = _positive_nu(nu)
     log_const = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
                  - 0.5 * np.log(nu * np.pi))
     return _scalar_like(np.exp(log_const - 0.5 * (nu + 1.0) * np.log1p(arr * arr / nu)), x)
@@ -109,9 +112,7 @@ def t_quantile(p, nu):
     arr = _as_finite_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise DomainError("nu must be a positive finite real")
+    nu = _positive_nu(nu)
     return _scalar_like(special.stdtrit(nu, arr), p)
 
 

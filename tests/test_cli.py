@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pmrisk import Rng, gh_quantile
+from pmrisk import Rng, gh_quantile, paper_portfolio, portfolio_to_doc
 from pmrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_csv, main
 from pmrisk.errors import DataError
 
@@ -112,6 +112,15 @@ class TestRunModes:
             ])
             == EXIT_USAGE
         )
+        out = tmp_path / "x.csv"
+        for grid in ("nan:700:20", "100:700:nan", "0:inf:1"):
+            assert main(["curve", "--preset", "paper", "--tau-grid", grid,
+                         "--out", str(out)]) == EXIT_USAGE
+        csv_path = _synthetic_csv(tmp_path, ["Bj"], 60, 1)
+        assert main(["fit", "--csv", str(csv_path), "--train-fraction", "1.5",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp.*"))
 
     @pytest.mark.parametrize("mode,budget", [("car", "500"), ("simulate", "999")])
     def test_budget_below_query_floor_is_usage_error(self, tmp_path, mode, budget):
@@ -167,6 +176,29 @@ class TestRunModes:
         ])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("kind", ["list", "cities-string", "ragged-sigma",
+                                      "weight-string", "nu-string"])
+    def test_malformed_model_document_is_data_error(self, tmp_path, capsys, kind):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_malformed_doc(kind)))
+        out = tmp_path / "x.csv"
+        rc = main(["car", "--model", str(model), "--alpha", "0.05", "--budget", "1000",
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_car_writes_one_row_per_distinct_alpha(self, tmp_path):
+        rows = {}
+        for alphas in ("0.05", "0.05,0.05"):
+            out = tmp_path / f"car-{alphas}.csv"
+            assert main(["car", "--preset", "paper", "--alpha", alphas, "--budget", "1000",
+                         "--out", str(out)]) == EXIT_OK
+            rows[alphas] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows["0.05,0.05"]) == 2  # header and one row
+        assert rows["0.05,0.05"] == rows["0.05"]
+
     def test_no_partial_artifact_on_failure(self, tmp_path, monkeypatch):
         out = tmp_path / "report.csv"
         import pmrisk.cli as cli_mod
@@ -182,6 +214,21 @@ class TestRunModes:
         assert rc == EXIT_NUMERIC
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def _malformed_doc(kind):
+    doc = portfolio_to_doc(paper_portfolio())
+    if kind == "list":
+        return [doc]
+    if kind == "cities-string":
+        doc["cities"] = "Bj,Tj,Cd,Hs,Xt"
+    elif kind == "ragged-sigma":
+        doc["copula"]["sigma"][0] = doc["copula"]["sigma"][0][:-1]
+    elif kind == "weight-string":
+        doc["cities"][0]["weight"] = "heavy"
+    elif kind == "nu-string":
+        doc["copula"]["nu"] = "eleven"
+    return doc
 
 
 def _synthetic_csv(tmp_path, cities, n_days, seed):

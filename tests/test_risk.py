@@ -5,6 +5,7 @@ from pmrisk import (
     DomainError,
     EstimateResult,
     RiskQuery,
+    Rng,
     build_report,
     compute_ccar,
     exceedance_curve,
@@ -12,6 +13,8 @@ from pmrisk import (
     variance_reduction_factor,
     weighted_quantile,
 )
+from pmrisk.errors import UsageError
+from pmrisk.risk import queries
 
 
 class TestWeightedQuantile:
@@ -52,6 +55,20 @@ class TestRiskQuery:
     def test_rejects_unknown_estimator(self):
         with pytest.raises(DomainError):
             RiskQuery(alpha=0.05, estimator="qmc", budget=10_000, seed=0)
+
+
+class TestQueries:
+    def test_rows_distinct_largest_first_on_own_streams(self):
+        rows = queries([0.01, 0.05, 0.01, 0.002], "is", 5000, 7)
+        assert [q.alpha for q in rows] == [0.05, 0.01, 0.002]
+        assert [q.seed for q in rows] == [Rng(7).split(10 + k).stream for k in range(3)]
+        assert all(q.estimator == "is" and q.budget == 5000 for q in rows)
+
+    @pytest.mark.parametrize("alphas,budget", [([], 5000), ([0.05, 0.5], 5000),
+                                               ([0.05], 999)])
+    def test_rejects_bad_rows(self, alphas, budget):
+        with pytest.raises(UsageError):
+            queries(alphas, "sis", budget, 0)
 
 
 class TestSolveCar:
