@@ -8,7 +8,12 @@ For a fixed portfolio the log-ratio r_d = s_d * G_d^{-1}(F(v)) is a fixed
 monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
 tabulates it once for all cities (cubic Hermite in asinh(v) with exact
 slopes), so a draw costs one table lookup per city instead of the driving
-CDF plus a Newton solve on the GH table.
+CDF plus a Newton solve on the GH table.  Likewise the t family's mixing
+variable at normal score s is a fixed multiple of G^{-1}(Phi(s)) for the
+Gamma(nu/2, 1) law G; ``CityPortfolio.mixing_quantile`` tabulates its log
+on a uniform grid in s.  Both are ``HermiteTable``s: one evaluator finds
+each entry's interval through a bucket table in O(1), with no search, and
+evaluates the cubic by Horner's rule.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .errors import CalibrationError, DomainError
 from .ghdist import GhParams, gh_moments, _tables
@@ -37,6 +43,11 @@ _MAP_TOL = 1e-10
 _MAP_ULP = 2.0**-52
 _MAP_MIN_WIDTH = 1e-4
 _MAP_START_INTERVALS = 64
+
+# Mixing-quantile table: knots at most _MIX_WIDTH apart in the normal score
+# s, out to where Phi(s) reaches _MIX_CLIP (|s| = 8.22); constant beyond.
+_MIX_CLIP = 1e-16
+_MIX_WIDTH = 1.0 / 64.0
 
 
 def cholesky_factor(sigma) -> np.ndarray:
@@ -140,6 +151,17 @@ class CityPortfolio:
         """Tabulated v -> r for all cities, built on first use."""
         return _tabulate_log_ratios(self)
 
+    @cached_property
+    def mixing_quantile(self) -> HermiteTable:
+        """Tabulated s -> log G^{-1}(Phi(s)) for the t family, built on first use.
+
+        G is the Gamma(nu/2, 1) law, so 2 exp(table(s)) is the chi-square
+        mixing variable at normal score s.
+        """
+        if self.copula.family != "t":
+            raise DomainError("only the t copula has a mixing variable")
+        return _tabulate_mixing_quantile(self.copula.nu)
+
     def baseline(self) -> float:
         """Current overall concentration (all log-ratios at zero)."""
         return float(self.weights @ self.pm0)
@@ -189,27 +211,66 @@ def copula_uniforms(spec: CopulaSpec, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LogRatioMap:
-    """r_d = s_d * G_d^{-1}(clip(F(v))) for every city d, as one table.
+class HermiteTable:
+    """Piecewise cubic on an increasing knot grid, constant beyond both ends.
 
-    ``knots`` is an increasing grid in asinh(v) shared by all cities.  Row
-    k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
-    table is contiguous) holds, per city, the coefficient of power j of the
-    cubic in asinh(v) - ``anchors[k]`` that applies where
-    ``searchsorted(knots, asinh(v), 'right') == k``.  Rows 0 and K are
-    constants: the exact values at the clipped uniforms, which is what the
-    chain gives beyond the clip.  Called on an (n, D) variate matrix, it
-    returns the (n, D) log-ratios.
+    Row k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
+    table is contiguous) holds, per column, the coefficient of power j of
+    the cubic in x - ``anchors[k]`` that applies where
+    ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
+    Called on an (n, D) matrix, or an (n,) vector when D = 1, it returns
+    the values in the same shape.
+
+    A row is found in O(1): a table of equal-width buckets over the knot
+    range gives the first row of x's bucket, and the buckets are narrow
+    enough that none holds two knots, so one comparison with the next knot
+    finishes the search.  The result is exactly ``searchsorted``'s.
     """
 
     knots: np.ndarray
     anchors: np.ndarray
     coef: np.ndarray
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        d = np.arcsinh(v)
-        row = np.searchsorted(self.knots, d, side="right")
-        d -= self.anchors[row]
+    @classmethod
+    def from_knots(cls, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> "HermiteTable":
+        """Cubic Hermite spline through values y with slopes m, both (K, D), at knots x."""
+        h = np.diff(x)[:, None]
+        secant = np.diff(y, axis=0) / h
+        coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
+        coef[0, 0] = y[0]
+        coef[0, -1] = y[-1]
+        inner = coef[:, 1:-1]
+        inner[0] = y[:-1]
+        inner[1] = m[:-1]
+        inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
+        inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
+        return cls(knots=x, anchors=np.concatenate([x[:1], x]), coef=coef)
+
+    @cached_property
+    def _buckets(self) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+        """(origin, 1 / width, bucket count, first row per bucket, knots + [inf])."""
+        knots = self.knots
+        width = np.diff(knots).min()
+        while True:
+            scale = 1.0 / width
+            n = int((knots[-1] - knots[0]) * scale) + 1
+            home = _bucket_of(knots, knots[0], scale, n)
+            if np.all(np.diff(home) > 0):
+                break
+            width *= 0.5  # rounding put two knots into one bucket
+        first = np.searchsorted(home, np.arange(n), side="left")
+        return knots[0], scale, n, first, np.append(knots, np.inf)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """``searchsorted(knots, x, 'right')``, by bucket lookup."""
+        origin, scale, n, first, upper = self._buckets
+        row = first[_bucket_of(x, origin, scale, n)]
+        row += x >= upper[row]
+        return row
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        row = self.rows(x)
+        d = x - self.anchors[row]
         row *= self.coef.shape[2]
         row += np.arange(self.coef.shape[2])  # flat index of coef[j, k, d]
         r = self.coef[3].take(row)
@@ -217,6 +278,23 @@ class LogRatioMap:
             r *= d
             r += self.coef[j].take(row)
         return r
+
+
+def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray:
+    # monotone in x, so a knot in an earlier bucket lies below every x in a later one
+    return np.clip((x - origin) * scale, 0.0, n - 1).astype(np.intp)
+
+
+class LogRatioMap(HermiteTable):
+    """r_d = s_d * G_d^{-1}(clip(F(v))) for every city d, as one table in asinh(v).
+
+    The knots are shared by all cities.  Rows 0 and K hold the exact values
+    at the clipped uniforms, which is what the chain gives beyond the clip.
+    Called on an (n, D) variate matrix, it returns the (n, D) log-ratios.
+    """
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return super().__call__(np.arcsinh(v))
 
 
 def _exact_log_ratios(portfolio: CityPortfolio,
@@ -290,21 +368,31 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     # and cap the slopes at three times the neighbouring secants, which makes
     # each cubic monotone.
     y = np.maximum.accumulate(np.clip(y, y[0], y[-1]), axis=0)
-    h = np.diff(x)[:, None]
-    secant = np.diff(y, axis=0) / h
+    secant = np.diff(y, axis=0) / np.diff(x)[:, None]
     np.minimum(m[:-1], 3.0 * secant, out=m[:-1])
     np.minimum(m[1:], 3.0 * secant, out=m[1:])
+    return LogRatioMap.from_knots(x, y, m)
 
-    coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
-    coef[0, 0] = y[0]
-    coef[0, -1] = y[-1]
-    inner = coef[:, 1:-1]
-    inner[0] = y[:-1]
-    inner[1] = m[:-1]
-    inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
-    inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
-    anchors = np.concatenate([x[:1], x])
-    return LogRatioMap(knots=x, anchors=anchors, coef=coef)
+
+def _tabulate_mixing_quantile(nu: float) -> HermiteTable:
+    """Cubic Hermite table of log Q(s), Q(s) = G^{-1}(Phi(s)), G = Gamma(nu/2, 1).
+
+    The knot values come from the lower-tail inverse below s = 0 and the
+    upper-tail inverse above it: G^{-1}(Phi(s)) loses accuracy once Phi(s)
+    is within a few ulps of 1.  The slopes are exact:
+    phi(s) / (g(Q) Q) with g the Gamma density.
+    """
+    shape = nu / 2.0
+    s_end = -float(special.ndtri(_MIX_CLIP))
+    s = np.linspace(-s_end, s_end, int(np.ceil(2.0 * s_end / _MIX_WIDTH)) + 1)
+    lower = s <= 0.0
+    q = np.empty_like(s)
+    q[lower] = special.gammaincinv(shape, special.ndtr(s[lower]))
+    q[~lower] = special.gammainccinv(shape, special.ndtr(-s[~lower]))
+    log_q = np.log(q)
+    slope = np.exp(q - shape * log_q + special.gammaln(shape)
+                   - 0.5 * s * s - 0.5 * np.log(2.0 * np.pi))
+    return HermiteTable.from_knots(s, log_q[:, None], slope[:, None])
 
 
 def marginal_transform(portfolio: CityPortfolio, draw: CopulaDraw) -> np.ndarray:

@@ -21,8 +21,15 @@ three differ only in the tilt and the scheme they pass in.
 * The chunks' concentrations and likelihood ratios join one pooled
   ``SisSample``.
 * One ``np.bincount`` accumulator (``SisSample.tail_sums``) gives the
-  per-stratum tail sums; one composer turns them into the EP and CE results,
-  and the AOA stages take their per-stratum deviations from the same sums.
+  per-stratum tail sums, at one threshold or at every threshold of a curve
+  in one pass; one composer turns them into the EP and CE results, and the
+  AOA stages take their per-stratum deviations from the same sums.
+
+A draw makes no root solve or search: the mixing variable at normal score
+s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
+and the log-ratios come from the tabulated ``log_ratio_map``.  ``calibrate_is``
+solves one root per refinement round; the mixing coordinate of its design
+point has a closed form (``_mixing_mode``).
 
 Stream layout: stage s draws from ``rng.split(s + 1)`` (a one-stage pool
 from ``split(1)``), and chunk c of a stage from ``.split(c)`` of that.  A
@@ -38,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from .copula import (
     CityPortfolio,
@@ -171,27 +178,37 @@ def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
     return w
 
 
-def _concentration_at(portfolio: CityPortfolio, z: np.ndarray, y: float) -> float:
+def _concentration_at(portfolio: CityPortfolio, z: np.ndarray, y: float):
+    """C at one point z of shape (D,), or at each row of an (n, D) z; y is shared."""
     spec = portfolio.copula
-    z_row = z[None, :]
-    y_arr = np.array([y]) if spec.family == "t" else None
-    draw = CopulaDraw(z=z_row, y=y_arr, v=dependent_vector(spec, portfolio.chol, z_row, y_arr))
-    return float(portfolio_concentration(portfolio, marginal_transform(portfolio, draw))[0])
+    rows = np.atleast_2d(z)
+    y_arr = np.full(rows.shape[0], float(y)) if spec.family == "t" else None
+    draw = CopulaDraw(z=rows, y=y_arr, v=dependent_vector(spec, portfolio.chol, rows, y_arr))
+    conc = portfolio_concentration(portfolio, marginal_transform(portfolio, draw))
+    return float(conc[0]) if np.ndim(z) == 1 else conc
 
 
 def _growth_direction(portfolio: CityPortfolio, z: np.ndarray, y: float) -> np.ndarray:
     d = portfolio.dimension
-    grad = np.empty(d)
     h = 1e-4
-    for j in range(d):
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        grad[j] = (_concentration_at(portfolio, zp, y) - _concentration_at(portfolio, zm, y)) / (2 * h)
+    steps = h * np.eye(d)
+    conc = _concentration_at(portfolio, z + np.vstack([steps, -steps]), y)
+    grad = (conc[:d] - conc[d:]) / (2 * h)
     norm = np.linalg.norm(grad)
     if not np.isfinite(norm) or norm <= 0.0:
         raise NumericError("degenerate concentration gradient")
     return grad / norm
+
+
+def _mixing_mode(x: float, nu: float) -> float:
+    """The y minimizing x^2 y / (2 nu) + y / 2 - (nu/2 - 1) log y, in calibrate_is's bounds.
+
+    That is the negative log-density of (t w, y) along the constraint
+    C(t w, y) = tau once t = x sqrt(y / nu); it is convex for nu > 2 and
+    increasing otherwise.
+    """
+    lo, hi = 0.05 * nu, max(2.0 * nu, 1.5 * max(nu - 2.0, 1e-2))
+    return float(np.clip((nu - 2.0) / (1.0 + x * x / nu), lo, hi))
 
 
 def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
@@ -203,6 +220,11 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     optimized on its own axis.  The mean shift is z*; theta places the tilted
     gamma mode at y*.  Any numerical failure degrades to the identity tilt
     with a warning instead of raising.
+
+    The variates are L z / sqrt(y/nu), so C(t w, y) depends on t and y only
+    through x = t / sqrt(y/nu): each round solves C(x w, nu) = tau for x
+    once, after which y* has a closed form (``_mixing_mode``) and
+    t* = x sqrt(y*/nu).
     """
     if not np.isfinite(tau):
         raise DomainError("tau must be finite")
@@ -214,42 +236,29 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     nu = spec.nu if spec.family == "t" else None
     shape = nu / 2.0 if nu is not None else None
     y_mode = max(nu - 2.0, 1e-2) if nu is not None else 1.0
-
-    def neg_logdensity(t: float, y: float) -> float:
-        val = 0.5 * t * t
-        if shape is not None:
-            val += y / 2.0 - (shape - 1.0) * np.log(y)
-        return val
+    y_ref = nu if nu is not None else 1.0  # y at which t = x
 
     try:
         direction = _growth_direction(portfolio, np.zeros(portfolio.dimension), y_mode)
         t_star, y_star = 1.0, y_mode
         for _ in range(REFINE_ROUNDS):
 
-            def shift_size(y: float) -> float:
-                def gap(t: float) -> float:
-                    return _concentration_at(portfolio, t * direction, y) - tau
+            def gap(x: float) -> float:
+                return _concentration_at(portfolio, x * direction, y_ref) - tau
 
-                lo, hi = 0.0, 4.0
-                while gap(hi) < 0.0:
-                    hi *= 2.0
-                    if hi > 1e4:
-                        raise NumericError("cannot bracket the IS design point")
-                while gap(lo) > 0.0:
-                    lo -= 4.0
-                    if lo < -1e4:
-                        raise NumericError("cannot bracket the IS design point")
-                return float(optimize.brentq(gap, lo, hi, xtol=1e-9))
-
+            lo, hi = 0.0, 4.0
+            while gap(hi) < 0.0:
+                hi *= 2.0
+                if hi > 1e4:
+                    raise NumericError("cannot bracket the IS design point")
+            while gap(lo) > 0.0:
+                lo -= 4.0
+                if lo < -1e4:
+                    raise NumericError("cannot bracket the IS design point")
+            x_star = float(optimize.brentq(gap, lo, hi, xtol=1e-9))
             if nu is not None:
-                res = optimize.minimize_scalar(
-                    lambda ly: neg_logdensity(shift_size(np.exp(ly)), np.exp(ly)),
-                    bounds=(np.log(0.05 * nu), np.log(max(2.0 * nu, y_mode * 1.5))),
-                    method="bounded",
-                    options={"xatol": 1e-4},
-                )
-                y_star = float(np.exp(res.x))
-            t_star = shift_size(y_star)
+                y_star = _mixing_mode(x_star, nu)
+            t_star = x_star * np.sqrt(y_star / y_ref)
             new_direction = _growth_direction(portfolio, t_star * direction, y_star)
             if np.linalg.norm(new_direction - direction) < 1e-3:
                 direction = new_direction
@@ -319,8 +328,7 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     y = None
     if spec.family == "t":
         # mixing variable through its IS-law quantile at the normal score
-        score = np.clip(special.ndtr(gauss[:, dim]), 1e-16, 1.0 - 1e-16)
-        y = is_params.theta * special.gammaincinv(spec.nu / 2.0, score)
+        y = is_params.theta * np.exp(portfolio.mixing_quantile(gauss[:, dim]))
     return CopulaDraw(z=z, y=y, v=dependent_vector(spec, portfolio.chol, z, y))
 
 
@@ -416,24 +424,45 @@ class SisSample:
     def sample_weight(self) -> np.ndarray:
         return (self.probs / np.maximum(self.counts, 1))[self.stratum] * self.weight
 
-    def tail_sums(self, tau: float, *, ce: bool = True) -> np.ndarray:
-        """Per-stratum sums of y, y^2 and, with ``ce``, x, x^2, xy.
+    def tail_sums(self, tau, *, ce: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Per-stratum tail hits and tail sums at one threshold or an increasing grid.
 
-        y = W 1{C > tau} and x = C y; the result has one row per moment.
+        Returns (hits, sums): ``hits[..., i]`` counts the rows of stratum i
+        with C > tau, and ``sums[m, ..., i]`` sums moment m over them: W, W^2
+        and, with ``ce``, x, x^2 and x W for x = C W.  The middle axis runs
+        over the grid and is absent for a scalar tau.
+
+        One pass serves the whole grid: each row's bin (the number of
+        thresholds strictly below its C) is found once, every moment is
+        summed per (bin, stratum) by one ``np.bincount``, and a reverse
+        cumulative sum over the bins gives the sums above each threshold.
         """
-        y = np.where(self.conc > tau, self.weight, 0.0)
-        moments = [y, y * y]
-        if ce:
-            x = self.conc * y
-            moments += [x, x * x, x * y]
+        grid = np.atleast_1d(np.asarray(tau, dtype=float))
         n_strata = self.probs.shape[0]
-        return np.array([np.bincount(self.stratum, weights=m, minlength=n_strata)
-                         for m in moments])
+        cell = np.searchsorted(grid, self.conc, side="left") * n_strata + self.stratum
+        size = (grid.size + 1) * n_strata
+        w = self.weight
+        moments = [w, w * w]
+        if ce:
+            x = self.conc * w
+            moments += [x, x * x, x * w]
+        binned = np.array([np.bincount(cell, minlength=size)]
+                          + [np.bincount(cell, weights=m, minlength=size) for m in moments])
+        binned = binned.reshape(len(binned), grid.size + 1, n_strata)
+        above = np.cumsum(binned[:, :0:-1], axis=1)[:, ::-1]
+        if np.ndim(tau) == 0:
+            above = above[:, 0]
+        return above[0], above[1:]
 
-    def ep_at(self, tau: float) -> tuple[float, float]:
-        """Stratified EP estimate and 95% halfwidth at one threshold."""
-        ep, var = _stratified_mean(self.probs, self.counts, *self.tail_sums(tau, ce=False))
-        return ep, 1.96 * np.sqrt(var)
+    def ep_at(self, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stratified EP, its 95% halfwidth and the tail hit count.
+
+        At one threshold or at each threshold of an increasing grid, shaped
+        as in ``tail_sums``.
+        """
+        hits, sums = self.tail_sums(tau, ce=False)
+        ep, var = _stratified_mean(self.probs, self.counts, *sums)
+        return ep, 1.96 * np.sqrt(var), hits.sum(axis=-1).astype(int)
 
 
 def _stratum_var(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -442,11 +471,15 @@ def _stratum_var(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
 
 
 def _stratified_mean(probs: np.ndarray, counts: np.ndarray, s: np.ndarray,
-                     ss: np.ndarray) -> tuple[float, float]:
-    """Stratified mean sum_i p_i s_i / n_i and its variance."""
+                     ss: np.ndarray):
+    """Stratified mean sum_i p_i s_i / n_i and its variance, over the last axis.
+
+    Every row is reduced in the same order, so a grid's nonincreasing tail
+    sums give a nonincreasing mean (a matrix-vector product may not).
+    """
     n = np.maximum(counts, 1)
-    mean = float(probs @ (s / n))
-    var = float(np.sum(probs**2 * _stratum_var(counts, s, ss) / n))
+    mean = np.sum(probs * (s / n), axis=-1)
+    var = np.sum(probs**2 * _stratum_var(counts, s, ss) / n, axis=-1)
     return mean, var
 
 
@@ -464,10 +497,10 @@ def _compose(pool: SisSample, tau: float, estimator: str,
     delta-method variance of the ratio of the two stratified means.
     """
     n = int(pool.counts.sum())
-    sums = pool.tail_sums(tau)
+    _, sums = pool.tail_sums(tau)
 
     def result(estimate: float, var: float, **flags) -> EstimateResult:
-        return EstimateResult(estimate=estimate, variance=var * n,
+        return EstimateResult(estimate=float(estimate), variance=float(var * n),
                               halfwidth95=float(1.96 * np.sqrt(var)), n=n,
                               estimator=estimator, warning=warning, **flags)
 
@@ -482,7 +515,7 @@ def _compose(pool: SisSample, tau: float, estimator: str,
 
 def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:
     """Per-stratum deviations of the CE residual for AOA; ones before any tail hit."""
-    sums = pool.tail_sums(tau)
+    _, sums = pool.tail_sums(tau)
     total_sy = sums[0].sum()
     if total_sy <= 0.0:
         return np.ones(pool.probs.shape[0])

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .copula import CityPortfolio, CopulaSpec
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, UsageError
 from .ghdist import GhParams
 
 MODEL_SCHEMA = "pmrisk-model.v1"
@@ -144,10 +144,10 @@ def load_model(path) -> tuple[CityPortfolio, str]:
 def resolve_portfolio(preset: str | None, model_path) -> tuple[CityPortfolio, str]:
     """Resolve the single portfolio source of a run configuration."""
     if (preset is None) == (model_path is None):
-        raise DataError("exactly one of preset or model file must be given")
+        raise UsageError("exactly one of preset or model file must be given")
     if preset is not None:
         if preset != "paper":
-            raise DataError(f"unknown preset {preset!r}")
+            raise UsageError(f"unknown preset {preset!r}")
         portfolio = paper_portfolio()
         return portfolio, model_hash(portfolio_to_doc(portfolio))
     return load_model(model_path)

@@ -228,14 +228,9 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
         params = IsParams(mean_shift=calibrated.mean_shift, theta=max(calibrated.theta, 1.2))
     pool = _pool(portfolio, estimator, params, budget, rng)
 
-    points = []
-    for tau in grid:
-        ep, halfwidth = pool.ep_at(float(tau))
-        points.append(
-            CurvePoint(tau=float(tau), ep=float(ep), halfwidth95=float(halfwidth),
-                       hits=int((pool.conc > tau).sum()))
-        )
-    return points
+    ep, halfwidth, hits = pool.ep_at(grid)
+    return [CurvePoint(tau=float(t), ep=float(e), halfwidth95=float(h), hits=int(k))
+            for t, e, h, k in zip(grid, ep, halfwidth, hits)]
 
 
 def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> float:

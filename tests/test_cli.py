@@ -7,7 +7,8 @@ import pytest
 
 from pmrisk import Rng, gh_quantile, paper_portfolio, portfolio_to_doc
 from pmrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_csv, main
-from pmrisk.errors import DataError
+from pmrisk.errors import DataError, UsageError
+from pmrisk.presets import resolve_portfolio
 
 from conftest import GH_ROWS
 
@@ -175,6 +176,12 @@ class TestRunModes:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("preset, model", [("paper", "x.json"), (None, None),
+                                               ("other", None)])
+    def test_resolve_portfolio_caller_mistake_is_usage_error(self, preset, model):
+        with pytest.raises(UsageError):
+            resolve_portfolio(preset, model)
 
     @pytest.mark.parametrize("kind", ["list", "cities-string", "ragged-sigma",
                                       "weight-string", "nu-string"])

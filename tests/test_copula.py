@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from pmrisk import (
     CalibrationError,
@@ -192,6 +192,59 @@ class TestLogRatioMap:
         assert "log_ratio_map" not in vars(fresh)
         _mapped(fresh, np.zeros(1))
         assert "log_ratio_map" in vars(fresh)
+
+    def test_bucket_index_equals_searchsorted(self, case):
+        table = case.log_ratio_map
+        knots = table.knots
+        near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        x = np.concatenate([
+            np.arcsinh(np.random.default_rng(4).standard_normal(50_000) * 5.0),
+            near,
+            [-1e300, -1e3, knots[0] - 1.0, knots[-1] + 1.0, 1e3, 1e300],
+        ])
+        assert np.array_equal(table.rows(x), np.searchsorted(knots, x, side="right"))
+
+
+class TestMixingQuantile:
+    """The tabulated log G^{-1}(Phi(s)) for Gamma(nu/2, 1)."""
+
+    @pytest.fixture(params=[NU, 3.0])
+    def case(self, request, portfolio):
+        return _twin(portfolio, copula=CopulaSpec(family="t", sigma=SIGMA, nu=request.param))
+
+    def test_matches_gamma_inverse(self, case):
+        shape = case.copula.nu / 2.0
+        s = np.linspace(-8.0, 8.0, 400_001)
+        lower = s <= 0.0
+        exact = np.where(lower,
+                         special.gammaincinv(shape, special.ndtr(np.minimum(s, 0.0))),
+                         special.gammainccinv(shape, special.ndtr(-np.maximum(s, 0.0))))
+        rel = np.abs(np.exp(case.mixing_quantile(s)) / exact - 1.0)
+        assert rel.max() <= 1e-10
+
+    def test_constant_beyond_the_clip(self, case):
+        table = case.mixing_quantile
+        s_end = -special.ndtri(1e-16)
+        below = table(np.array([-1e300, -40.0, -s_end - 1e-9, -s_end]))
+        above = table(np.array([s_end, s_end + 1e-9, 40.0, 1e300]))
+        assert np.all(below == below[0]) and np.all(above == above[0])
+
+    def test_nondecreasing(self, case):
+        s = np.linspace(-9.0, 9.0, 200_001)
+        assert np.all(np.diff(case.mixing_quantile(s)) >= 0.0)
+
+    def test_bucket_index_equals_searchsorted(self, case):
+        table = case.mixing_quantile
+        knots = table.knots
+        near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        x = np.concatenate([np.random.default_rng(5).standard_normal(50_000) * 4.0, near,
+                            [-1e300, -20.0, 20.0, 1e300]])
+        assert np.array_equal(table.rows(x), np.searchsorted(knots, x, side="right"))
+
+    def test_normal_family_has_none(self, portfolio):
+        normal = _twin(portfolio, copula=CopulaSpec(family="normal", sigma=SIGMA))
+        with pytest.raises(DomainError):
+            normal.mixing_quantile
 
 
 class TestPortfolioConcentration:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from pmrisk import (
     DomainError,
@@ -17,7 +17,14 @@ from pmrisk import (
     stratified_sample,
 )
 from pmrisk.copula import CopulaDraw
-from pmrisk.estimators import SisSample, _compose, default_scheme, proportional_sis_sample
+from pmrisk.estimators import (
+    SisSample,
+    _compose,
+    _concentration_at,
+    _mixing_mode,
+    default_scheme,
+    proportional_sis_sample,
+)
 from pmrisk.statkit import normal_quantile
 
 from conftest import NU
@@ -108,6 +115,36 @@ class TestCalibrateIs:
         params = est.calibrate_is(portfolio, 352.03)
         assert params.is_identity
         assert params.warning is not None
+
+    def test_concentration_depends_on_scaled_shift_only(self, portfolio):
+        w = np.array([0.5, 0.3, 0.1, 0.6, 0.5])
+        w /= np.linalg.norm(w)
+        for t, y in ((0.7, 3.0), (2.5, 9.78), (4.0, 20.0)):
+            x = t / np.sqrt(y / NU)
+            assert _concentration_at(portfolio, t * w, y) == pytest.approx(
+                _concentration_at(portfolio, x * w, NU), rel=1e-12)
+        rows = np.outer([0.5, 1.5], w)
+        np.testing.assert_allclose(_concentration_at(portfolio, rows, 8.0),
+                                   [_concentration_at(portfolio, r, 8.0) for r in rows],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("tau", [150.0, CAR_001, 600.0])
+    def test_closed_form_mixing_mode(self, portfolio, tau):
+        # brute force: the nested search over y that the closed form replaces
+        w = np.full(5, 1.0 / np.sqrt(5.0))
+
+        def shift(y):
+            return optimize.brentq(lambda t: _concentration_at(portfolio, t * w, y) - tau,
+                                   0.0, 64.0, xtol=1e-12)
+
+        def objective(log_y):
+            y = np.exp(log_y)
+            return 0.5 * shift(y) ** 2 + y / 2.0 - (NU / 2.0 - 1.0) * log_y
+
+        brute = optimize.minimize_scalar(objective, bounds=(np.log(0.05 * NU), np.log(2.0 * NU)),
+                                         method="bounded", options={"xatol": 1e-8})
+        y_star = _mixing_mode(shift(NU), NU)
+        assert y_star == pytest.approx(np.exp(brute.x), rel=1e-4)
 
     def test_variance_no_worse_than_naive(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
@@ -313,6 +350,43 @@ class TestComposer:
         assert ce.variance == pytest.approx(ce_var, rel=1e-12)
         assert ce.halfwidth95 == pytest.approx(1.96 * np.sqrt(ce_var / n), rel=1e-12)
 
+
+    def test_grid_sums_match_per_threshold_loop(self):
+        pool = self._pool([40, 170, 25, 90], [0.1, 0.4, 0.2, 0.3], 3)
+        # thresholds below, between, on and above the sample
+        grid = np.concatenate([[-1.0], np.sort(pool.conc[::37]), np.linspace(0.5, 4.5, 9), [9.0]])
+        grid = np.unique(grid)
+        hits, sums = pool.tail_sums(grid)
+        ep, halfwidth, total_hits = pool.ep_at(grid)
+        for j, tau in enumerate(grid):
+            tail = pool.conc > tau
+            y = np.where(tail, pool.weight, 0.0)
+            x = pool.conc * y
+            want = [np.bincount(pool.stratum, weights=m, minlength=4)
+                    for m in (y, y * y, x, x * x, x * y)]
+            assert np.array_equal(hits[j], np.bincount(pool.stratum[tail], minlength=4))
+            assert total_hits[j] == tail.sum()
+            np.testing.assert_allclose(sums[:, j], want, rtol=1e-12, atol=0.0)
+            one_ep, one_halfwidth, one_hits = pool.ep_at(tau)
+            assert one_hits == tail.sum()
+            assert ep[j] == pytest.approx(one_ep, rel=1e-12)
+            assert halfwidth[j] == pytest.approx(one_halfwidth, rel=1e-12)
+
+
+    def test_grid_ep_constant_where_no_row_lies_between_thresholds(self):
+        # 240 strata; no row between 1 and 10, so the 60 thresholds there share
+        # one tail and must share one EP (a matrix-vector product breaks ties)
+        rng = np.random.default_rng(3)
+        counts = np.full(240, 6)
+        labels = np.repeat(np.arange(240), counts)
+        conc = np.where(rng.random(labels.size) < 0.5, rng.uniform(0.0, 1.0, labels.size),
+                        rng.uniform(10.0, 11.0, labels.size))
+        pool = SisSample(conc=conc, weight=rng.lognormal(0.0, 0.5, labels.size),
+                         stratum=labels, probs=np.full(240, 1.0 / 240), counts=counts)
+        grid = np.concatenate([np.linspace(0.0, 0.9, 21), np.linspace(1.5, 9.5, 60)])
+        ep, _, hits = pool.ep_at(grid)
+        assert np.all(np.diff(ep) <= 0.0)
+        assert np.all(ep[21:] == ep[21]) and np.all(hits[21:] == hits[21])
 
 class TestCrossEstimatorAgreement:
     def test_unbiasedness_chain_thirty_runs(self, portfolio):
