@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
@@ -202,6 +202,8 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _start_points(samples: np.ndarray, rng: Rng) -> list[np.ndarray]:
+    from scipy import stats  # imported here: it doubles the import time of the simulator
+
     m = float(np.mean(samples))
     med = float(np.median(samples))
     s = max(float(np.std(samples)), 1e-3)
@@ -321,6 +323,8 @@ def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams]) -> CopulaFit:
     rows.  The normal-copula log-likelihood at the same sigma is reported for
     family comparison.
     """
+    from scipy import stats  # imported here: it doubles the import time of the simulator
+
     rows = panel.complete_rows()
     if rows.shape[0] < 100:
         raise DataError(f"need at least 100 complete rows, have {rows.shape[0]}")

@@ -110,13 +110,15 @@ def ingest_csv(path) -> list[ConcentrationSeries]:
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _metadata_lines(args: argparse.Namespace, digest: str) -> list[str]:
@@ -145,9 +147,7 @@ def run(args: argparse.Namespace) -> None:
     buf.write("\n".join(_metadata_lines(args, digest)) + "\n")
     warnings: list[str] = []
     if args.command == "simulate":
-        report = build_report(
-            portfolio, args.alpha, args.estimator, args.budget, args.seed, digest
-        )
+        report = build_report(portfolio, args.alpha, args.estimator, args.budget, args.seed)
         warnings.extend(report.warnings)
         buf.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
         for row in report.rows:

@@ -1,4 +1,4 @@
-"""Dependence sampling and the map from copula variates to concentration.
+"""Copula variates and the map from them to concentration.
 
 The portfolio model: a normal or t copula drives D dependent uniforms, each
 pushed through its city's GH quantile and scaled, and the next-day overall
@@ -26,7 +26,7 @@ from scipy import special
 
 from .errors import CalibrationError, DomainError
 from .ghdist import GhParams, gh_moments, _tables
-from .statkit import Rng, normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
+from .statkit import normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
 
 # Uniforms are clamped before the GH quantile: IS pushes V deep into the
 # tails where F(V) rounds to exactly 0 or 1 in float64.
@@ -187,18 +187,6 @@ def dependent_vector(spec: CopulaSpec, chol: np.ndarray, z: np.ndarray,
     if spec.family == "normal":
         return corr
     return corr / np.sqrt(y / spec.nu)[:, None]
-
-
-def sample_copula(spec: CopulaSpec, chol: np.ndarray, rng: Rng, n: int = 1) -> CopulaDraw:
-    """Draw n dependent variates; each V_d is marginally t_nu (or N(0,1))."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    g = rng.generator()
-    z = g.standard_normal((n, spec.dimension))
-    y = None
-    if spec.family == "t":
-        y = 2.0 * g.standard_gamma(spec.nu / 2.0, size=n)
-    return CopulaDraw(z=z, y=y, v=dependent_vector(spec, chol, z, y))
 
 
 def copula_uniforms(spec: CopulaSpec, v: np.ndarray) -> np.ndarray:

@@ -31,13 +31,18 @@ and the log-ratios come from the tabulated ``log_ratio_map``.  ``calibrate_is``
 solves one root per refinement round; the mixing coordinate of its design
 point has a closed form (``_mixing_mode``).
 
+A scheme is the paper's grid, ``counts = (drift slices, mixing slices)``:
+the drift axis is the direction of the IS mean shift, the mixing axis the
+normal score of the chi-square mixing variable (t family only).
+
 Stream layout: stage s draws from ``rng.split(s + 1)`` (a one-stage pool
 from ``split(1)``), and chunk c of a stage from ``.split(c)`` of that.  A
-chunk of m rows draws ``standard_normal((m, k))``, then one ``random(m)`` per
-direction cut into more than one slice.  A one-slice direction conditions
-nothing and draws nothing, so a one-cell scheme's draws do not depend on its
-direction.  ``CHUNK`` bounds the working set of a draw: at 2**16 rows the
-peak memory of a 2e5-row curve sample rose by 15%.
+chunk of m rows draws ``standard_normal((m, D))`` (``(m, D + 1)`` for the t
+family), then one ``random(m)`` for the drift axis if it has more than one
+slice, then one for the mixing axis if it has more than one.  A one-slice
+axis conditions nothing and draws nothing, so ``ONE_CELL`` draws no uniform.
+``CHUNK`` bounds the working set of a draw: at 2**16 rows the peak memory of
+a 2e5-row curve sample rose by 15%.
 """
 
 from __future__ import annotations
@@ -95,52 +100,33 @@ class IsParams:
 
 @dataclass(frozen=True, eq=False)
 class StratificationScheme:
-    """Equiprobable strata along projections of the Gaussianized inputs.
+    """Equiprobable strata on the grid ``counts = (drift slices, mixing slices)``.
 
-    Each row of ``directions`` is a unit vector, rows mutually orthogonal;
-    axis j is cut into ``counts[j]`` equiprobable slices and a stratum is one
-    cell of the product grid (flat 1-based index, C order), so every cell has
-    probability 1 / n_strata.  Direction
-    vectors of length D act on Z - mu alone; length D + 1 (t copula only)
-    adds a coordinate for the normal score of the chi-square mixing variable,
-    which carries most of the residual likelihood-ratio variance.
+    The drift axis is the projection of Z - mu onto mu / |mu| (e_1 at
+    mu = 0); the mixing axis is the normal score of the chi-square mixing
+    variable, which carries most of the residual likelihood-ratio variance.
+    A stratum is one cell of the grid (flat 1-based index, C order), so
+    every cell has probability 1 / n_strata.
     """
 
-    directions: np.ndarray
-    counts: tuple[int, ...]
+    counts: tuple[int, int]
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != dirs.shape[0]:
-            raise DomainError("need one stratum count per direction")
-        if any(c < 1 for c in self.counts):
-            raise DomainError("stratum counts must be at least 1")
-        gram = dirs @ dirs.T
-        if not np.allclose(gram, np.eye(dirs.shape[0]), atol=1e-9):
-            raise DomainError("directions must be orthonormal unit vectors")
-
-    @classmethod
-    def equiprobable(cls, direction: np.ndarray, n_strata: int = N_STRATA) -> "StratificationScheme":
-        """Single-direction scheme with I equiprobable slices."""
-        return cls.grid([direction], (n_strata,))
-
-    @classmethod
-    def grid(cls, directions, counts) -> "StratificationScheme":
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(norms <= 0.0):
-            raise DomainError("stratification directions must be nonzero")
-        return cls(directions=dirs / norms[:, None], counts=tuple(counts))
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != 2 or min(counts) < 1:
+            raise DomainError("a scheme needs two stratum counts, each at least 1")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_strata(self) -> int:
-        return int(np.prod(self.counts))
+        return self.counts[0] * self.counts[1]
 
     @property
     def probs(self) -> np.ndarray:
         return np.full(self.n_strata, 1.0 / self.n_strata)
+
+
+ONE_CELL = StratificationScheme((1, 1))
 
 
 @dataclass(frozen=True)
@@ -281,16 +267,9 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
         )
 
 
-def _padded_directions(scheme: StratificationScheme, dim: int, family: str) -> np.ndarray:
-    dirs = scheme.directions
-    gauss_dim = dim + 1 if family == "t" else dim
-    if dirs.shape[1] == gauss_dim:
-        return dirs
-    if dirs.shape[1] == dim and family == "t":
-        return np.hstack([dirs, np.zeros((dirs.shape[0], 1))])
-    raise DomainError(
-        f"direction length {dirs.shape[1]} incompatible with dimension {dim} ({family})"
-    )
+def _slice_scores(cells: np.ndarray, slices: int, u: np.ndarray) -> np.ndarray:
+    """Normal scores conditioned into equiprobable slice ``cells`` (0-based) of ``slices``."""
+    return normal_quantile(np.clip((cells + u) / slices, 1e-16, 1.0 - 1e-16))
 
 
 def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
@@ -298,32 +277,36 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     """Draws from the IS density, row i conditioned on stratum ``strata[i]``.
 
     ``strata`` is a vector of 1-based flat stratum labels (C order over the
-    grid).  Each scheme direction's projection of the Gaussianized inputs
-    (Z - mu, plus the normal score of Y for the t family) is forced into its
-    slice of the row's grid cell via the conditional quantile
-    xi = normal_quantile((i-1+U)/I); the orthogonal complement stays
-    unconditioned.  A direction cut into one slice conditions nothing and
-    draws no uniform.
+    grid).  The drift axis projection of Z - mu and the normal score of Y
+    are each forced into their slice of the row's grid cell via the
+    conditional quantile xi = normal_quantile((i-1+U)/I); the orthogonal
+    complement stays unconditioned.  An axis cut into one slice conditions
+    nothing and draws no uniform.
     """
     labels = np.asarray(strata)
     if labels.ndim != 1 or labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
         raise DomainError("strata must be a nonempty vector of integer labels")
     if labels.min() < 1 or labels.max() > scheme.n_strata:
         raise DomainError(f"stratum must lie in 1..{scheme.n_strata}")
-    g = rng.generator()
     spec = portfolio.copula
+    drift_slices, mixing_slices = scheme.counts
+    if mixing_slices > 1 and spec.family != "t":
+        raise DomainError("only the t copula has a mixing axis to stratify")
+    g = rng.generator()
     dim = portfolio.dimension
-    dirs = _padded_directions(scheme, dim, spec.family)
     m = labels.shape[0]
-    gauss = g.standard_normal((m, dirs.shape[1]))
-    cells = np.unravel_index(labels - 1, scheme.counts)
-    for w, slices, idx in zip(dirs, scheme.counts, cells):
-        if slices == 1:
-            continue
-        u = g.random(m)
-        grid = np.clip((idx + u) / slices, 1e-16, 1.0 - 1e-16)
-        xi = normal_quantile(grid)
+    gauss = g.standard_normal((m, dim + 1 if spec.family == "t" else dim))
+    drift_cells, mixing_cells = np.unravel_index(labels - 1, scheme.counts)
+    if drift_slices > 1:
+        # mu / |mu|, padded with a zero on the mixing coordinate
+        w = np.zeros(gauss.shape[1])
+        norm = np.linalg.norm(is_params.mean_shift)
+        w[:dim] = is_params.mean_shift / norm if norm > 0.0 else np.eye(dim)[0]
+        xi = _slice_scores(drift_cells, drift_slices, g.random(m))
         gauss += np.outer(xi - gauss @ w, w)
+    if mixing_slices > 1:
+        xi = _slice_scores(mixing_cells, mixing_slices, g.random(m))
+        gauss[:, dim] += xi - gauss[:, dim]
     z = is_params.mean_shift + gauss[:, :dim]
     y = None
     if spec.family == "t":
@@ -337,26 +320,17 @@ _GRID_LADDER = ((24, 10), (20, 8), (16, 8), (12, 6), (10, 5), (8, 4), (6, 3),
                 (4, 2), (3, 2), (2, 1), (1, 1))
 
 
-def default_scheme(portfolio: CityPortfolio, is_params: IsParams,
-                   budget: int) -> StratificationScheme:
-    """Stratification grid for a budget: IS drift direction x mixing score.
+def default_scheme(portfolio: CityPortfolio, budget: int) -> StratificationScheme:
+    """Stratification grid for a budget: IS drift axis x mixing score.
 
     Picks the largest ladder grid whose per-stratum floor fits into the
     smallest AOA stage.  The normal-copula family has no mixing variable and
-    gets the drift direction alone.
+    gets the drift axis alone.
     """
-    dim = portfolio.dimension
-    drift = np.linalg.norm(is_params.mean_shift)
-    w_z = is_params.mean_shift / drift if drift > 0.0 else np.eye(dim)[0]
-    max_cells = int(budget * min(STAGE_FRACTIONS)) // N_MIN
+    max_cells = max(int(budget * min(STAGE_FRACTIONS)) // N_MIN, 1)
     if portfolio.copula.family == "normal":
-        slices = max(min(N_STRATA, int(max_cells)), 1)
-        return StratificationScheme.equiprobable(w_z, slices)
-    w1 = np.concatenate([w_z, [0.0]])
-    w2 = np.zeros(dim + 1)
-    w2[dim] = 1.0
-    counts = next((c for c in _GRID_LADDER if int(np.prod(c)) <= max_cells), (1, 1))
-    return StratificationScheme.grid([w1, w2], counts)
+        return StratificationScheme((min(N_STRATA, max_cells), 1))
+    return StratificationScheme(next(c for c in _GRID_LADDER if c[0] * c[1] <= max_cells))
 
 
 def aoa_allocate(budget: int, probs: np.ndarray, sigma: np.ndarray,
@@ -593,8 +567,7 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
 def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,
                 rng: Rng) -> tuple[EstimateResult, EstimateResult]:
     """IS estimates of EP and CE at threshold tau: SIS on one cell."""
-    one_cell = StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
-    ep, ce = sis_estimate(portfolio, tau, is_params, one_cell, n, rng)
+    ep, ce = sis_estimate(portfolio, tau, is_params, ONE_CELL, n, rng)
     return replace(ep, estimator="is"), replace(ce, estimator="is")
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .copula import CityPortfolio
 from .errors import DomainError, NumericError, UsageError
 from .estimators import (
+    ONE_CELL,
     EstimateResult,
     IsParams,
     SisSample,
@@ -87,22 +88,17 @@ class RiskRow:
 @dataclass(frozen=True)
 class RiskReport:
     rows: tuple[RiskRow, ...]
-    estimator: str
-    budget: int
-    seed: int
-    model_hash: str
     warnings: tuple[str, ...] = field(default=())
 
 
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float, *,
-                      total_mass: float | None = None) -> float:
-    """Smallest sample value whose cumulative weight fraction reaches q.
+def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+    """Smallest sample value with simulated mass at most 1 - q strictly above it.
 
-    With ``total_mass`` given (e.g. 1.0 when the weights are an unbiased
-    probability decomposition), the cut is placed where the simulated mass
-    strictly above the value drops to (1-q) * total_mass.  That keeps the
-    noisy bulk mass out of the tail comparison, which matters for importance
-    weights whose sum is itself random.
+    The weights are an unbiased probability decomposition (total mass 1 in
+    expectation), so the cut is placed against 1 - q itself rather than
+    against a fraction of the weight sum.  That keeps the noisy bulk mass
+    out of the tail comparison, which matters for importance weights whose
+    sum is itself random.
     """
     if not 0.0 < q < 1.0:
         raise DomainError("q must lie in (0, 1)")
@@ -110,11 +106,8 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float, *,
     cum = np.cumsum(weights[order])
     if cum[-1] <= 0.0:
         raise DomainError("weights must have positive total mass")
-    if total_mass is None:
-        idx = int(np.searchsorted(cum, q * cum[-1], side="left"))
-    else:
-        tail_above = cum[-1] - cum  # mass strictly above each sorted value
-        idx = int(np.searchsorted(-tail_above, -(1.0 - q) * total_mass, side="left"))
+    tail_above = cum[-1] - cum  # mass strictly above each sorted value
+    idx = int(np.searchsorted(-tail_above, -(1.0 - q), side="left"))
     return float(values[order[min(idx, values.shape[0] - 1)]])
 
 
@@ -123,22 +116,19 @@ def _note(warnings: list[str] | None, message: str) -> None:
         warnings.append(message)
 
 
-def _scheme(portfolio: CityPortfolio, estimator: str, params: IsParams,
-            budget: int) -> StratificationScheme:
+def _scheme(portfolio: CityPortfolio, estimator: str, budget: int) -> StratificationScheme:
     """The estimator's stratification: the default grid for SIS, one cell otherwise."""
-    if estimator == "sis":
-        return default_scheme(portfolio, params, budget)
-    return StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
+    return default_scheme(portfolio, budget) if estimator == "sis" else ONE_CELL
 
 
 def _pool(portfolio: CityPortfolio, estimator: str, params: IsParams, budget: int,
           rng: Rng) -> SisSample:
-    scheme = _scheme(portfolio, estimator, params, budget)
+    scheme = _scheme(portfolio, estimator, budget)
     return proportional_sis_sample(portfolio, params, scheme, budget, rng)
 
 
 def _upper_quantile(pool: SisSample, q: float) -> float:
-    return weighted_quantile(pool.conc, pool.sample_weight, q, total_mass=1.0)
+    return weighted_quantile(pool.conc, pool.sample_weight, q)
 
 
 def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
@@ -178,7 +168,7 @@ def compute_ccar(portfolio: CityPortfolio, alpha: float, tau: float, estimator: 
         params = IsParams.identity(portfolio.dimension)
     else:
         params = calibrate_is(portfolio, tau)
-    scheme = _scheme(portfolio, estimator, params, budget)
+    scheme = _scheme(portfolio, estimator, budget)
     _, ce = sis_estimate(portfolio, tau, params, scheme, budget, rng)
     return replace(ce, estimator=estimator)
 
@@ -245,7 +235,7 @@ def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> f
 
 
 def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
-                 seed: int, model_hash: str) -> RiskReport:
+                 seed: int) -> RiskReport:
     """Table-shaped report: one row per distinct alpha with CaR, CCaR, CI% and VR."""
     rows = []
     warnings: list[str] = []
@@ -278,11 +268,4 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
                 vr_factor=float(vr),
             )
         )
-    return RiskReport(
-        rows=tuple(rows),
-        estimator=estimator,
-        budget=budget,
-        seed=seed,
-        model_hash=model_hash,
-        warnings=tuple(warnings),
-    )
+    return RiskReport(rows=tuple(rows), warnings=tuple(warnings))

@@ -1,8 +1,8 @@
 """Distribution primitives and the reproducible random-number source.
 
 Everything here is a thin, validated layer over scipy.special / numpy so the
-rest of the engine has one place to get CDFs, quantiles, Bessel functions and
-gamma variates with consistent domain checking.
+rest of the engine has one place to get CDFs, quantiles and Bessel functions
+with consistent domain checking, and one reproducible random source.
 """
 
 from __future__ import annotations
@@ -114,25 +114,6 @@ def t_quantile(p, nu):
         raise DomainError("p must lie strictly inside (0, 1)")
     nu = _positive_nu(nu)
     return _scalar_like(special.stdtrit(nu, arr), p)
-
-
-def sample_gamma(shape, scale, rng: Rng, size=None):
-    """Gamma(shape, scale) draws; chi-square with nu dof is (nu/2, 2).
-
-    Drawn as scale * standard_gamma(shape) so the bit stream consumed depends
-    only on ``shape``; tilting the scale never perturbs the underlying draws.
-    """
-    shape = float(shape)
-    scale = float(scale)
-    if not np.isfinite(shape) or shape <= 0.0:
-        raise DomainError("shape must be positive")
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise DomainError("scale must be positive")
-    g = rng.generator()
-    out = scale * g.standard_gamma(shape, size=size)
-    if size is None:
-        return float(out)
-    return out
 
 
 def bessel_k(order, x):

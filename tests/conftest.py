@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pmrisk import CityPortfolio, CopulaSpec, GhParams, paper_portfolio
+from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, paper_portfolio,
+                    stratified_sample)
+from pmrisk.estimators import ONE_CELL
 
 # Five-city GH fits (lam, alpha, delta, beta, mu)
 GH_ROWS = {
@@ -32,6 +34,12 @@ CAR_ROWS = [
     (0.002, 515.27, 677.76),
     (0.001, 600.78, 791.60),
 ]
+
+
+def model_draw(portfolio, rng, n):
+    """n draws of the model law: the sampling engine at the identity tilt on one cell."""
+    return stratified_sample(portfolio, ONE_CELL, np.ones(n, dtype=int),
+                             IsParams.identity(portfolio.dimension), rng)
 
 
 @pytest.fixture(scope="session")

@@ -30,15 +30,15 @@ from pmrisk import (
     variance_reduction_factor,
 )
 from pmrisk.calibration import LogRatioPanel, fit_gh_marginal, fit_t_copula
-from pmrisk.copula import CityPortfolio, marginal_transform, sample_copula
+from pmrisk.copula import CityPortfolio, marginal_transform
 from pmrisk.estimators import (
-    StratificationScheme,
+    ONE_CELL,
     calibrate_is,
     default_scheme,
     proportional_sis_sample,
 )
 
-from conftest import CAR_ROWS, GH_ROWS, SIGMA
+from conftest import CAR_ROWS, GH_ROWS, SIGMA, model_draw
 
 BUDGET = 100_000
 SEED = 20140042
@@ -69,7 +69,7 @@ def test_criterion_2_variance_reduction_ordering(portfolio):
     vr_rows = {}
     for alpha, car_ref, _ in CAR_ROWS:
         params = calibrate_is(portfolio, car_ref)
-        scheme = default_scheme(portfolio, params, BUDGET)
+        scheme = default_scheme(portfolio, BUDGET)
         _, ce_nv = naive_estimate(portfolio, car_ref, BUDGET, Rng(SEED + 1))
         _, ce_is = is_estimate(portfolio, car_ref, params, BUDGET, Rng(SEED + 1))
         _, ce_sis = sis_estimate(portfolio, car_ref, params, scheme, BUDGET, Rng(SEED + 1))
@@ -111,8 +111,7 @@ def test_criterion_3_figure2_regime(portfolio):
 
 def test_criterion_4_identity_tilt_equivalence(portfolio):
     identity = IsParams.identity(portfolio.dimension)
-    one_cell = StratificationScheme.equiprobable(np.eye(portfolio.dimension)[0], 1)
-    weight = proportional_sis_sample(portfolio, identity, one_cell, 8192, Rng(77)).weight
+    weight = proportional_sis_sample(portfolio, identity, ONE_CELL, 8192, Rng(77)).weight
     assert np.all(weight == 1.0)
     ep_nv, ce_nv = naive_estimate(portfolio, 352.03, 40_000, Rng(78))
     ep_is, ce_is = is_estimate(portfolio, 352.03, identity, 40_000, Rng(78))
@@ -137,7 +136,7 @@ def test_criterion_5_single_city_analytic_oracle(single_city):
         ep_is, _ = is_estimate(single_city, tau, params, n, Rng(96))
         assert abs(ep_is.estimate - target) <= 3.0 * ep_is.halfwidth95 / 1.96
 
-        scheme = default_scheme(single_city, params, n)
+        scheme = default_scheme(single_city, n)
         ep_sis, _ = sis_estimate(single_city, tau, params, scheme, n, Rng(97))
         assert abs(ep_sis.estimate - target) <= 3.0 * ep_sis.halfwidth95 / 1.96
     print(
@@ -175,8 +174,7 @@ def test_criterion_6_numerics_suite():
 
 def test_criterion_7_calibration_round_trip(portfolio):
     start = time.perf_counter()
-    draw = sample_copula(portfolio.copula, portfolio.chol, Rng(314), 10_000)
-    values = marginal_transform(portfolio, draw)
+    values = marginal_transform(portfolio, model_draw(portfolio, Rng(314), 10_000))
     panel = LogRatioPanel(
         cities=portfolio.names,
         days=np.arange(values.shape[0]),

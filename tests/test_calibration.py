@@ -17,10 +17,10 @@ from pmrisk import (
 )
 from pmrisk import calibration
 from pmrisk.calibration import LogRatioPanel, _negloglik, _negloglik_grad
-from pmrisk.copula import marginal_transform, sample_copula
+from pmrisk.copula import marginal_transform
 from pmrisk.ghdist import gh_logpdf
 
-from conftest import GH_ROWS, NU, SIGMA
+from conftest import GH_ROWS, NU, SIGMA, model_draw
 
 
 def _series(city, days, values):
@@ -28,7 +28,7 @@ def _series(city, days, values):
 
 
 def _synthetic_panel(portfolio, n, seed):
-    draw = sample_copula(portfolio.copula, portfolio.chol, Rng(seed), n)
+    draw = model_draw(portfolio, Rng(seed), n)
     values = marginal_transform(portfolio, draw)
     return LogRatioPanel(
         cities=portfolio.names,

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmrisk
 from pmrisk import Rng, gh_quantile, paper_portfolio, portfolio_to_doc
 from pmrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_csv, main
 from pmrisk.errors import DataError, UsageError
@@ -16,6 +20,13 @@ from conftest import GH_ROWS
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # only fit uses scipy.stats; importing it would double the simulator's start-up
+    code = "import sys, pmrisk.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(pmrisk.__file__).resolve().parent.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestIngest:
@@ -222,6 +233,16 @@ class TestRunModes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    @pytest.mark.parametrize("target", ["missing/car.csv", "taken"])
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, target):
+        # "taken" is a directory: the temporary file is written, then os.replace fails
+        (tmp_path / "taken").mkdir()
+        rc = main(["car", "--preset", "paper", "--alpha", "0.05", "--budget", "1000",
+                   "--out", str(tmp_path / target)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not list(tmp_path.rglob("*.tmp.*"))
+
 
 def _malformed_doc(kind):
     doc = portfolio_to_doc(paper_portfolio())
@@ -296,6 +317,13 @@ class TestFit:
         for city in holdout.values():
             assert city["rows"] == doc["meta"]["holdout_rows"]
             assert np.isfinite(city["loglik"]) and city["loglik"] != 0.0
+
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        csv_path = _synthetic_csv(tmp_path, ["Bj"], 400, 11)
+        rc = main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "missing" / "m.json")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not list(tmp_path.rglob("*.tmp.*"))
 
     def test_empty_csv_no_output(self, tmp_path):
         bad = tmp_path / "empty.csv"

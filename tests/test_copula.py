@@ -13,13 +13,12 @@ from pmrisk import (
     gh_quantile,
     marginal_transform,
     portfolio_concentration,
-    sample_copula,
     scaling_factor,
     t_cdf,
 )
 from pmrisk.copula import CopulaDraw, copula_uniforms, dependent_vector
 
-from conftest import GH_ROWS, NU, SIGMA
+from conftest import GH_ROWS, NU, SIGMA, model_draw
 
 
 
@@ -48,39 +47,56 @@ class TestCholesky:
             cholesky_factor(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
+def _with_copula(spec):
+    """A portfolio of the first GH rows under ``spec``; only its copula is drawn."""
+    d = spec.dimension
+    return CityPortfolio(names=tuple(GH_ROWS)[:d], weights=np.full(d, 1.0 / d),
+                         pm0=np.full(d, 100.0), scale=np.ones(d),
+                         marginals=tuple(GH_ROWS.values())[:d], copula=spec)
+
+
 class TestSampleCopula:
     def test_fixed_seed_reproducible(self, portfolio):
-        a = sample_copula(portfolio.copula, portfolio.chol, Rng(5), 64)
-        b = sample_copula(portfolio.copula, portfolio.chol, Rng(5), 64)
+        a = model_draw(portfolio, Rng(5), 64)
+        b = model_draw(portfolio, Rng(5), 64)
         assert np.array_equal(a.v, b.v) and np.array_equal(a.y, b.y)
 
     def test_marginal_is_student_t(self):
         spec = CopulaSpec(family="t", sigma=np.eye(3), nu=NU)
-        draw = sample_copula(spec, np.eye(3), Rng(8), 100_000)
+        draw = model_draw(_with_copula(spec), Rng(8), 100_000)
         stat = stats.kstest(draw.v[:, 0], lambda x: t_cdf(x, NU))
         assert stat.pvalue > 0.01
 
     def test_kendall_tau_matches_arcsine_relation(self, portfolio):
-        draw = sample_copula(portfolio.copula, portfolio.chol, Rng(13), 1_000_000)
+        draw = model_draw(portfolio, Rng(13), 1_000_000)
         tau = stats.kendalltau(draw.v[:, 0], draw.v[:, 2]).statistic
         expected = 2.0 / np.pi * np.arcsin(SIGMA[0, 2])  # Bj-Cd entry 0.744
         assert abs(tau - expected) <= 0.005
 
     def test_normal_family_equals_t_path_without_mixing(self):
         sigma = SIGMA.copy()
-        normal_spec = CopulaSpec(family="normal", sigma=sigma)
-        t_spec = CopulaSpec(family="t", sigma=sigma, nu=NU)
+        normal_draw = model_draw(_with_copula(CopulaSpec(family="normal", sigma=sigma)),
+                                 Rng(3), 256)
+        t_draw = model_draw(_with_copula(CopulaSpec(family="t", sigma=sigma, nu=NU)),
+                            Rng(3), 256)
         L = cholesky_factor(sigma)
-        v_normal = sample_copula(normal_spec, L, Rng(3), 256).v
-        t_draw = sample_copula(t_spec, L, Rng(3), 256)
-        # same Z bits; the t path is the normal path divided by sqrt(Y/nu)
-        assert np.array_equal(v_normal, t_draw.z @ L.T)
+        # the normal path is L z; the t path is L z divided by sqrt(Y/nu)
+        assert np.array_equal(normal_draw.v, normal_draw.z @ L.T)
         recovered = t_draw.v * np.sqrt(t_draw.y / NU)[:, None]
-        assert np.allclose(v_normal, recovered, atol=0.0, rtol=1e-15)
+        assert np.allclose(t_draw.z @ L.T, recovered, atol=0.0, rtol=1e-15)
+
+    def test_mixing_variable_is_chi_square(self, single_city):
+        # Y at the identity tilt is chi^2_nu; 0.02 is ~4 s.e. of the mean at 1e6 draws
+        n = 1_000_000
+        y = model_draw(single_city, Rng(2), n).y
+        assert abs(y.mean() - NU) <= 0.02
+        # Var(S^2) ~ (mu4 - sigma^4)/n with mu4 = sigma^4 (3 + 12/nu) for chi^2
+        se = np.sqrt((8.0 * NU**2 + 48.0 * NU) / n)
+        assert abs(y.var() - 2.0 * NU) <= 5.0 * se
 
     def test_independent_uniforms_pass_chi_square(self):
         spec = CopulaSpec(family="normal", sigma=np.eye(5))
-        draw = sample_copula(spec, np.eye(5), Rng(17), 100_000)
+        draw = model_draw(_with_copula(spec), Rng(17), 100_000)
         u = copula_uniforms(spec, draw.v).ravel()
         counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
         expected = u.size / 20.0

@@ -18,6 +18,7 @@ from pmrisk import (
 )
 from pmrisk.copula import CopulaDraw
 from pmrisk.estimators import (
+    ONE_CELL,
     SisSample,
     _compose,
     _concentration_at,
@@ -34,16 +35,14 @@ CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
 class TestLikelihoodRatio:
     def test_identity_tilt_is_exactly_one(self, portfolio):
-        one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
         weight = proportional_sis_sample(
-            portfolio, IsParams.identity(5), one_cell, 4096, Rng(1)
+            portfolio, IsParams.identity(5), ONE_CELL, 4096, Rng(1)
         ).weight
         assert np.all(weight == 1.0)
 
     def test_unbiased_mean_one(self, portfolio):
         params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
-        one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
-        weight = proportional_sis_sample(portfolio, params, one_cell, 1_000_000, Rng(4)).weight
+        weight = proportional_sis_sample(portfolio, params, ONE_CELL, 1_000_000, Rng(4)).weight
         se = weight.std(ddof=1) / np.sqrt(weight.size)
         assert abs(weight.mean() - 1.0) <= 3.0 * se
 
@@ -189,7 +188,7 @@ class TestIsEstimate:
 
 class TestStratifiedSample:
     def test_first_stratum_bounded_projection(self, portfolio):
-        scheme = StratificationScheme.equiprobable(np.eye(5)[0], 4)
+        scheme = StratificationScheme((4, 1))
         draw = stratified_sample(
             portfolio, scheme, np.ones(4000, dtype=int), IsParams.identity(5), Rng(10)
         )
@@ -202,24 +201,46 @@ class TestStratifiedSample:
         edges = np.concatenate([[-np.inf], normal_quantile(np.array([0.25, 0.5, 0.75])), [np.inf]])
         assert np.all((edges[labels - 1] < xi) & (xi < edges[labels]))
 
+    def test_drift_axis_follows_the_mean_shift(self, portfolio):
+        mu = np.array([0.5, 0.3, 0.1, 0.6, 0.5])
+        params = IsParams(mean_shift=mu, theta=1.5)
+        draw = stratified_sample(portfolio, StratificationScheme((4, 1)),
+                                 np.ones(4000, dtype=int), params, Rng(10))
+        assert np.all((draw.z - mu) @ (mu / np.linalg.norm(mu)) < normal_quantile(0.25))
+
+    def test_mixing_axis_bounds_the_mixing_variable(self, portfolio):
+        # stratum 2 of (1, 4): Y / theta between the IS law's 25% and 50% quantiles
+        params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
+        draw = stratified_sample(portfolio, StratificationScheme((1, 4)),
+                                 np.full(4000, 2), params, Rng(12))
+        lo, hi = stats.gamma.ppf([0.25, 0.5], NU / 2.0)
+        assert np.all((lo * (1 - 1e-8) < draw.y / 1.5) & (draw.y / 1.5 < hi * (1 + 1e-8)))
+
+    def test_scheme_is_a_two_axis_grid(self):
+        assert StratificationScheme((3, 2)).n_strata == 6
+        for counts in ((4,), (1, 1, 1), (0, 2), (2, -1)):
+            with pytest.raises(DomainError):
+                StratificationScheme(counts)
+
     def test_equiprobable_probabilities(self):
-        scheme = StratificationScheme.equiprobable(np.array([1.0, 0.0]), 8)
+        scheme = StratificationScheme((8, 1))
         assert np.allclose(scheme.probs, 1.0 / 8.0)
 
     def test_pooled_projection_moments(self, portfolio):
-        scheme = StratificationScheme.equiprobable(np.eye(5)[1], 10)
-        params = IsParams.identity(5)
+        # the drift axis follows the mean shift, here e_2
+        scheme = StratificationScheme((10, 1))
+        params = IsParams(mean_shift=0.5 * np.eye(5)[1], theta=2.0)
         parts = [
             stratified_sample(portfolio, scheme, np.full(10_000, i + 1), params, Rng(11).split(i))
             for i in range(10)
         ]
-        xi = np.concatenate([p.z @ np.eye(5)[1] for p in parts])
+        xi = np.concatenate([(p.z - params.mean_shift) @ np.eye(5)[1] for p in parts])
         n = xi.size
         assert abs(xi.mean()) <= 3.0 / np.sqrt(n)
         assert abs(xi.var() - 1.0) <= 3.0 * np.sqrt(2.0 / n)
 
     def test_invalid_stratum_index(self, portfolio):
-        scheme = StratificationScheme.equiprobable(np.eye(5)[0], 4)
+        scheme = StratificationScheme((4, 1))
         with pytest.raises(DomainError):
             stratified_sample(portfolio, scheme, np.array([0]), IsParams.identity(5), Rng(0))
         with pytest.raises(DomainError):
@@ -272,7 +293,7 @@ class TestAoaAllocate:
 class TestSisEstimate:
     def test_single_stratum_equals_is(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        scheme = StratificationScheme.equiprobable(params.mean_shift, 1)
+        scheme = StratificationScheme((1, 1))
         ep_s, ce_s = sis_estimate(portfolio, CAR_001, params, scheme, 20_000, Rng(12))
         ep_i, ce_i = is_estimate(portfolio, CAR_001, params, 20_000, Rng(12))
         assert ep_s.estimate == ep_i.estimate
@@ -281,13 +302,13 @@ class TestSisEstimate:
 
     def test_budget_spent_exactly(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        scheme = default_scheme(portfolio, params, 30_001)
+        scheme = default_scheme(portfolio, 30_001)
         ep, _ = sis_estimate(portfolio, CAR_001, params, scheme, 30_001, Rng(13))
         assert ep.n == 30_001
 
     def test_beats_is_at_rare_threshold(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        scheme = default_scheme(portfolio, params, 100_000)
+        scheme = default_scheme(portfolio, 100_000)
         _, ce_nv = naive_estimate(portfolio, CAR_001, 100_000, Rng(14))
         _, ce_is = is_estimate(portfolio, CAR_001, params, 100_000, Rng(14))
         _, ce_sis = sis_estimate(portfolio, CAR_001, params, scheme, 100_000, Rng(14))
@@ -297,7 +318,7 @@ class TestSisEstimate:
     def test_agrees_with_naive_at_moderate_threshold(self, portfolio):
         tau = 239.32
         params = calibrate_is(portfolio, tau)
-        scheme = default_scheme(portfolio, params, 50_000)
+        scheme = default_scheme(portfolio, 50_000)
         ep_nv, _ = naive_estimate(portfolio, tau, 50_000, Rng(15))
         ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 50_000, Rng(15))
         joint = np.hypot(ep_nv.halfwidth95, ep_sis.halfwidth95) / 1.96
@@ -392,7 +413,7 @@ class TestCrossEstimatorAgreement:
     def test_unbiasedness_chain_thirty_runs(self, portfolio):
         tau = 300.0
         params = calibrate_is(portfolio, tau)
-        scheme = default_scheme(portfolio, params, 10_000)
+        scheme = default_scheme(portfolio, 10_000)
         for k in range(30):
             ep_nv, _ = naive_estimate(portfolio, tau, 10_000, Rng(1000 + k))
             ep_is, _ = is_estimate(portfolio, tau, params, 10_000, Rng(2000 + k))
@@ -403,7 +424,7 @@ class TestCrossEstimatorAgreement:
 
     def test_variance_ordering_at_rare_threshold(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        scheme = default_scheme(portfolio, params, 20_000)
+        scheme = default_scheme(portfolio, 20_000)
         ordered = 0
         runs = 10
         for k in range(runs):

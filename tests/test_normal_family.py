@@ -15,7 +15,12 @@ from pmrisk import (
     naive_estimate,
     sis_estimate,
 )
-from pmrisk.estimators import StratificationScheme, default_scheme, proportional_sis_sample
+from pmrisk.estimators import (
+    ONE_CELL,
+    StratificationScheme,
+    default_scheme,
+    proportional_sis_sample,
+)
 
 from conftest import GH_ROWS, SIGMA
 
@@ -46,9 +51,8 @@ def normal_single():
 
 
 def test_identity_weight_is_one(normal_portfolio):
-    one_cell = StratificationScheme.equiprobable(np.eye(5)[0], 1)
     weight = proportional_sis_sample(
-        normal_portfolio, IsParams.identity(5), one_cell, 2048, Rng(1)
+        normal_portfolio, IsParams.identity(5), ONE_CELL, 2048, Rng(1)
     ).weight
     assert np.all(weight == 1.0)
 
@@ -70,8 +74,8 @@ def test_single_city_analytic_tail(normal_single):
 def test_estimators_agree_and_reduce_variance(normal_portfolio):
     tau = 300.0
     params = calibrate_is(normal_portfolio, tau)
-    scheme = default_scheme(normal_portfolio, params, 50_000)
-    assert scheme.directions.shape[1] == 5  # no mixing coordinate
+    scheme = default_scheme(normal_portfolio, 50_000)
+    assert scheme.counts[1] == 1  # no mixing axis
     ep_nv, ce_nv = naive_estimate(normal_portfolio, tau, 50_000, Rng(3))
     ep_is, ce_is = is_estimate(normal_portfolio, tau, params, 50_000, Rng(3))
     ep_sis, ce_sis = sis_estimate(normal_portfolio, tau, params, scheme, 50_000, Rng(3))
@@ -83,8 +87,8 @@ def test_estimators_agree_and_reduce_variance(normal_portfolio):
 
 
 def test_mixing_direction_rejected(normal_portfolio):
-    from pmrisk import StratificationScheme, stratified_sample
+    from pmrisk import stratified_sample
 
-    scheme = StratificationScheme.equiprobable(np.ones(6) / np.sqrt(6.0), 4)
+    scheme = StratificationScheme((1, 4))
     with pytest.raises(DomainError):
         stratified_sample(normal_portfolio, scheme, np.array([1]), IsParams.identity(5), Rng(0))

@@ -20,7 +20,7 @@ from pmrisk.risk import queries
 class TestWeightedQuantile:
     def test_unweighted_matches_order_statistic(self):
         values = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-        w = np.ones(5)
+        w = np.full(5, 0.2)
         assert weighted_quantile(values, w, 0.5) == 3.0
         assert weighted_quantile(values, w, 0.9) == 5.0
 
@@ -32,7 +32,7 @@ class TestWeightedQuantile:
     def test_absolute_tail_mode(self):
         values = np.arange(1.0, 101.0)
         w = np.full(100, 0.01)
-        assert weighted_quantile(values, w, 0.95, total_mass=1.0) == 95.0
+        assert weighted_quantile(values, w, 0.95) == 95.0
 
     def test_rejects_bad_q(self):
         with pytest.raises(DomainError):
@@ -154,7 +154,7 @@ class TestVarianceReduction:
 
 class TestReport:
     def test_rows_sorted_and_consistent(self, portfolio):
-        report = build_report(portfolio, [0.01, 0.05], "sis", 20_000, 21, "deadbeef")
+        report = build_report(portfolio, [0.01, 0.05], "sis", 20_000, 21)
         alphas = [r.alpha for r in report.rows]
         assert alphas == sorted(alphas, reverse=True)
         for row in report.rows:
@@ -162,11 +162,11 @@ class TestReport:
             assert row.vr_factor > 1.0
 
     def test_byte_identical_repeat(self, portfolio):
-        a = build_report(portfolio, [0.05], "is", 20_000, 33, "deadbeef")
-        b = build_report(portfolio, [0.05], "is", 20_000, 33, "deadbeef")
+        a = build_report(portfolio, [0.05], "is", 20_000, 33)
+        b = build_report(portfolio, [0.05], "is", 20_000, 33)
         assert a == b
 
     def test_naive_estimator_reports_unit_vr(self, portfolio):
-        report = build_report(portfolio, [0.05], "naive", 20_000, 5, "deadbeef")
+        report = build_report(portfolio, [0.05], "naive", 20_000, 5)
         assert report.rows[0].vr_factor == 1.0
         assert report.rows[0].ccar > report.rows[0].car

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pmrisk import DomainError, Rng, bessel_k, normal_cdf, normal_quantile, sample_gamma, t_cdf
+from pmrisk import DomainError, Rng, bessel_k, normal_cdf, normal_quantile, t_cdf
 from pmrisk.statkit import normal_pdf, t_pdf
 
 # Oracle values, frozen from adaptive quadrature of the respective densities
@@ -109,34 +109,6 @@ class TestDensities:
             t_pdf(np.nan, 3.0)
         with pytest.raises(DomainError):
             normal_pdf(np.inf)
-
-
-class TestSampleGamma:
-    def test_support_and_determinism(self):
-        draws = sample_gamma(5.89, 2.0, Rng(11), size=1000)
-        again = sample_gamma(5.89, 2.0, Rng(11), size=1000)
-        assert np.all(draws > 0.0)
-        assert np.array_equal(draws, again)
-
-    def test_chi_square_mean(self):
-        # chi^2_nu as gamma(nu/2, 2); 0.02 tolerance is ~4 s.e. at 1e6 draws
-        nu = 11.78
-        draws = sample_gamma(nu / 2.0, 2.0, Rng(2), size=1_000_000)
-        assert abs(draws.mean() - nu) <= 0.02
-
-    def test_chi_square_variance(self):
-        nu = 11.78
-        n = 1_000_000
-        draws = sample_gamma(nu / 2.0, 2.0, Rng(3), size=n)
-        # Var(S^2) ~ (mu4 - sigma^4)/n with mu4 = sigma^4 (3 + 12/nu) for chi^2
-        se = np.sqrt((8.0 * nu**2 + 48.0 * nu) / n)
-        assert abs(draws.var() - 2.0 * nu) <= 5.0 * se
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            sample_gamma(0.0, 2.0, Rng(0))
-        with pytest.raises(DomainError):
-            sample_gamma(1.0, -1.0, Rng(0))
 
 
 class TestBesselK:
