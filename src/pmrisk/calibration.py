@@ -81,29 +81,19 @@ def compute_log_ratios(series_list: list[ConcentrationSeries]) -> LogRatioPanel:
     """One log-ratio per consecutive-day pair; gaps drop the spanning pairs."""
     if not series_list:
         raise DataError("no concentration series given")
+    pairs = []
     for s in series_list:
         if s.days.size < 2:
             raise DataError(f"{s.city}: need at least 2 observations")
-    per_city: list[dict[int, float]] = []
-    all_days: set[int] = set()
-    for s in series_list:
-        lookup = dict(zip(s.days.tolist(), s.values.tolist()))
-        ratios = {
-            int(d): float(np.log(lookup[d + 1] / lookup[d]))
-            for d in s.days.tolist()
-            if d + 1 in lookup
-        }
-        per_city.append(ratios)
-        all_days.update(ratios)
-    days = np.array(sorted(all_days), dtype=int)
-    n, d = days.size, len(series_list)
-    values = np.full((n, d), np.nan)
-    mask = np.zeros((n, d), dtype=bool)
-    for j, ratios in enumerate(per_city):
-        for i, day in enumerate(days.tolist()):
-            if day in ratios:
-                values[i, j] = ratios[day]
-                mask[i, j] = True
+        pair = np.diff(s.days) == 1
+        pairs.append((s.days[:-1][pair], np.log(s.values[1:] / s.values[:-1])[pair]))
+    days = np.unique(np.concatenate([start for start, _ in pairs]))
+    values = np.full((days.size, len(series_list)), np.nan)
+    mask = np.zeros(values.shape, dtype=bool)
+    for j, (start, ratios) in enumerate(pairs):
+        rows = np.searchsorted(days, start)
+        values[rows, j] = ratios
+        mask[rows, j] = True
     return LogRatioPanel(
         cities=tuple(s.city for s in series_list), days=days, values=values, mask=mask
     )
@@ -225,7 +215,7 @@ def _lbfgsb(samples: np.ndarray, x0: np.ndarray, options: dict):
                              method="L-BFGS-B", bounds=_BOUNDS, options=options)
 
 
-def fit_gh_marginal(samples, *, rng: Rng | None = None) -> GhFit:
+def fit_gh_marginal(samples, *, rng: Rng) -> GhFit:
     """GH parameters maximizing the log-likelihood of ``samples``.
 
     Bounded L-BFGS-B with an analytic gradient on an unconstrained scale
@@ -241,7 +231,6 @@ def fit_gh_marginal(samples, *, rng: Rng | None = None) -> GhFit:
     if not np.all(np.isfinite(samples)):
         raise DataError("samples must be finite")
     warning = None if samples.size >= 100 else "fewer than 100 samples; fit is fragile"
-    rng = rng if rng is not None else Rng(20140101)
 
     screened = [_lbfgsb(samples, x0, _SCREEN) for x0 in _start_points(samples, rng)]
     best = min(screened, key=lambda res: res.fun)
@@ -365,16 +354,6 @@ def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams]) -> CopulaFit:
         loglik_normal=normal_copula_loglik(u, sigma),
         warning=warning,
     )
-
-
-def empirical_correlation(panel: LogRatioPanel) -> np.ndarray:
-    """Pearson correlation of the complete log-ratio rows."""
-    rows = panel.complete_rows()
-    if rows.shape[0] < 3:
-        raise DataError("need at least 3 complete rows")
-    if np.any(np.std(rows, axis=0) <= 0.0):
-        raise DataError("a log-ratio column has zero variance")
-    return np.corrcoef(rows, rowvar=False)
 
 
 def split_train_holdout(panel: LogRatioPanel, fraction: float,

@@ -18,8 +18,8 @@ rerun with the same configuration reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -107,18 +107,23 @@ def ingest_csv(path) -> list[ConcentrationSeries]:
     return out
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_out(path: str):
+    """A text file that replaces ``path`` when the block completes.
+
+    The temporary file is opened on entry, so an unwritable path fails before
+    any work; it is removed however the block exits.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _metadata_lines(args: argparse.Namespace, digest: str) -> list[str]:
@@ -143,35 +148,33 @@ def run(args: argparse.Namespace) -> None:
     rows = [] if args.command == "curve" else queries(
         args.alpha, args.estimator, args.budget, args.seed)
     portfolio, digest = resolve_portfolio(args.preset, args.model)
-    buf = io.StringIO()
-    buf.write("\n".join(_metadata_lines(args, digest)) + "\n")
     warnings: list[str] = []
-    if args.command == "simulate":
-        report = build_report(portfolio, args.alpha, args.estimator, args.budget, args.seed)
-        warnings.extend(report.warnings)
-        buf.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
-        for row in report.rows:
-            buf.write(
-                f"{row.alpha!r},{row.car!r},{row.ccar!r},"
-                f"{row.ccar_ci_pct!r},{row.vr_factor!r}\n"
+    with _atomic_out(args.out) as out:
+        out.write("\n".join(_metadata_lines(args, digest)) + "\n")
+        if args.command == "simulate":
+            out.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
+            for row in build_report(portfolio, args.alpha, args.estimator, args.budget,
+                                    args.seed, warnings=warnings):
+                out.write(
+                    f"{row.alpha!r},{row.car!r},{row.ccar!r},"
+                    f"{row.ccar_ci_pct!r},{row.vr_factor!r}\n"
+                )
+        elif args.command == "car":
+            out.write("alpha,car\n")
+            for query in rows:
+                tau = solve_car(portfolio, query.alpha, query.estimator, query.budget,
+                                query.seed, warnings=warnings)
+                out.write(f"{query.alpha!r},{tau!r}\n")
+        else:
+            points = exceedance_curve(
+                portfolio, np.array(args.tau_grid), args.estimator, args.budget, args.seed,
+                warnings=warnings,
             )
-    elif args.command == "car":
-        buf.write("alpha,car\n")
-        for query in rows:
-            tau = solve_car(portfolio, query.alpha, query.estimator, query.budget, query.seed,
-                            warnings=warnings)
-            buf.write(f"{query.alpha!r},{tau!r}\n")
-    else:
-        points = exceedance_curve(
-            portfolio, np.array(args.tau_grid), args.estimator, args.budget, args.seed,
-            warnings=warnings,
-        )
-        buf.write("tau,ep,ep_halfwidth,hits\n")
-        for p in points:
-            buf.write(f"{p.tau!r},{p.ep!r},{p.halfwidth95!r},{p.hits}\n")
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    _atomic_write(args.out, buf.getvalue())
+            out.write("tau,ep,ep_halfwidth,hits\n")
+            for p in points:
+                out.write(f"{p.tau!r},{p.ep!r},{p.halfwidth95!r},{p.hits}\n")
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
 
 
 def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) -> None:
@@ -179,55 +182,58 @@ def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) ->
     series = ingest_csv(csv_path)
     panel = compute_log_ratios(series)
     train, holdout = split_train_holdout(panel, train_fraction, Rng(seed))
-    d = len(panel.cities)
-    fits = []
-    for j in range(d):
-        samples = train.city_ratios(j)
-        fits.append(fit_gh_marginal(samples, rng=Rng(seed).split(100 + j)))
-    marginals = [f.params for f in fits]
-    if d == 1:
-        copula = CopulaSpec(family="t", sigma=np.eye(1), nu=10.0)
-        meta_copula = {"note": "single city; dimension-1 identity dependence"}
-    else:
-        cfit = fit_t_copula(train, marginals)
-        copula = cfit.spec
-        meta_copula = {
-            "loglik_t": cfit.loglik_t,
-            "loglik_normal": cfit.loglik_normal,
-        }
-        if cfit.warning:
-            meta_copula["warning"] = cfit.warning
-    # out-of-sample evidence for the fitted marginals
-    holdout_logliks = {}
-    for j, city in enumerate(panel.cities):
-        ratios = holdout.city_ratios(j)
-        holdout_logliks[city] = {
-            "loglik": float(np.sum(gh_logpdf(marginals[j], ratios))),
-            "rows": int(ratios.size),
-        }
-    portfolio = CityPortfolio(
-        names=panel.cities,
-        weights=np.full(d, 1.0 / d),
-        pm0=np.full(d, 100.0),
-        scale=np.ones(d),
-        marginals=tuple(marginals),
-        copula=copula,
-    )
-    doc = portfolio_to_doc(
-        portfolio,
-        meta={
-            "source_csv": os.path.basename(str(csv_path)),
-            "seed": seed,
-            "train_rows": train.n_rows,
-            "holdout_rows": holdout.n_rows,
-            "marginal_logliks": {
-                panel.cities[j]: fits[j].loglik for j in range(d)
+    with _atomic_out(out_path) as out:
+        d = len(panel.cities)
+        fits = [fit_gh_marginal(train.city_ratios(j), rng=Rng(seed).split(100 + j))
+                for j in range(d)]
+        marginals = [f.params for f in fits]
+        warnings = [f"{city}: {f.warning}" for city, f in zip(panel.cities, fits) if f.warning]
+        if d == 1:
+            copula = CopulaSpec(family="t", sigma=np.eye(1), nu=10.0)
+            meta_copula = {"note": "single city; dimension-1 identity dependence"}
+        else:
+            cfit = fit_t_copula(train, marginals)
+            copula = cfit.spec
+            meta_copula = {
+                "loglik_t": cfit.loglik_t,
+                "loglik_normal": cfit.loglik_normal,
+            }
+            if cfit.warning:
+                meta_copula["warning"] = cfit.warning
+                warnings.append(cfit.warning)
+        # out-of-sample evidence for the fitted marginals
+        holdout_logliks = {}
+        for j, city in enumerate(panel.cities):
+            ratios = holdout.city_ratios(j)
+            holdout_logliks[city] = {
+                "loglik": float(np.sum(gh_logpdf(marginals[j], ratios))),
+                "rows": int(ratios.size),
+            }
+        portfolio = CityPortfolio(
+            names=panel.cities,
+            weights=np.full(d, 1.0 / d),
+            pm0=np.full(d, 100.0),
+            scale=np.ones(d),
+            marginals=tuple(marginals),
+            copula=copula,
+        )
+        doc = portfolio_to_doc(
+            portfolio,
+            meta={
+                "source_csv": os.path.basename(str(csv_path)),
+                "seed": seed,
+                "train_rows": train.n_rows,
+                "holdout_rows": holdout.n_rows,
+                "marginal_logliks": {
+                    panel.cities[j]: fits[j].loglik for j in range(d)
+                },
+                "holdout_logliks": holdout_logliks,
+                "copula": meta_copula,
             },
-            "holdout_logliks": holdout_logliks,
-            "copula": meta_copula,
-        },
-    )
-    _atomic_write(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        )
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

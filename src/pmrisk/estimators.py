@@ -47,7 +47,7 @@ a 2e5-row curve sample rose by 15%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -92,10 +92,6 @@ class IsParams:
     @classmethod
     def identity(cls, dimension: int) -> "IsParams":
         return cls(mean_shift=np.zeros(dimension), theta=2.0)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.theta == 2.0 and not np.any(self.mean_shift != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +138,7 @@ class EstimateResult:
     variance: float
     halfwidth95: float
     n: int
-    estimator: str
     empty_tail: bool = False
-    warning: str | None = None
 
 
 def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
@@ -463,8 +457,7 @@ def _residual_sums(sums: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarr
     return sx - ratio * sy, sxx - 2.0 * ratio * sxy + ratio**2 * syy
 
 
-def _compose(pool: SisSample, tau: float, estimator: str,
-             warning: str | None) -> tuple[EstimateResult, EstimateResult]:
+def _compose(pool: SisSample, tau: float) -> tuple[EstimateResult, EstimateResult]:
     """EP and CE results from a pool's per-stratum tail sums.
 
     ``variance`` is n times the stratified variance; the CE variance is the
@@ -475,8 +468,7 @@ def _compose(pool: SisSample, tau: float, estimator: str,
 
     def result(estimate: float, var: float, **flags) -> EstimateResult:
         return EstimateResult(estimate=float(estimate), variance=float(var * n),
-                              halfwidth95=float(1.96 * np.sqrt(var)), n=n,
-                              estimator=estimator, warning=warning, **flags)
+                              halfwidth95=float(1.96 * np.sqrt(var)), n=n, **flags)
 
     ep, ep_var = _stratified_mean(pool.probs, pool.counts, sums[0], sums[1])
     numer = float(pool.probs @ (sums[2] / np.maximum(pool.counts, 1)))
@@ -549,7 +541,7 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     fractions = np.asarray(STAGE_FRACTIONS)
     budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
     pool = _draw_pool(portfolio, is_params, scheme, budgets, floor, rng, tau)
-    return _compose(pool, tau, "sis", is_params.warning)
+    return _compose(pool, tau)
 
 
 def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
@@ -567,12 +559,10 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
 def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,
                 rng: Rng) -> tuple[EstimateResult, EstimateResult]:
     """IS estimates of EP and CE at threshold tau: SIS on one cell."""
-    ep, ce = sis_estimate(portfolio, tau, is_params, ONE_CELL, n, rng)
-    return replace(ep, estimator="is"), replace(ce, estimator="is")
+    return sis_estimate(portfolio, tau, is_params, ONE_CELL, n, rng)
 
 
 def naive_estimate(portfolio: CityPortfolio, tau: float, n: int,
                    rng: Rng) -> tuple[EstimateResult, EstimateResult]:
     """Naive Monte Carlo estimates of EP and CE at threshold tau."""
-    ep, ce = is_estimate(portfolio, tau, IsParams.identity(portfolio.dimension), n, rng)
-    return replace(ep, estimator="naive"), replace(ce, estimator="naive")
+    return is_estimate(portfolio, tau, IsParams.identity(portfolio.dimension), n, rng)

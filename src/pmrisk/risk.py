@@ -5,11 +5,15 @@ concentration sample, so P(C > CaR_alpha) is approximately alpha; CCaR_alpha
 is the conditional excess at that threshold.  For the IS/SIS estimators the
 quantile pass is iterated with re-calibrated tilt parameters on common random
 numbers until the threshold stabilizes.
+
+``_design`` picks every tilt and stratification a query samples with, apart
+from the identity-tilt pilots, and each query function appends its warnings
+to the caller's ``warnings`` list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +23,6 @@ from .estimators import (
     ONE_CELL,
     EstimateResult,
     IsParams,
-    SisSample,
     StratificationScheme,
     calibrate_is,
     default_scheme,
@@ -85,12 +88,6 @@ class RiskRow:
     vr_factor: float
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    rows: tuple[RiskRow, ...]
-    warnings: tuple[str, ...] = field(default=())
-
-
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     """Smallest sample value with simulated mass at most 1 - q strictly above it.
 
@@ -116,18 +113,27 @@ def _note(warnings: list[str] | None, message: str) -> None:
         warnings.append(message)
 
 
-def _scheme(portfolio: CityPortfolio, estimator: str, budget: int) -> StratificationScheme:
-    """The estimator's stratification: the default grid for SIS, one cell otherwise."""
-    return default_scheme(portfolio, budget) if estimator == "sis" else ONE_CELL
+def _design(portfolio: CityPortfolio, estimator: str, tau: float | None, budget: int,
+            warnings: list[str] | None,
+            label: str = "") -> tuple[IsParams, StratificationScheme]:
+    """(tilt, scheme) of an estimator at threshold tau, which naive does not use.
+
+    Naive samples the identity tilt on one cell, IS the ``calibrate_is`` tilt
+    on one cell and SIS that tilt on the budget's default grid.  A calibration
+    warning goes to ``warnings``, prefixed with ``label``.
+    """
+    if estimator == "naive":
+        return IsParams.identity(portfolio.dimension), ONE_CELL
+    params = calibrate_is(portfolio, tau)
+    if params.warning:
+        _note(warnings, label + params.warning)
+    return params, default_scheme(portfolio, budget) if estimator == "sis" else ONE_CELL
 
 
-def _pool(portfolio: CityPortfolio, estimator: str, params: IsParams, budget: int,
-          rng: Rng) -> SisSample:
-    scheme = _scheme(portfolio, estimator, budget)
-    return proportional_sis_sample(portfolio, params, scheme, budget, rng)
-
-
-def _upper_quantile(pool: SisSample, q: float) -> float:
+def _upper_quantile(portfolio: CityPortfolio, design: tuple[IsParams, StratificationScheme],
+                    budget: int, rng: Rng, q: float) -> float:
+    """Weighted q-quantile of a proportional pool drawn with ``design``."""
+    pool = proportional_sis_sample(portfolio, *design, budget, rng)
     return weighted_quantile(pool.conc, pool.sample_weight, q)
 
 
@@ -141,17 +147,15 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
     rng = Rng(seed).split(_STREAM_CAR)
     q = 1.0 - query.alpha
 
-    identity = IsParams.identity(portfolio.dimension)
-    tau = _upper_quantile(_pool(portfolio, "naive", identity, budget, rng), q)
+    pilot = (IsParams.identity(portfolio.dimension), ONE_CELL)
+    tau = _upper_quantile(portfolio, pilot, budget, rng, q)
     if estimator == "naive":
         return tau
 
     trace = [tau]
     for _ in range(CAR_MAX_ITER):
-        params = calibrate_is(portfolio, tau)
-        if params.warning:
-            _note(warnings, f"alpha={alpha}: {params.warning}")
-        tau_new = _upper_quantile(_pool(portfolio, estimator, params, budget, rng), q)
+        design = _design(portfolio, estimator, tau, budget, warnings, f"alpha={alpha}: ")
+        tau_new = _upper_quantile(portfolio, design, budget, rng, q)
         trace.append(tau_new)
         if abs(tau_new - tau) <= CAR_REL_TOL * abs(tau):
             return tau_new
@@ -160,17 +164,16 @@ def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: in
 
 
 def compute_ccar(portfolio: CityPortfolio, alpha: float, tau: float, estimator: str,
-                 budget: int, seed: int) -> EstimateResult:
-    """Conditional excess at tau = CaR_alpha, with a 95% confidence interval."""
+                 budget: int, seed: int, *,
+                 warnings: list[str] | None = None) -> EstimateResult:
+    """Conditional excess at tau = CaR_alpha, with a 95% confidence interval.
+
+    IS-calibration warnings are appended to ``warnings`` when it is given.
+    """
     RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
-    rng = Rng(seed).split(_STREAM_CCAR)
-    if estimator == "naive":
-        params = IsParams.identity(portfolio.dimension)
-    else:
-        params = calibrate_is(portfolio, tau)
-    scheme = _scheme(portfolio, estimator, budget)
-    _, ce = sis_estimate(portfolio, tau, params, scheme, budget, rng)
-    return replace(ce, estimator=estimator)
+    params, scheme = _design(portfolio, estimator, tau, budget, warnings, f"alpha={alpha}: ")
+    return sis_estimate(portfolio, tau, params, scheme, budget,
+                        Rng(seed).split(_STREAM_CCAR))[1]
 
 
 @dataclass(frozen=True)
@@ -205,18 +208,16 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
         raise UsageError("budget must be at least 2")
 
     rng = Rng(seed).split(_STREAM_CURVE)
-    baseline = portfolio.baseline()
-    params = IsParams.identity(portfolio.dimension)
+    ref = None
     if estimator != "naive":
-        pilot = _pool(portfolio, "naive", params, 2048, rng.split(5)).conc
-        ref = float(np.quantile(pilot, 0.9))
+        identity = IsParams.identity(portfolio.dimension)
+        pilot = proportional_sis_sample(portfolio, identity, ONE_CELL, 2048, rng.split(5)).conc
         # clamp into the grid but never below the calibration domain
-        ref = max(min(max(ref, grid[0]), grid[-1]), baseline * 1.05)
-        calibrated = calibrate_is(portfolio, ref)
-        if calibrated.warning:
-            _note(warnings, calibrated.warning)
-        params = IsParams(mean_shift=calibrated.mean_shift, theta=max(calibrated.theta, 1.2))
-    pool = _pool(portfolio, estimator, params, budget, rng)
+        ref = max(min(max(float(np.quantile(pilot, 0.9)), grid[0]), grid[-1]),
+                  portfolio.baseline() * 1.05)
+    params, scheme = _design(portfolio, estimator, ref, budget, warnings)
+    params = IsParams(mean_shift=params.mean_shift, theta=max(params.theta, 1.2))
+    pool = proportional_sis_sample(portfolio, params, scheme, budget, rng)
 
     ep, halfwidth, hits = pool.ep_at(grid)
     return [CurvePoint(tau=float(t), ep=float(e), halfwidth95=float(h), hits=int(k))
@@ -235,14 +236,17 @@ def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> f
 
 
 def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
-                 seed: int) -> RiskReport:
-    """Table-shaped report: one row per distinct alpha with CaR, CCaR, CI% and VR."""
+                 seed: int, *, warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
+    """Table rows: one per distinct alpha with CaR, CCaR, CI% and VR.
+
+    Calibration and VR warnings are appended to ``warnings`` when it is given.
+    """
     rows = []
-    warnings: list[str] = []
     for k, query in enumerate(queries(alphas, estimator, budget, seed)):
         alpha = query.alpha
         tau = solve_car(portfolio, alpha, estimator, budget, query.seed, warnings=warnings)
-        ce = compute_ccar(portfolio, alpha, tau, estimator, budget, query.seed)
+        ce = compute_ccar(portfolio, alpha, tau, estimator, budget, query.seed,
+                          warnings=warnings)
         if ce.empty_tail:
             raise NumericError(f"empty tail at alpha={alpha}; increase the budget")
         if estimator == "naive":
@@ -257,8 +261,6 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
                 _note(warnings, f"alpha={alpha}: naive reference saw no exceedances; VR unbounded")
             else:
                 vr = variance_reduction_factor(ce_naive, ce)
-        if ce.warning:
-            _note(warnings, f"alpha={alpha}: {ce.warning}")
         rows.append(
             RiskRow(
                 alpha=float(alpha),
@@ -268,4 +270,4 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
                 vr_factor=float(vr),
             )
         )
-    return RiskReport(rows=tuple(rows), warnings=tuple(warnings))
+    return tuple(rows)

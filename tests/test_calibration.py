@@ -8,7 +8,6 @@ from pmrisk import (
     GhParams,
     Rng,
     compute_log_ratios,
-    empirical_correlation,
     fit_gh_marginal,
     fit_t_copula,
     gh_cdf,
@@ -229,32 +228,6 @@ class TestFitTCopula:
         panel = _synthetic_panel(portfolio, 50, 64)
         with pytest.raises(DataError):
             fit_t_copula(panel, list(portfolio.marginals))
-
-
-class TestEmpiricalCorrelation:
-    def test_perfectly_linear_pair(self):
-        x = np.linspace(-1.0, 1.0, 50)
-        values = np.column_stack([x, 2.0 * x, -3.0 * x])
-        panel = LogRatioPanel(
-            cities=("a", "b", "c"),
-            days=np.arange(50),
-            values=values,
-            mask=np.ones_like(values, dtype=bool),
-        )
-        corr = empirical_correlation(panel)
-        assert abs(corr[0, 1] - 1.0) <= 1e-12
-        assert abs(corr[0, 2] + 1.0) <= 1e-12
-
-    def test_zero_variance_column_rejected(self):
-        values = np.column_stack([np.ones(10), np.linspace(0, 1, 10)])
-        panel = LogRatioPanel(
-            cities=("a", "b"),
-            days=np.arange(10),
-            values=values,
-            mask=np.ones_like(values, dtype=bool),
-        )
-        with pytest.raises(DataError):
-            empirical_correlation(panel)
 
 
 class TestSplitTrainHoldout:

@@ -325,6 +325,12 @@ class TestFit:
         assert capsys.readouterr().err.startswith("data error: ")
         assert not list(tmp_path.rglob("*.tmp.*"))
 
+    def test_small_sample_warning_reaches_stderr(self, tmp_path, capsys):
+        csv_path = _synthetic_csv(tmp_path, ["Bj"], 60, 11)
+        out = tmp_path / "model.json"
+        assert main(["fit", "--csv", str(csv_path), "--out", str(out), "--seed", "3"]) == EXIT_OK
+        assert capsys.readouterr().err == "warning: Bj: fewer than 100 samples; fit is fragile\n"
+
     def test_empty_csv_no_output(self, tmp_path):
         bad = tmp_path / "empty.csv"
         bad.write_text("", encoding="utf-8")
@@ -332,3 +338,21 @@ class TestFit:
         rc = main(["fit", "--csv", str(bad), "--out", str(out)])
         assert rc == EXIT_DATA
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["car", "fit"])
+def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, command):
+    import pmrisk.cli as cli_mod
+
+    def never(*args, **kwargs):
+        pytest.fail("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_car", never)
+    monkeypatch.setattr(cli_mod, "fit_gh_marginal", never)
+    if command == "car":
+        argv = ["car", "--preset", "paper", "--alpha", "0.05", "--budget", "1000"]
+    else:
+        argv = ["fit", "--csv", str(_synthetic_csv(tmp_path, ["Bj"], 400, 11))]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.out")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not list(tmp_path.rglob("*.tmp.*"))

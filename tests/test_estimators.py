@@ -112,7 +112,7 @@ class TestCalibrateIs:
 
         monkeypatch.setattr(est, "_growth_direction", boom)
         params = est.calibrate_is(portfolio, 352.03)
-        assert params.is_identity
+        assert params.theta == 2.0 and not np.any(params.mean_shift)
         assert params.warning is not None
 
     def test_concentration_depends_on_scaled_shift_only(self, portfolio):
@@ -298,7 +298,6 @@ class TestSisEstimate:
         ep_i, ce_i = is_estimate(portfolio, CAR_001, params, 20_000, Rng(12))
         assert ep_s.estimate == ep_i.estimate
         assert ce_s.estimate == ce_i.estimate
-        assert ep_s.estimator == "sis"
 
     def test_budget_spent_exactly(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
@@ -350,7 +349,7 @@ class TestComposer:
         ep_var = sum(p**2 * y.var(ddof=1) / y.size for p, y, _ in parts)
         ratio = sum(p * x.mean() for p, _, x in parts) / ep
         ce_var = sum(p**2 * (x - ratio * y).var(ddof=1) / y.size for p, y, x in parts) / ep**2
-        got_ep, got_ce = _compose(pool, tau, "sis", None)
+        got_ep, got_ce = _compose(pool, tau)
         for got, want in ((got_ep.estimate, ep), (got_ep.variance, ep_var * n),
                           (got_ce.estimate, ratio), (got_ce.variance, ce_var * n)):
             assert got == pytest.approx(want, rel=1e-12)
@@ -363,7 +362,7 @@ class TestComposer:
         y = np.where(pool.conc > tau, pool.weight, 0.0)
         x = pool.conc * y
         ratio = x.sum() / y.sum()
-        ep, ce = _compose(pool, tau, "is", None)
+        ep, ce = _compose(pool, tau)
         assert ep.estimate == pytest.approx(y.mean(), rel=1e-12)
         assert ep.variance == pytest.approx(np.sum((y - y.mean()) ** 2) / (n - 1), rel=1e-12)
         assert ce.estimate == pytest.approx(ratio, rel=1e-12)

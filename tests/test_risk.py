@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,23 @@ class TestComputeCcar:
             out[alpha] = compute_ccar(portfolio, alpha, tau, "sis", 20_000, 4).estimate
         assert out[0.01] > out[0.05]
 
+    def test_calibration_warning_reaches_the_list(self, portfolio, monkeypatch):
+        import pmrisk.risk as risk_mod
+
+        plain = compute_ccar(portfolio, 0.01, 352.03, "is", 4000, 5)
+        calibrate = risk_mod.calibrate_is
+
+        def failing(pf, tau):
+            return dataclasses.replace(calibrate(pf, tau),
+                                       warning="IS calibration failed (synthetic)")
+
+        monkeypatch.setattr(risk_mod, "calibrate_is", failing)
+        warnings = []
+        assert compute_ccar(portfolio, 0.01, 352.03, "is", 4000, 5, warnings=warnings) == plain
+        assert warnings == ["alpha=0.01: IS calibration failed (synthetic)"]
+        compute_ccar(portfolio, 0.01, 352.03, "naive", 4000, 5, warnings=warnings)
+        assert len(warnings) == 1  # naive calibrates nothing
+
 
 class TestExceedanceCurve:
     def test_monotone_nonincreasing_all_estimators(self, portfolio):
@@ -134,9 +153,7 @@ class TestExceedanceCurve:
 class TestVarianceReduction:
     @staticmethod
     def _result(halfwidth, n=1000):
-        return EstimateResult(
-            estimate=1.0, variance=1.0, halfwidth95=halfwidth, n=n, estimator="naive"
-        )
+        return EstimateResult(estimate=1.0, variance=1.0, halfwidth95=halfwidth, n=n)
 
     def test_identity(self):
         assert variance_reduction_factor(self._result(0.2), self._result(0.2)) == 1.0
@@ -154,10 +171,10 @@ class TestVarianceReduction:
 
 class TestReport:
     def test_rows_sorted_and_consistent(self, portfolio):
-        report = build_report(portfolio, [0.01, 0.05], "sis", 20_000, 21)
-        alphas = [r.alpha for r in report.rows]
+        rows = build_report(portfolio, [0.01, 0.05], "sis", 20_000, 21)
+        alphas = [r.alpha for r in rows]
         assert alphas == sorted(alphas, reverse=True)
-        for row in report.rows:
+        for row in rows:
             assert row.ccar > row.car
             assert row.vr_factor > 1.0
 
@@ -167,6 +184,6 @@ class TestReport:
         assert a == b
 
     def test_naive_estimator_reports_unit_vr(self, portfolio):
-        report = build_report(portfolio, [0.05], "naive", 20_000, 5)
-        assert report.rows[0].vr_factor == 1.0
-        assert report.rows[0].ccar > report.rows[0].car
+        rows = build_report(portfolio, [0.05], "naive", 20_000, 5)
+        assert rows[0].vr_factor == 1.0
+        assert rows[0].ccar > rows[0].car
