@@ -111,9 +111,12 @@ def ingest_csv(path) -> list[ConcentrationSeries]:
 def _atomic_out(path: str):
     """A text file that replaces ``path`` when the block completes.
 
-    The temporary file is opened on entry, so an unwritable path fails before
-    any work; it is removed however the block exits.
+    The temporary file is opened on entry, and a directory is refused there, so
+    an unwritable path fails before any work; it is removed however the block
+    exits.
     """
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

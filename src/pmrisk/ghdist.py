@@ -13,8 +13,10 @@ The CDF has no closed form.  Each parameter set gets a lazily built table:
 adaptive Gauss-Legendre panels accumulate the CDF on a support interval chosen
 so both tail masses are below 1e-16, and a cubic Hermite spline (slopes = the
 exact density, so the interpolant is monotone up to quadrature error)
-represents it.  The panel refinement loop verifies the interpolation error at
-panel midpoints, which is the build-time check of the cache error budget.
+represents it.  Each refinement round checks every panel but integrates only
+the children of the panels it splits, so no abscissa is evaluated twice.  The
+check at each panel midpoint compares the local cubic Hermite value with the
+quadrature CDF there, which is the build-time check of the cache error budget.
 Quantiles run Newton from an inverse-table initial guess.
 """
 
@@ -65,9 +67,28 @@ class GhParams:
         return float(np.sqrt(self.alpha**2 - self.beta**2))
 
 
+def _log_kve(order: float, z):
+    """log(kve(order, z)), with the large-argument asymptote where kve fails.
+
+    scipy's kve returns NaN once z exceeds about 2e9.  There (and where it
+    would underflow to 0) the two-term Hankel expansion of log K is used; it
+    is exact for order 1/2 and off by O(z**-2) otherwise.  Where kve is finite
+    and positive the result is log(kve) bit for bit; where it overflows (small
+    z, large order) it stays +inf.
+    """
+    k = special.kve(order, z)
+    lost = np.isnan(k) | (k == 0.0)
+    if not np.any(lost):
+        return np.log(k)
+    zl = np.where(lost, z, 1.0)
+    asym = 0.5 * np.log(np.pi / (2.0 * zl)) + np.log1p((4.0 * order**2 - 1.0) / (8.0 * zl))
+    with np.errstate(divide="ignore"):
+        return np.where(lost, asym, np.log(k))
+
+
 def _log_norm_const(p: GhParams) -> float:
     zeta = p.delta * p.gamma
-    log_k = float(np.log(special.kve(p.lam, zeta)) - zeta)
+    log_k = float(_log_kve(p.lam, zeta) - zeta)
     return (
         p.lam * np.log(p.gamma)
         - 0.5 * np.log(2.0 * np.pi)
@@ -87,7 +108,7 @@ def gh_logpdf(p: GhParams, x):
     out = (
         _log_norm_const(p)
         + (p.lam - 0.5) * np.log(q)
-        + np.log(special.kve(p.lam - 0.5, aq))
+        + _log_kve(p.lam - 0.5, aq)
         - aq
         + p.beta * (arr - p.mu)
     )
@@ -163,25 +184,41 @@ class _GhTables:
         pdf = lambda x: np.exp(gh_logpdf(params, x))
         lo, hi = _support_bounds(params)
         edges = _initial_edges(params, lo, hi)
+        dens = pdf(edges)
+        whole = _panel_integrals(pdf, edges[:-1], edges[1:])
+        left, right = np.empty_like(whole), np.empty_like(whole)
+        new = np.arange(whole.size)
 
+        # Each round checks every panel but integrates only the new ones: the
+        # children of the panels split last round, whose whole is their
+        # parent's left or right half.
         for _ in range(_MAX_REFINE_ROUNDS):
-            a, b = edges[:-1], edges[1:]
+            a, b = edges[new], edges[new + 1]
             mid = 0.5 * (a + b)
-            whole = _panel_integrals(pdf, a, b)
-            left = _panel_integrals(pdf, a, mid)
-            right = _panel_integrals(pdf, mid, b)
+            left[new] = _panel_integrals(pdf, a, mid)
+            right[new] = _panel_integrals(pdf, mid, b)
             refined = left + right
             cdf = np.concatenate([[0.0], np.cumsum(refined)])
             total = cdf[-1]
-            spline = CubicHermiteSpline(edges, cdf, pdf(edges))
             split_err = np.abs(whole - refined)
-            interp_err = np.abs(spline(mid) - (cdf[:-1] + left))
+            # cubic Hermite interpolant at the midpoint against the quadrature
+            hermite_mid = 0.5 * refined + np.diff(edges) / 8.0 * (dens[:-1] - dens[1:])
+            interp_err = np.abs(hermite_mid - left)
             bad = (split_err > _SPLIT_TOL_REL * total + 1e-16) | (
                 interp_err > _INTERP_TOL
             )
             if not bad.any():
                 break
-            edges = np.sort(np.concatenate([edges, mid[bad]]))
+            split = np.flatnonzero(bad)
+            first = split + np.arange(split.size)  # first child's index after the split
+            mid = 0.5 * (edges[split] + edges[split + 1])
+            edges = np.insert(edges, split + 1, mid)
+            dens = np.insert(dens, split + 1, pdf(mid))
+            whole = np.insert(whole, split + 1, right[split])
+            whole[first] = left[split]
+            left = np.insert(left, split + 1, 0.0)
+            right = np.insert(right, split + 1, 0.0)
+            new = np.sort(np.concatenate([first, first + 1]))
         else:
             raise NumericError("GH CDF table did not converge while refining panels")
 
@@ -194,7 +231,7 @@ class _GhTables:
         self.x_hi = float(edges[-1])
         self.edges = edges
         self.cdf_values = cdf / total
-        self.spline = CubicHermiteSpline(edges, self.cdf_values, pdf(edges) / total)
+        self.spline = CubicHermiteSpline(edges, self.cdf_values, dens / total)
         self.spline_deriv = self.spline.derivative()
 
     def cdf(self, x) -> np.ndarray:

@@ -235,7 +235,7 @@ class TestRunModes:
 
     @pytest.mark.parametrize("target", ["missing/car.csv", "taken"])
     def test_unwritable_out_is_data_error(self, tmp_path, capsys, target):
-        # "taken" is a directory: the temporary file is written, then os.replace fails
+        # "taken" is a directory, refused before the temporary file is opened
         (tmp_path / "taken").mkdir()
         rc = main(["car", "--preset", "paper", "--alpha", "0.05", "--budget", "1000",
                    "--out", str(tmp_path / target)])
@@ -353,6 +353,8 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, com
         argv = ["car", "--preset", "paper", "--alpha", "0.05", "--budget", "1000"]
     else:
         argv = ["fit", "--csv", str(_synthetic_csv(tmp_path, ["Bj"], 400, 11))]
-    assert main(argv + ["--out", str(tmp_path / "missing" / "x.out")]) == EXIT_DATA
-    assert capsys.readouterr().err.startswith("data error: ")
-    assert not list(tmp_path.rglob("*.tmp.*"))
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.out", tmp_path / "taken"):
+        assert main(argv + ["--out", str(target)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not list(tmp_path.rglob("*.tmp.*"))

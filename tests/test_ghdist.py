@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import genhyperbolic
 
-from pmrisk import DomainError, GhParams, gh_cdf, gh_moments, gh_pdf, gh_quantile
+from pmrisk import DomainError, GhParams, gh_cdf, gh_moments, gh_pdf, gh_quantile, ghdist
 
 from conftest import GH_ROWS
 
@@ -16,6 +18,17 @@ BJ_MEAN = 0.0027822728318448
 BJ_VAR = 0.6201976513339142
 
 SYMMETRIC = GhParams(lam=0.5, alpha=2.0, delta=0.8, beta=0.0, mu=0.3)
+
+# Edge count and sha256 of edges + cdf_values of each preset city's CDF table,
+# recorded while the refinement loop still re-integrated every panel each round
+# (numpy 2.4, scipy 1.17, x86-64).
+TABLE_FINGERPRINTS = {
+    "Bj": (1134, "f653394ced8b324c52489035b374ea28738964df60957c38cd624fa620684c75"),
+    "Cd": (1067, "712957c4f090e3590e813c5c564c0b656d0fd9eecc6a8e0e3e649c321a2fbd84"),
+    "Hs": (1036, "f15d56d675a22e6ae715cabfcc89b2702914d03d69a7ac0d88cfcf7307bce905"),
+    "Tj": (1157, "50bd202dedc947becd45ff53d6f34830dff5aa78d22d0625dc606f64179b635a"),
+    "Xt": (1135, "e066e5dfb6b0ff60d422e6d7c2aad2e56a777a456d7bc3b28cd214566898a2aa"),
+}
 
 
 def _oracle_frozen(params):
@@ -65,6 +78,29 @@ class TestPdf:
     def test_strictly_positive(self, city, x):
         assert gh_pdf(GH_ROWS[city], x) > 0.0
 
+    def test_far_tail_follows_closed_form(self):
+        # lam = 1 gives Bessel order 1/2 in the density, where K has a closed
+        # form; alpha*q ~ 3e9 is past where scipy's kve returns NaN
+        p = GhParams(lam=1.0, alpha=1.5, delta=1.0, beta=0.3, mu=0.2)
+        x = np.array([2e9, -2e9])
+        q = np.hypot(p.delta, x - p.mu)
+        exact = (
+            np.log(p.gamma / (2.0 * p.alpha * p.delta * special.k1(p.delta * p.gamma)))
+            - p.alpha * q
+            + p.beta * (x - p.mu)
+        )
+        got = ghdist.gh_logpdf(p, x)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact))
+
+    def test_far_norm_constant_follows_closed_form(self):
+        # lam = 1/2: the normalising constant's K_{1/2}(delta*gamma) at 3e9
+        p = GhParams(lam=0.5, alpha=3e9, delta=1.0, beta=0.0, mu=0.0)
+        zeta = p.delta * p.gamma
+        log_k = 0.5 * np.log(np.pi / (2.0 * zeta)) - zeta
+        exact = 0.5 * np.log(p.gamma) - 0.5 * np.log(2.0 * np.pi) - log_k
+        assert abs(ghdist._log_norm_const(p) - exact) <= 1e-12 * abs(exact)
+
 
 class TestCdf:
     def test_limits(self):
@@ -82,6 +118,36 @@ class TestCdf:
         params = GH_ROWS["Tj"]
         xs = np.linspace(-6.0, 6.0, 2001)
         assert np.all(np.diff(gh_cdf(params, xs)) >= 0.0)
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_refinement_evaluates_each_abscissa_once(self, city, monkeypatch):
+        calls = []
+        real = ghdist.gh_logpdf
+
+        def recording(p, x):
+            if np.ndim(x):  # the scalar probes of _support_bounds are not panel work
+                calls.append(np.array(x, dtype=float).ravel())
+            return real(p, x)
+
+        monkeypatch.setattr(ghdist, "gh_logpdf", recording)
+        ghdist._GhTables(GH_ROWS[city])
+        # The initial pass (edges, then the whole/left/right panel nodes) may
+        # repeat an abscissa: _initial_edges can leave a sub-ulp panel at mu whose
+        # nodes round onto its edges.  Every later round must see only new ones.
+        seen = np.concatenate(calls[:4])
+        assert len(calls) > 4
+        for x in calls[4:]:
+            assert np.unique(x).size == x.size
+            assert not np.isin(x, seen).any()
+            seen = np.concatenate([seen, x])
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_table_matches_fingerprint(self, city):
+        table = ghdist._GhTables(GH_ROWS[city])
+        digest = hashlib.sha256(table.edges.tobytes() + table.cdf_values.tobytes())
+        assert (table.edges.size, digest.hexdigest()) == TABLE_FINGERPRINTS[city]
 
 
 class TestQuantile:
