@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
-from scipy.linalg import cho_factor, cho_solve
+from scipy import special
 from scipy.special import gammaln
 
 from .copula import CopulaSpec, cholesky_factor
@@ -211,6 +210,8 @@ def _start_points(samples: np.ndarray, rng: Rng) -> list[np.ndarray]:
 
 
 def _lbfgsb(samples: np.ndarray, x0: np.ndarray, options: dict):
+    from scipy import optimize  # imported here: only fit needs it
+
     return optimize.minimize(_negloglik_grad, x0, args=(samples,), jac=True,
                              method="L-BFGS-B", bounds=_BOUNDS, options=options)
 
@@ -263,9 +264,9 @@ def _nearest_correlation(mat: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _mvt_logdensity(x: np.ndarray, sigma: np.ndarray, nu: float) -> float:
     d = x.shape[1]
-    chol = cho_factor(sigma, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    q = np.sum(x * cho_solve(chol, x.T).T, axis=1)
+    chol = cholesky_factor(sigma)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    q = np.sum(np.linalg.solve(chol, x.T) ** 2, axis=0)
     const = (
         gammaln((nu + d) / 2.0)
         - gammaln(nu / 2.0)
@@ -287,9 +288,9 @@ def t_copula_loglik(u: np.ndarray, sigma: np.ndarray, nu: float) -> float:
 
 def normal_copula_loglik(u: np.ndarray, sigma: np.ndarray) -> float:
     x = normal_quantile(u)
-    chol = cho_factor(sigma, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    q = np.sum(x * cho_solve(chol, x.T).T, axis=1) - np.sum(x**2, axis=1)
+    chol = cholesky_factor(sigma)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    q = np.sum(np.linalg.solve(chol, x.T) ** 2, axis=0) - np.sum(x**2, axis=1)
     return float(-0.5 * (u.shape[0] * logdet + np.sum(q)))
 
 
@@ -312,7 +313,7 @@ def fit_t_copula(panel: LogRatioPanel, marginals: list[GhParams]) -> CopulaFit:
     rows.  The normal-copula log-likelihood at the same sigma is reported for
     family comparison.
     """
-    from scipy import stats  # imported here: it doubles the import time of the simulator
+    from scipy import optimize, stats  # imported here: only fit needs them
 
     rows = panel.complete_rows()
     if rows.shape[0] < 100:

@@ -8,12 +8,12 @@ For a fixed portfolio the log-ratio r_d = s_d * G_d^{-1}(F(v)) is a fixed
 monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
 tabulates it once for all cities (cubic Hermite in asinh(v) with exact
 slopes), so a draw costs one table lookup per city instead of the driving
-CDF plus a Newton solve on the GH table.  Likewise the t family's mixing
+CDF plus a root of the GH table's cubic.  Likewise the t family's mixing
 variable at normal score s is a fixed multiple of G^{-1}(Phi(s)) for the
 Gamma(nu/2, 1) law G; ``CityPortfolio.mixing_quantile`` tabulates its log
-on a uniform grid in s.  Both are ``HermiteTable``s: one evaluator finds
-each entry's interval through a bucket table in O(1), with no search, and
-evaluates the cubic by Horner's rule.
+on a uniform grid in s.  Both are ``ghdist.HermiteTable``s, which find each
+entry's interval through a bucket table in O(1) and evaluate the cubic by
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CalibrationError, DomainError
-from .ghdist import GhParams, gh_moments, _tables
+from .ghdist import GhParams, HermiteTable, gh_moments, _tables
 from .statkit import normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
 
 # Uniforms are clamped before the GH quantile: IS pushes V deep into the
@@ -37,8 +37,8 @@ _UNIFORM_CLIP = 1e-15
 # F(v), carried through the GH density), down to a width of _MAP_MIN_WIDTH
 # in asinh(v).  The rounding term matters only in the far upper tail, where
 # F(v) lies within a few ulps of 1 and the chain moves in steps of up to
-# ~1e-2.  The width floor binds there and at a few second-derivative kinks
-# of the GH tables below F(v) ~ 1e-5 (residual <= 1e-8).
+# ~3e-2.  The width floor binds at a few second-derivative kinks of the GH
+# tables, below F(v) ~ 1e-5 and above 1 - 1e-6 (residual <= 1e-8).
 _MAP_TOL = 1e-10
 _MAP_ULP = 2.0**-52
 _MAP_MIN_WIDTH = 1e-4
@@ -198,81 +198,6 @@ def copula_uniforms(spec: CopulaSpec, v: np.ndarray) -> np.ndarray:
     return np.clip(u, _UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP)
 
 
-@dataclass(frozen=True, eq=False)
-class HermiteTable:
-    """Piecewise cubic on an increasing knot grid, constant beyond both ends.
-
-    Row k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
-    table is contiguous) holds, per column, the coefficient of power j of
-    the cubic in x - ``anchors[k]`` that applies where
-    ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
-    Called on an (n, D) matrix, or an (n,) vector when D = 1, it returns
-    the values in the same shape.
-
-    A row is found in O(1): a table of equal-width buckets over the knot
-    range gives the first row of x's bucket, and the buckets are narrow
-    enough that none holds two knots, so one comparison with the next knot
-    finishes the search.  The result is exactly ``searchsorted``'s.
-    """
-
-    knots: np.ndarray
-    anchors: np.ndarray
-    coef: np.ndarray
-
-    @classmethod
-    def from_knots(cls, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> "HermiteTable":
-        """Cubic Hermite spline through values y with slopes m, both (K, D), at knots x."""
-        h = np.diff(x)[:, None]
-        secant = np.diff(y, axis=0) / h
-        coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
-        coef[0, 0] = y[0]
-        coef[0, -1] = y[-1]
-        inner = coef[:, 1:-1]
-        inner[0] = y[:-1]
-        inner[1] = m[:-1]
-        inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
-        inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
-        return cls(knots=x, anchors=np.concatenate([x[:1], x]), coef=coef)
-
-    @cached_property
-    def _buckets(self) -> tuple[float, float, int, np.ndarray, np.ndarray]:
-        """(origin, 1 / width, bucket count, first row per bucket, knots + [inf])."""
-        knots = self.knots
-        width = np.diff(knots).min()
-        while True:
-            scale = 1.0 / width
-            n = int((knots[-1] - knots[0]) * scale) + 1
-            home = _bucket_of(knots, knots[0], scale, n)
-            if np.all(np.diff(home) > 0):
-                break
-            width *= 0.5  # rounding put two knots into one bucket
-        first = np.searchsorted(home, np.arange(n), side="left")
-        return knots[0], scale, n, first, np.append(knots, np.inf)
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """``searchsorted(knots, x, 'right')``, by bucket lookup."""
-        origin, scale, n, first, upper = self._buckets
-        row = first[_bucket_of(x, origin, scale, n)]
-        row += x >= upper[row]
-        return row
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        row = self.rows(x)
-        d = x - self.anchors[row]
-        row *= self.coef.shape[2]
-        row += np.arange(self.coef.shape[2])  # flat index of coef[j, k, d]
-        r = self.coef[3].take(row)
-        for j in (2, 1, 0):
-            r *= d
-            r += self.coef[j].take(row)
-        return r
-
-
-def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray:
-    # monotone in x, so a knot in an earlier bucket lies below every x in a later one
-    return np.clip((x - origin) * scale, 0.0, n - 1).astype(np.intp)
-
-
 class LogRatioMap(HermiteTable):
     """r_d = s_d * G_d^{-1}(clip(F(v))) for every city d, as one table in asinh(v).
 
@@ -285,32 +210,24 @@ class LogRatioMap(HermiteTable):
         return super().__call__(np.arcsinh(v))
 
 
-def _exact_log_ratios(portfolio: CityPortfolio,
-                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chain s * G^{-1}(clip(F(v))), its slope in asinh(v) and its rounding.
+def _exact_log_ratios(portfolio: CityPortfolio, v: np.ndarray,
+                      u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain s * G^{-1}(u) at u = clip(F(v)), its slope in asinh(v) and its rounding.
 
-    All three are (n, D).  The GH quantile stops on an absolute residual,
-    which leaves uniforms far below 1e-12 short of convergence (by up to
-    ~2e-4 in r), so two more Newton steps on the GH table polish every
-    value.  The slope is s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d), with g_d
-    the density of the GH table itself; the rounding is one ulp of u through
-    the same density.
+    All three are (n, D).  The slope is s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d),
+    with g_d the density of the GH table itself; the rounding is one ulp of
+    u through the same density.
     """
     spec = portfolio.copula
-    u = copula_uniforms(spec, v)
     dens = t_pdf(v, spec.nu) if spec.family == "t" else normal_pdf(v)
     dens = dens * np.sqrt(1.0 + v * v)
     r = np.empty((v.shape[0], portfolio.dimension))
     slope = np.empty_like(r)
     noise = np.empty_like(r)
     for d, marginal in enumerate(portfolio.marginals):
-        table = _tables(marginal)
-        x = table.quantile(u)
-        for _ in range(2):
-            step = (table.spline(x) - u) / np.maximum(table.spline_deriv(x), 1e-300)
-            x = np.clip(x - step, table.x_lo, table.x_hi)
+        x, density = _tables(marginal).quantile(u)
         r[:, d] = x * portfolio.scale[d]
-        inv_density = portfolio.scale[d] / table.spline_deriv(x)
+        inv_density = portfolio.scale[d] / density
         slope[:, d] = dens * inv_density
         noise[:, d] = _MAP_ULP * u * inv_density
     return r, slope, noise
@@ -323,12 +240,9 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     x = np.linspace(np.arcsinh(v_ends[0]), np.arcsinh(v_ends[1]), _MAP_START_INTERVALS + 1)
     v = np.sinh(x)
     v[[0, -1]] = v_ends
-    y, m, _ = _exact_log_ratios(portfolio, v)
-    # end values exactly as the unpolished chain gives them at the clip
-    y[[0, -1]] = np.stack(
-        [_tables(mg).quantile(clip) * s for mg, s in zip(portfolio.marginals, portfolio.scale)],
-        axis=1,
-    )
+    u = copula_uniforms(spec, v)
+    u[[0, -1]] = clip  # F(v_ends) may miss the clip by an ulp
+    y, m, _ = _exact_log_ratios(portfolio, v, u)
 
     # intervals still to check; one no wider than twice the floor is kept as is
     pending = np.ones(x.shape[0] - 1, dtype=bool)
@@ -338,7 +252,8 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
             break
         k = np.flatnonzero(pending)
         mid = 0.5 * (x[k] + x[k + 1])
-        y_mid, m_mid, noise = _exact_log_ratios(portfolio, np.sinh(mid))
+        v_mid = np.sinh(mid)
+        y_mid, m_mid, noise = _exact_log_ratios(portfolio, v_mid, copula_uniforms(spec, v_mid))
         h = (x[k + 1] - x[k])[:, None]
         hermite_mid = 0.5 * (y[k] + y[k + 1]) + 0.125 * h * (m[k] - m[k + 1])
         split = np.any(np.abs(hermite_mid - y_mid) > np.maximum(noise, _MAP_TOL), axis=1)
@@ -351,11 +266,8 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
         m = np.concatenate([m, m_mid[split]])[order]
         pending = pending[order][:-1]
 
-    # The end values are unpolished and the far upper tail is noisy (see
-    # _MAP_TOL): keep the values within the end values and nondecreasing,
-    # and cap the slopes at three times the neighbouring secants, which makes
-    # each cubic monotone.
-    y = np.maximum.accumulate(np.clip(y, y[0], y[-1]), axis=0)
+    # Cap the slopes at three times the neighbouring secants, which keeps each
+    # cubic monotone, also where the far upper tail steps (see _MAP_TOL).
     secant = np.diff(y, axis=0) / np.diff(x)[:, None]
     np.minimum(m[:-1], 3.0 * secant, out=m[:-1])
     np.minimum(m[1:], 3.0 * secant, out=m[1:])

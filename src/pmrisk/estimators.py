@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .copula import (
     CityPortfolio,
@@ -223,8 +222,8 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
         t_star, y_star = 1.0, y_mode
         for _ in range(REFINE_ROUNDS):
 
-            def gap(x: float) -> float:
-                return _concentration_at(portfolio, x * direction, y_ref) - tau
+            def gap(x):
+                return _concentration_at(portfolio, np.multiply.outer(x, direction), y_ref) - tau
 
             lo, hi = 0.0, 4.0
             while gap(hi) < 0.0:
@@ -235,7 +234,11 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
                 lo -= 4.0
                 if lo < -1e4:
                     raise NumericError("cannot bracket the IS design point")
-            x_star = float(optimize.brentq(gap, lo, hi, xtol=1e-9))
+            while hi - lo > 1e-9:  # the first grid cell where gap reaches 0, one batch a round
+                grid = np.linspace(lo, hi, 65)
+                k = max(int(np.argmax(gap(grid) >= 0.0)), 1)
+                lo, hi = grid[k - 1], grid[k]
+            x_star = 0.5 * (lo + hi)
             if nu is not None:
                 y_star = _mixing_mode(x_star, nu)
             t_star = x_star * np.sqrt(y_star / y_ref)

@@ -17,19 +17,21 @@ represents it.  Each refinement round checks every panel but integrates only
 the children of the panels it splits, so no abscissa is evaluated twice.  The
 check at each panel midpoint compares the local cubic Hermite value with the
 quadrature CDF there, which is the build-time check of the cache error budget.
-Quantiles run Newton from an inverse-table initial guess.
+A second spline on the same panels holds the CDF of the mirrored law -X (the
+survival function summed from the right), so quantiles above 1/2 keep full
+relative precision.  A quantile is the root of one panel's cubic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, NumericError
+from .statkit import _as_finite_array, _scalar_like
 
 # CDF table tolerances: interpolation checked to _INTERP_TOL at every panel
 # midpoint, so round-trip error stays ~two orders under the 1e-8 contract.
@@ -37,6 +39,9 @@ _INTERP_TOL = 2e-11
 _SPLIT_TOL_REL = 1e-14
 _TAIL_MASS = 1e-17
 _MAX_REFINE_ROUNDS = 60
+# Quantile: Newton stops below _SOLVE_TOL of the panel width (error ~ step**2).
+_SOLVE_TOL = 1e-9
+_SOLVE_STEPS = 60
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -100,9 +105,7 @@ def _log_norm_const(p: GhParams) -> float:
 
 def gh_logpdf(p: GhParams, x):
     """Log-density; safe in the far tails via exponentially scaled Bessel K."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("x must be finite")
+    arr = _as_finite_array(x, "x")
     q = np.hypot(p.delta, arr - p.mu)
     aq = p.alpha * q
     out = (
@@ -112,17 +115,12 @@ def gh_logpdf(p: GhParams, x):
         - aq
         + p.beta * (arr - p.mu)
     )
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scalar_like(out, x)
 
 
 def gh_pdf(p: GhParams, x):
     """Density of the GH law; strictly positive for finite x."""
-    out = np.exp(gh_logpdf(p, x))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scalar_like(np.exp(gh_logpdf(p, x)), x)
 
 
 def gh_moments(p: GhParams) -> tuple[float, float]:
@@ -176,11 +174,99 @@ def _panel_integrals(pdf_vals_fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return half * (vals @ _GL16_WEIGHTS)
 
 
+@dataclass(frozen=True, eq=False)
+class HermiteTable:
+    """Piecewise cubic on an increasing knot grid, constant beyond both ends.
+
+    Row k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
+    table is contiguous) holds, per column, the coefficient of power j of
+    the cubic in x - ``anchors[k]`` that applies where
+    ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
+    Called on an (n, D) matrix, or an (n,) vector when D = 1, it returns
+    the values in the same shape.
+
+    A row is found in O(1): a table of equal-width buckets over the knot
+    range gives the first row of x's bucket, and the buckets are narrow
+    enough that none holds two knots, so one comparison with the next knot
+    finishes the search.  The result is exactly ``searchsorted``'s.
+    """
+
+    knots: np.ndarray
+    anchors: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def from_knots(cls, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> "HermiteTable":
+        """Cubic Hermite spline through values y with slopes m, both (K, D), at knots x."""
+        h = np.diff(x)[:, None]
+        secant = np.diff(y, axis=0) / h
+        coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
+        coef[0, 0] = y[0]
+        coef[0, -1] = y[-1]
+        inner = coef[:, 1:-1]
+        inner[0] = y[:-1]
+        inner[1] = m[:-1]
+        inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
+        inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
+        return cls(knots=x, anchors=np.concatenate([x[:1], x]), coef=coef)
+
+    @cached_property
+    def _buckets(self) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+        """(origin, 1 / width, bucket count, first row per bucket, knots + [inf])."""
+        knots = self.knots
+        width = np.diff(knots).min()
+        while True:
+            scale = 1.0 / width
+            n = int((knots[-1] - knots[0]) * scale) + 1
+            home = _bucket_of(knots, knots[0], scale, n)
+            if np.all(np.diff(home) > 0):
+                break
+            width *= 0.5  # rounding put two knots into one bucket
+        first = np.searchsorted(home, np.arange(n), side="left")
+        return knots[0], scale, n, first, np.append(knots, np.inf)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """``searchsorted(knots, x, 'right')``, by bucket lookup."""
+        origin, scale, n, first, upper = self._buckets
+        row = first[_bucket_of(x, origin, scale, n)]
+        row += x >= upper[row]
+        return row
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        row = self.rows(x)
+        d = x - self.anchors[row]
+        row *= self.coef.shape[2]
+        row += np.arange(self.coef.shape[2])  # flat index of coef[j, k, d]
+        r = self.coef[3].take(row)
+        for j in (2, 1, 0):
+            r *= d
+            r += self.coef[j].take(row)
+        return r
+
+
+def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray:
+    # monotone in x, so a knot in an earlier bucket lies below every x in a later one
+    return np.clip((x - origin) * scale, 0.0, n - 1).astype(np.intp)
+
+
+class _SearchedTable(HermiteTable):
+    """A HermiteTable whose rows come from ``searchsorted``: a GH table's panel
+    widths span up to 18 decades (a sub-ulp panel at mu), too many for buckets."""
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.knots, x, side="right")
+
+
 class _GhTables:
-    """CDF/quantile tables for one parameter set."""
+    """CDF tables of one parameter set: the law's own and its mirror's.
+
+    ``lower`` is the cubic Hermite CDF on the panel edges.  ``upper`` is the
+    CDF of the mirrored law -X, the survival function summed from the right
+    over the same panel masses, so its values keep full relative precision
+    where the CDF rounds to ulps of 1.
+    """
 
     def __init__(self, params: GhParams):
-        self.params = params
         pdf = lambda x: np.exp(gh_logpdf(params, x))
         lo, hi = _support_bounds(params)
         edges = _initial_edges(params, lo, hi)
@@ -227,50 +313,54 @@ class _GhTables:
                 f"GH density integrates to {total!r}, not 1; parametrization mismatch"
             )
 
-        self.x_lo = float(edges[0])
-        self.x_hi = float(edges[-1])
         self.edges = edges
         self.cdf_values = cdf / total
-        self.spline = CubicHermiteSpline(edges, self.cdf_values, dens / total)
-        self.spline_deriv = self.spline.derivative()
+        survival = np.append(np.cumsum(refined[::-1])[::-1], 0.0) / total
+        dens = (dens / total)[:, None]
+        self.lower = _SearchedTable.from_knots(edges, self.cdf_values[:, None], dens)
+        self.upper = _SearchedTable.from_knots(-edges[::-1], survival[::-1, None], dens[::-1])
+        # both tables' rows in one array, the upper's from K + 1 on, for one solve
+        self._coef = np.concatenate([self.lower.coef[..., 0], self.upper.coef[..., 0]], axis=1)
+        self._anchors = np.concatenate([self.lower.anchors, self.upper.anchors])
 
-    def cdf(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = self.spline(np.clip(arr, self.x_lo, self.x_hi))
-        out = np.clip(out, 0.0, 1.0)
-        out = np.where(arr <= self.x_lo, 0.0, out)
-        out = np.where(arr >= self.x_hi, 1.0, out)
-        return out
+    def quantile(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x solving the tabulated F(x) = u, and the table's density there.
 
-    def quantile(self, u) -> np.ndarray:
-        arr = np.asarray(u, dtype=float).ravel()
-        x = np.interp(arr, self.cdf_values, self.edges)
-        # each entry stops on its own residual, so its result does not depend
-        # on the other entries of the batch
-        active = np.arange(arr.size)
-        for _ in range(8):
-            xa = x[active]
-            resid = self.spline(xa) - arr[active]
-            dens = np.maximum(self.spline_deriv(xa), 1e-300)
-            x[active] = np.clip(xa - resid / dens, self.x_lo, self.x_hi)
-            active = active[np.abs(resid) >= 1e-13]
-            if active.size == 0:
+        u <= 1/2 is solved on the lower table, u > 1/2 as 1 - u (exact in
+        floating point) on the upper one: safeguarded Newton on the cubic of
+        the panel that ``searchsorted`` finds among the side's knot values.
+        Each entry stops on its own step, so the batch does not matter.
+        """
+        upper = u > 0.5
+        q = np.where(upper, 1.0 - u, u)
+        row = np.empty(q.shape, dtype=np.intp)
+        for side, table in ((~upper, self.lower), (upper, self.upper)):
+            row[side] = np.searchsorted(table.coef[0, 1:, 0], q[side], side="right")
+        row[upper] += self.lower.anchors.size
+        c = self._coef[:, row]
+        c[0] -= q  # the cubic minus q: less rounding than subtracting q last
+        start = self._anchors[row]
+        width = self._anchors[row + 1] - start
+        d = width * c[0] / (c[0] + q - self._coef[0, row + 1])  # the secant's root
+        lo, hi = np.zeros_like(d), width.copy()
+        todo = np.arange(d.size)
+        for _ in range(_SOLVE_STEPS):
+            ct, dt = c[:, todo], d[todo]
+            f = ((ct[3] * dt + ct[2]) * dt + ct[1]) * dt + ct[0]
+            lo[todo] = np.where(f < 0.0, dt, lo[todo])
+            hi[todo] = np.where(f < 0.0, hi[todo], dt)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = dt - f / ((3.0 * ct[3] * dt + 2.0 * ct[2]) * dt + ct[1])
+            # the bracket test is inclusive, so a converged iterate stands
+            inside = (step >= lo[todo]) & (step <= hi[todo])
+            d[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+            todo = todo[np.abs(d[todo] - dt) > _SOLVE_TOL * width[todo]]
+            if todo.size == 0:
                 break
-        resid = self.spline(x) - arr
-        stuck = np.abs(resid) > 1e-10
-        if np.any(stuck):
-            x[stuck] = self._bisect(arr[stuck])
-        return x.reshape(np.shape(u))
-
-    def _bisect(self, u: np.ndarray) -> np.ndarray:
-        lo = np.full_like(u, self.x_lo)
-        hi = np.full_like(u, self.x_hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            high = self.spline(mid) >= u
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        return 0.5 * (lo + hi)
+        else:
+            raise NumericError("GH quantile did not converge on its table panel")
+        x = start + d
+        return np.where(upper, -x, x), (3.0 * c[3] * d + 2.0 * c[2]) * d + c[1]
 
 
 @lru_cache(maxsize=64)
@@ -280,13 +370,9 @@ def _tables(params: GhParams) -> _GhTables:
 
 def gh_cdf(p: GhParams, x):
     """CDF of the GH law, absolute error well inside 1e-9."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("x must be finite")
-    out = _tables(p).cdf(arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    arr = _as_finite_array(x, "x")
+    out = np.clip(_tables(p).lower(arr.ravel()), 0.0, 1.0)
+    return _scalar_like(out.reshape(arr.shape), x)
 
 
 def gh_quantile(p: GhParams, u):
@@ -294,7 +380,5 @@ def gh_quantile(p: GhParams, u):
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = _tables(p).quantile(arr)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    out, _ = _tables(p).quantile(arr.ravel())
+    return _scalar_like(out.reshape(arr.shape), u)

@@ -23,10 +23,14 @@ def _write(path, text):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # only fit uses scipy.stats; importing it would double the simulator's start-up
-    code = "import sys, pmrisk.cli; sys.exit('scipy.stats' in sys.modules)"
+    # only fit uses these; the simulator needs numpy and scipy.special alone, and
+    # scipy.stats by itself would double its start-up
+    fit_only = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg")
+    code = f"import sys, pmrisk.cli; print([m for m in {fit_only!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(pmrisk.__file__).resolve().parent.parent))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestIngest:

@@ -104,6 +104,22 @@ class TestCalibrateIs:
         with pytest.raises(DomainError):
             calibrate_is(portfolio, portfolio.baseline())
 
+    # mean shift and theta recorded while the root search was scipy's brentq
+    # (xtol 1e-9); the grid search must land on the same design point
+    @pytest.mark.parametrize("tau, shift, theta", [
+        (150.0, [0.6068184868597783, 0.17395554605913835, 0.03344743653009953,
+                 0.07132213120376157, 0.052302303739208834], 1.9166809168945123),
+        (352.03, [1.8833837619998113, 0.5212604826969157, 0.04847018307279007,
+                  0.14966939539319563, 0.1273910886542219], 1.2106695988100273),
+        (600.78, [2.2976393392984837, 0.5890814545915786, 0.03963774149864382,
+                  0.14561058049888564, 0.13093989541344822], 0.8412919546930625),
+    ])
+    def test_matches_recorded_design_point(self, portfolio, tau, shift, theta):
+        params = calibrate_is(portfolio, tau)
+        assert params.warning is None
+        assert np.allclose(params.mean_shift, shift, rtol=1e-8, atol=0.0)
+        assert abs(params.theta / theta - 1.0) <= 1e-8
+
     def test_fallback_to_identity_on_numeric_failure(self, portfolio, monkeypatch):
         import pmrisk.estimators as est
 

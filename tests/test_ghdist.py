@@ -179,9 +179,21 @@ class TestQuantile:
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_tail_value_does_not_depend_on_batch(self, city):
         params = GH_ROWS[city]
-        alone = gh_quantile(params, np.array([1e-15]))
-        mixed = gh_quantile(params, np.array([0.3, 1e-15, 0.5, 0.9]))
-        assert alone[0] == mixed[1]
+        tails = [1e-15, 1.0 - 1e-15]
+        alone = [gh_quantile(params, np.array([u]))[0] for u in tails]
+        mixed = gh_quantile(params, np.array([0.3, tails[0], 0.5, 0.9, tails[1]]))
+        assert alone == [mixed[1], mixed[4]]
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_upper_tail_matches_mirrored_law(self, city):
+        # X and -X ~ GH(lam, alpha, delta, -beta, -mu): the quantile at 1 - e is
+        # minus the mirror's at e, which the CDF alone (ulps of 1) cannot give
+        params = GH_ROWS[city]
+        mirror = GhParams(lam=params.lam, alpha=params.alpha, delta=params.delta,
+                          beta=-params.beta, mu=-params.mu)
+        for e in (1e-15, 1e-12, 1e-9):
+            upper = gh_quantile(params, 1.0 - e)
+            assert abs(upper + gh_quantile(mirror, 1.0 - (1.0 - e))) <= 1e-8
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_out_of_range(self, u):
@@ -201,6 +213,16 @@ class TestHarshParameters:
         us = np.linspace(0.001, 0.999, 51)
         back = gh_cdf(spiky, gh_quantile(spiky, us))
         assert np.max(np.abs(back - us)) <= 1e-8
+
+    def test_variance_gamma_ridge_round_trip(self):
+        # delta like the fits that end on the variance-gamma ridge: the table's
+        # panels span over eight decades of width
+        ridge = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
+        us = np.concatenate([[1e-12, 1e-9, 1e-6], np.linspace(0.02, 0.98, 49),
+                             [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]])
+        xs = gh_quantile(ridge, us)
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.max(np.abs(gh_cdf(ridge, xs) - us)) <= 1e-8
 
 
 class TestMoments:
