@@ -130,7 +130,10 @@ class EstimateResult:
 
     ``variance`` is n * Var(estimator), so halfwidth95 =
     1.96 * sqrt(variance / n) for every estimator; for SIS the variance is
-    composed from the per-stratum terms first.
+    composed from the per-stratum terms first.  On a CE result,
+    ``naive_variance`` estimates the same scale for naive Monte Carlo at the
+    same threshold, Var(C | C > tau) / P(C > tau), from this result's own
+    weighted sample; it is NaN elsewhere.
     """
 
     estimate: float
@@ -138,6 +141,7 @@ class EstimateResult:
     halfwidth95: float
     n: int
     empty_tail: bool = False
+    naive_variance: float = float("nan")
 
 
 def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
@@ -464,7 +468,9 @@ def _compose(pool: SisSample, tau: float) -> tuple[EstimateResult, EstimateResul
     """EP and CE results from a pool's per-stratum tail sums.
 
     ``variance`` is n times the stratified variance; the CE variance is the
-    delta-method variance of the ratio of the two stratified means.
+    delta-method variance of the ratio of the two stratified means, and the
+    CE's ``naive_variance`` is E[(C - CE)^2 1{C > tau}] / EP^2 read off the
+    pool's weights.
     """
     n = int(pool.counts.sum())
     _, sums = pool.tail_sums(tau)
@@ -479,7 +485,9 @@ def _compose(pool: SisSample, tau: float) -> tuple[EstimateResult, EstimateResul
         return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
     ratio = numer / ep
     _, resid_var = _stratified_mean(pool.probs, pool.counts, *_residual_sums(sums, ratio))
-    return result(ep, ep_var), result(ratio, resid_var / ep**2)
+    tail = pool.conc > tau
+    naive_var = pool.sample_weight[tail] @ (pool.conc[tail] - ratio) ** 2 / ep**2
+    return result(ep, ep_var), result(ratio, resid_var / ep**2, naive_variance=float(naive_var))
 
 
 def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Distribution primitives and the reproducible random-number source.
 
 Everything here is a thin, validated layer over scipy.special / numpy so the
-rest of the engine has one place to get CDFs, quantiles and Bessel functions
-with consistent domain checking, and one reproducible random source.
+rest of the engine has one place to get CDFs and quantiles with consistent
+domain checking, and one reproducible random source.
 """
 
 from __future__ import annotations
@@ -115,14 +115,3 @@ def t_quantile(p, nu):
     nu = _positive_nu(nu)
     return _scalar_like(special.stdtrit(nu, arr), p)
 
-
-def bessel_k(order, x):
-    """Modified Bessel function of the second kind K_order(x), x > 0."""
-    arr = _as_finite_array(x, "x")
-    if np.any(arr <= 0.0):
-        raise DomainError("x must be positive")
-    order_arr = _as_finite_array(order, "order")
-    out = special.kv(order_arr, arr)
-    if np.ndim(x) == 0 and np.ndim(order) == 0:
-        return float(out)
-    return out

@@ -78,6 +78,12 @@ class TestNaiveEstimate:
         exact = 1.0 - gh_cdf(single_city.marginals[0], np.log(1.5))
         assert abs(ep.estimate - exact) <= 3.0 * ep.halfwidth95 / 1.96
 
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_naive_variance_of_a_naive_pool(self, portfolio, n):
+        # both sum the tail's squared CE residuals: naive_variance over n, variance over n - 1
+        _, ce = naive_estimate(portfolio, 239.32, n, Rng(6))
+        assert ce.naive_variance / ce.variance == pytest.approx((n - 1) / n, rel=1e-10)
+
     def test_empty_tail_flagged(self, single_city):
         ep, ce = naive_estimate(single_city, 1e9, 2000, Rng(5))
         assert ep.estimate == 0.0

@@ -168,6 +168,19 @@ class TestVarianceReduction:
         with pytest.raises(DomainError):
             variance_reduction_factor(self._result(0.2, 1000), self._result(0.1, 2000))
 
+    def test_pool_vr_agrees_with_naive_runs(self, portfolio):
+        # at CaR_0.01 over 20 streams: the SIS CCaR's own VR against one from a naive run
+        tau, budget = 352.03, 10_000
+        pooled, run_based = [], []
+        for s in range(20):
+            ce = compute_ccar(portfolio, 0.01, tau, "sis", budget, s)
+            naive = compute_ccar(portfolio, 0.01, tau, "naive", budget, 1000 + s)
+            pooled.append(ce.naive_variance / ce.variance)
+            run_based.append(variance_reduction_factor(naive, ce))
+        se = np.std(run_based, ddof=1) / np.sqrt(len(run_based))
+        assert abs(np.mean(pooled) - np.mean(run_based)) <= 3.0 * se
+        assert np.std(pooled) < np.std(run_based)
+
 
 class TestReport:
     def test_rows_sorted_and_consistent(self, portfolio):
@@ -182,6 +195,18 @@ class TestReport:
         a = build_report(portfolio, [0.05], "is", 20_000, 33)
         b = build_report(portfolio, [0.05], "is", 20_000, 33)
         assert a == b
+
+    def test_sis_report_draws_no_naive_reference(self, portfolio, monkeypatch):
+        estimators = []
+
+        def spy(portfolio, alpha, tau, estimator, *args, **kwargs):
+            estimators.append(estimator)
+            return compute_ccar(portfolio, alpha, tau, estimator, *args, **kwargs)
+
+        monkeypatch.setattr("pmrisk.risk.compute_ccar", spy)
+        rows = build_report(portfolio, [0.05, 0.01], "sis", 20_000, 21)
+        assert estimators == ["sis", "sis"]
+        assert all(np.isfinite(row.vr_factor) and row.vr_factor > 1.0 for row in rows)
 
     def test_naive_estimator_reports_unit_vr(self, portfolio):
         rows = build_report(portfolio, [0.05], "naive", 20_000, 5)
