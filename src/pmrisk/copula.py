@@ -8,12 +8,14 @@ For a fixed portfolio the log-ratio r_d = s_d * G_d^{-1}(F(v)) is a fixed
 monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
 tabulates it once for all cities (cubic Hermite in asinh(v) with exact
 slopes), so a draw costs one table lookup per city instead of the driving
-CDF plus a root of the GH table's cubic.  Likewise the t family's mixing
-variable at normal score s is a fixed multiple of G^{-1}(Phi(s)) for the
-Gamma(nu/2, 1) law G; ``CityPortfolio.mixing_quantile`` tabulates its log
-on a uniform grid in s.  Both are ``ghdist.HermiteTable``s, which find each
-entry's interval through a bucket table in O(1) and evaluate the cubic by
-Horner's rule.
+CDF plus a root of the GH table's cubic.  The build evaluates that exact
+chain for all cities together: each refinement round is one batched solve
+of the D cities' GH quantiles (``ghdist.TableQuantiles``).  Likewise the t
+family's mixing variable at normal score s is a fixed multiple of
+G^{-1}(Phi(s)) for the Gamma(nu/2, 1) law G;
+``CityPortfolio.mixing_quantile`` tabulates its log on a uniform grid in s.
+Both are ``ghdist.HermiteTable``s, which find each entry's interval through
+a bucket table in O(1) and evaluate the cubic by Horner's rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CalibrationError, DomainError
-from .ghdist import GhParams, HermiteTable, gh_moments, _tables
+from .ghdist import GhParams, HermiteTable, TableQuantiles, gh_moments
 from .statkit import normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_quantile
 
 # Uniforms are clamped before the GH quantile: IS pushes V deep into the
@@ -210,27 +212,21 @@ class LogRatioMap(HermiteTable):
         return super().__call__(np.arcsinh(v))
 
 
-def _exact_log_ratios(portfolio: CityPortfolio, v: np.ndarray,
+def _exact_log_ratios(portfolio: CityPortfolio, quantiles: TableQuantiles, v: np.ndarray,
                       u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chain s * G^{-1}(u) at u = clip(F(v)), its slope in asinh(v) and its rounding.
 
-    All three are (n, D).  The slope is s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d),
-    with g_d the density of the GH table itself; the rounding is one ulp of
-    u through the same density.
+    All three are (n, D); ``quantiles`` holds the stacked GH tables of
+    ``portfolio.marginals`` and solves all D cities at once.  The slope is
+    s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d), with g_d the density of the GH
+    table itself; the rounding is one ulp of u through the same density.
     """
     spec = portfolio.copula
     dens = t_pdf(v, spec.nu) if spec.family == "t" else normal_pdf(v)
     dens = dens * np.sqrt(1.0 + v * v)
-    r = np.empty((v.shape[0], portfolio.dimension))
-    slope = np.empty_like(r)
-    noise = np.empty_like(r)
-    for d, marginal in enumerate(portfolio.marginals):
-        x, density = _tables(marginal).quantile(u)
-        r[:, d] = x * portfolio.scale[d]
-        inv_density = portfolio.scale[d] / density
-        slope[:, d] = dens * inv_density
-        noise[:, d] = _MAP_ULP * u * inv_density
-    return r, slope, noise
+    x, density = quantiles(u)
+    inv_density = portfolio.scale / density
+    return x * portfolio.scale, dens[:, None] * inv_density, _MAP_ULP * u[:, None] * inv_density
 
 
 def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
@@ -242,7 +238,8 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     v[[0, -1]] = v_ends
     u = copula_uniforms(spec, v)
     u[[0, -1]] = clip  # F(v_ends) may miss the clip by an ulp
-    y, m, _ = _exact_log_ratios(portfolio, v, u)
+    quantiles = TableQuantiles(portfolio.marginals)
+    y, m, _ = _exact_log_ratios(portfolio, quantiles, v, u)
 
     # intervals still to check; one no wider than twice the floor is kept as is
     pending = np.ones(x.shape[0] - 1, dtype=bool)
@@ -253,18 +250,18 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
         k = np.flatnonzero(pending)
         mid = 0.5 * (x[k] + x[k + 1])
         v_mid = np.sinh(mid)
-        y_mid, m_mid, noise = _exact_log_ratios(portfolio, v_mid, copula_uniforms(spec, v_mid))
+        y_mid, m_mid, noise = _exact_log_ratios(portfolio, quantiles, v_mid,
+                                                copula_uniforms(spec, v_mid))
         h = (x[k + 1] - x[k])[:, None]
         hermite_mid = 0.5 * (y[k] + y[k + 1]) + 0.125 * h * (m[k] - m[k + 1])
         split = np.any(np.abs(hermite_mid - y_mid) > np.maximum(noise, _MAP_TOL), axis=1)
-        order = np.argsort(np.concatenate([x, mid[split]]), kind="stable")
-        pending = np.zeros(x.shape[0] + int(split.sum()), dtype=bool)
-        pending[k[split]] = True  # left halves
-        pending[x.shape[0]:] = True  # right halves start at the new knots
-        x = np.concatenate([x, mid[split]])[order]
-        y = np.concatenate([y, y_mid[split]])[order]
-        m = np.concatenate([m, m_mid[split]])[order]
-        pending = pending[order][:-1]
+        at = k[split] + 1  # each new knot goes in after its interval's left knot
+        x = np.insert(x, at, mid[split])
+        y = np.insert(y, at, y_mid[split], axis=0)
+        m = np.insert(m, at, m_mid[split], axis=0)
+        left = at - 1 + np.arange(at.size)  # the split intervals' left halves, renumbered
+        pending = np.zeros(x.shape[0] - 1, dtype=bool)
+        pending[left] = pending[left + 1] = True
 
     # Cap the slopes at three times the neighbouring secants, which keeps each
     # cubic monotone, also where the far upper tail steps (see _MAP_TOL).
@@ -321,6 +318,6 @@ def scaling_factor(sigma_d: float, marginal: GhParams) -> float:
     if not np.isfinite(sigma_d) or sigma_d <= 0.0:
         raise DomainError("daily volatility must be positive")
     _, variance = gh_moments(marginal)
-    if variance <= 0.0:
-        raise DomainError("marginal variance must be positive")
+    if not np.isfinite(variance) or variance <= 0.0:  # NaN where the Bessel ratios overflow
+        raise DomainError(f"marginal variance must be positive and finite, got {variance!r}")
     return sigma_d / np.sqrt(variance)

@@ -19,7 +19,9 @@ check at each panel midpoint compares the local cubic Hermite value with the
 quadrature CDF there, which is the build-time check of the cache error budget.
 A second spline on the same panels holds the CDF of the mirrored law -X (the
 survival function summed from the right), so quantiles above 1/2 keep full
-relative precision.  A quantile is the root of one panel's cubic.
+relative precision.  A quantile is the root of one panel's cubic, and
+``TableQuantiles`` finds the roots for any number of laws in one masked
+Newton solve; ``gh_quantile`` is its one-law case.
 """
 
 from __future__ import annotations
@@ -319,48 +321,6 @@ class _GhTables:
         dens = (dens / total)[:, None]
         self.lower = _SearchedTable.from_knots(edges, self.cdf_values[:, None], dens)
         self.upper = _SearchedTable.from_knots(-edges[::-1], survival[::-1, None], dens[::-1])
-        # both tables' rows in one array, the upper's from K + 1 on, for one solve
-        self._coef = np.concatenate([self.lower.coef[..., 0], self.upper.coef[..., 0]], axis=1)
-        self._anchors = np.concatenate([self.lower.anchors, self.upper.anchors])
-
-    def quantile(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x solving the tabulated F(x) = u, and the table's density there.
-
-        u <= 1/2 is solved on the lower table, u > 1/2 as 1 - u (exact in
-        floating point) on the upper one: safeguarded Newton on the cubic of
-        the panel that ``searchsorted`` finds among the side's knot values.
-        Each entry stops on its own step, so the batch does not matter.
-        """
-        upper = u > 0.5
-        q = np.where(upper, 1.0 - u, u)
-        row = np.empty(q.shape, dtype=np.intp)
-        for side, table in ((~upper, self.lower), (upper, self.upper)):
-            row[side] = np.searchsorted(table.coef[0, 1:, 0], q[side], side="right")
-        row[upper] += self.lower.anchors.size
-        c = self._coef[:, row]
-        c[0] -= q  # the cubic minus q: less rounding than subtracting q last
-        start = self._anchors[row]
-        width = self._anchors[row + 1] - start
-        d = width * c[0] / (c[0] + q - self._coef[0, row + 1])  # the secant's root
-        lo, hi = np.zeros_like(d), width.copy()
-        todo = np.arange(d.size)
-        for _ in range(_SOLVE_STEPS):
-            ct, dt = c[:, todo], d[todo]
-            f = ((ct[3] * dt + ct[2]) * dt + ct[1]) * dt + ct[0]
-            lo[todo] = np.where(f < 0.0, dt, lo[todo])
-            hi[todo] = np.where(f < 0.0, hi[todo], dt)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = dt - f / ((3.0 * ct[3] * dt + 2.0 * ct[2]) * dt + ct[1])
-            # the bracket test is inclusive, so a converged iterate stands
-            inside = (step >= lo[todo]) & (step <= hi[todo])
-            d[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
-            todo = todo[np.abs(d[todo] - dt) > _SOLVE_TOL * width[todo]]
-            if todo.size == 0:
-                break
-        else:
-            raise NumericError("GH quantile did not converge on its table panel")
-        x = start + d
-        return np.where(upper, -x, x), (3.0 * c[3] * d + 2.0 * c[2]) * d + c[1]
 
 
 @lru_cache(maxsize=64)
@@ -375,10 +335,89 @@ def gh_cdf(p: GhParams, x):
     return _scalar_like(out.reshape(arr.shape), x)
 
 
+class TableQuantiles:
+    """The inverse CDF tables of D GH laws, stacked for one batched solve.
+
+    Called on n uniforms in (0, 1), it returns the (n, D) x solving
+    F_d(x) = u on each law d's table, and the table's density there.
+    Entries u <= 1/2 are solved on a law's lower table, u > 1/2 as 1 - u
+    (exact in floating point) on its upper one.  ``searchsorted`` per law and
+    side finds each entry's panel among the stacked rows of all 2D tables
+    (a law's lower rows, then its upper rows), and one safeguarded Newton
+    iteration on the panels' cubics runs over the whole (n, D) batch.  An
+    entry that has converged is frozen, so each entry's iterates, and its
+    result, do not depend on the rest of the batch: ``gh_quantile`` is the
+    one-law case.
+    """
+
+    def __init__(self, laws):
+        sides = [side for t in map(_tables, laws) for side in (t.lower, t.upper)]
+        self._values = [side.coef[0, 1:, 0] for side in sides]  # each side's knot values
+        self._coef = np.concatenate([side.coef[..., 0] for side in sides], axis=1)
+        self._anchors = np.concatenate([side.anchors for side in sides])
+
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        upper = u > 0.5
+        q = np.where(upper, 1.0 - u, u)
+        at_q = [(at, q[at]) for at in (np.flatnonzero(~upper), np.flatnonzero(upper))]
+        row = np.empty((u.size, len(self._values) // 2), dtype=np.intp)
+        base = 0
+        for j, values in enumerate(self._values):
+            at, qs = at_q[j % 2]
+            row[at, j // 2] = base + np.searchsorted(values, qs, side="right")
+            base += values.size + 1
+        q = q[:, None]
+        c = self._coef[:, row]
+        c0, c1, c2, c3 = c
+        c0 -= q  # the cubic minus q: less rounding than subtracting q last
+        start = self._anchors[row]
+        width = self._anchors[row + 1] - start
+        d = width * c0 / (c0 + q - self._coef[0, row + 1])  # the secant's root
+        width = width.ravel()
+        _newton(c.reshape(4, -1), d.reshape(-1), np.zeros_like(width), width.copy(),
+                _SOLVE_TOL * width, _SOLVE_STEPS)
+        x = start + d
+        return np.where(upper[:, None], -x, x), (3.0 * c3 * d + 2.0 * c2) * d + c1
+
+
+def _newton(c, d, lo, hi, tol, steps):
+    """Safeguarded Newton on the cubics c (4, m) from d, moving d in place.
+
+    A step outside the bracket [lo, hi] bisects it.  An entry whose step is
+    within its tol is frozen; once fewer than an eighth are active they go on
+    as compacted copies, which changes no entry's iterates.
+    """
+    c0, c1, c2, c3 = c
+    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+    active = np.ones(d.shape, dtype=bool)
+    for i in range(steps):
+        f = ((c3 * d + c2) * d + c1) * d + c0
+        below = f < 0.0
+        np.copyto(lo, d, where=below)
+        np.copyto(hi, d, where=~below)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = d - f / ((c3x3 * d + c2x2) * d + c1)
+        # the bracket test is inclusive, so a converged iterate stands; NaN bisects
+        np.copyto(step, 0.5 * (lo + hi), where=~((step >= lo) & (step <= hi)))
+        moved = np.abs(step - d) > tol
+        np.copyto(d, step, where=active)
+        active &= moved
+        left = np.count_nonzero(active)
+        if left == 0:
+            return
+        if 8 * left < d.size:
+            at = np.flatnonzero(active)
+            rest = d[at]
+            _newton(c[:, at], rest, lo[at], hi[at], tol[at], steps - i - 1)
+            d[at] = rest
+            return
+    raise NumericError("GH quantile did not converge on its table panel")
+
+
 def gh_quantile(p: GhParams, u):
     """Inverse CDF for u in (0, 1); round-trips through gh_cdf within 1e-8."""
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out, _ = _tables(p).quantile(arr.ravel())
+    out, _ = TableQuantiles((p,))(arr.ravel())
     return _scalar_like(out.reshape(arr.shape), u)

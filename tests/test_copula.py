@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -7,6 +9,7 @@ from pmrisk import (
     CityPortfolio,
     CopulaSpec,
     DomainError,
+    GhParams,
     Rng,
     cholesky_factor,
     gh_moments,
@@ -17,6 +20,7 @@ from pmrisk import (
     t_cdf,
 )
 from pmrisk.copula import CopulaDraw, copula_uniforms, dependent_vector
+from pmrisk.ghdist import TableQuantiles
 
 from conftest import GH_ROWS, NU, SIGMA, model_draw
 
@@ -159,6 +163,16 @@ _MAP_CASES = {
     "scaled": lambda p: _twin(p, scale=[0.5, 1.7, 1.0, 2.3, 0.8]),
 }
 
+# Knot count and sha256 of knots + coef of each case's map, recorded while the
+# build still solved each city's GH quantiles in a call of its own
+# (numpy 2.4, scipy 1.17, x86-64).
+MAP_FINGERPRINTS = {
+    "normal": (5210, "47ab08762e0e5c847c0615bf55a8e1fcbe1f12054911886a3ec651f4ee524202"),
+    "paper": (5232, "c9f3efd3f5a208ea3110cc8dcca7a35382e54e1389df5aa9390210189577e684"),
+    "scaled": (5673, "5923be487e790a390b87902cecd24e893ddcd6679fe15399d9ef57284161b2a9"),
+    "t3": (5852, "bc94d6ba34eadb3190528d274f70bfeb2c14f8965d35b1c81ee4f381a57b7f0d"),
+}
+
 
 def _mapped(portfolio, v):
     cols = np.repeat(np.asarray(v, dtype=float)[:, None], portfolio.dimension, axis=1)
@@ -178,6 +192,12 @@ class TestLogRatioMap:
     @pytest.fixture(params=sorted(_MAP_CASES))
     def case(self, request, portfolio):
         return _MAP_CASES[request.param](portfolio)
+
+    @pytest.mark.parametrize("name", sorted(_MAP_CASES))
+    def test_map_matches_fingerprint(self, name, portfolio):
+        table = _MAP_CASES[name](portfolio).log_ratio_map
+        digest = hashlib.sha256(table.knots.tobytes() + table.coef.tobytes())
+        assert (table.knots.size, digest.hexdigest()) == MAP_FINGERPRINTS[name]
 
     def test_matches_exact_chain(self, case):
         x = np.sort(np.random.default_rng(3).uniform(-14.0, 14.0, 60_000))
@@ -200,6 +220,21 @@ class TestLogRatioMap:
     def test_nondecreasing(self, case):
         v = np.sinh(np.linspace(-14.0, 14.0, 200_001))
         assert np.all(np.diff(_mapped(case, v), axis=0) >= 0.0)
+
+    def test_build_solves_all_cities_in_one_call_per_round(self, portfolio, monkeypatch):
+        calls = []
+        solve = TableQuantiles.__call__
+
+        def spy(self, u):
+            calls.append(self._coef.shape)
+            return solve(self, u)
+
+        monkeypatch.setattr(TableQuantiles, "__call__", spy)
+        _twin(portfolio).log_ratio_map
+        # one exact-chain evaluation for the start grid and one per refinement
+        # round, each on the stacked tables of all five cities
+        stacked = TableQuantiles(portfolio.marginals)._coef.shape
+        assert calls == [stacked] * 11
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_variates(self, portfolio, bad):
@@ -317,6 +352,14 @@ class TestScalingFactor:
     def test_rejects_nonpositive_volatility(self):
         with pytest.raises(DomainError):
             scaling_factor(0.0, GH_ROWS["Bj"])
+
+    @pytest.mark.parametrize("law", [
+        GhParams(lam=1.0, alpha=1e5, delta=1e5, beta=0.0, mu=0.0),  # kve is NaN at 1e10
+        GhParams(lam=40.0, alpha=2.0, delta=1e-8, beta=0.5, mu=0.0),  # kve overflows
+    ])
+    def test_rejects_law_whose_variance_overflows(self, law):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            scaling_factor(0.5, law)
 
 
 class TestValidation:

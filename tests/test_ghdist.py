@@ -19,6 +19,10 @@ BJ_VAR = 0.6201976513339142
 
 SYMMETRIC = GhParams(lam=0.5, alpha=2.0, delta=0.8, beta=0.0, mu=0.3)
 
+# delta like the fits that end on the variance-gamma ridge: the table's panels
+# span over eight decades of width
+VG_RIDGE = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
+
 # Edge count and sha256 of edges + cdf_values of each preset city's CDF table,
 # recorded while the refinement loop still re-integrated every panel each round
 # (numpy 2.4, scipy 1.17, x86-64).
@@ -201,6 +205,30 @@ class TestQuantile:
             gh_quantile(GH_ROWS["Bj"], u)
 
 
+def _solve_grid(law):
+    """Both tail probes, every knot's CDF value inside (0, 1), and both sides of 1/2."""
+    knots = ghdist._tables(law).cdf_values
+    return np.concatenate([[1e-15, 1e-12], knots[(knots > 0.0) & (knots < 1.0)],
+                           [0.5, np.nextafter(0.5, 1.0), 1.0 - 1e-12, 1.0 - 1e-15]])
+
+
+class TestBatchedSolve:
+    LAWS = tuple(GH_ROWS[city] for city in sorted(GH_ROWS)) + (VG_RIDGE,)
+
+    def test_batch_equals_one_law_and_one_value_calls(self):
+        grids = [_solve_grid(law) for law in self.LAWS]
+        u = np.unique(np.concatenate(grids))
+        x, dens = ghdist.TableQuantiles(self.LAWS)(u)
+        for d, (law, grid) in enumerate(zip(self.LAWS, grids)):
+            one_law = ghdist.TableQuantiles((law,))
+            x1, dens1 = one_law(u)
+            assert x1.tobytes() == x[:, d].tobytes() and dens1.tobytes() == dens[:, d].tobytes()
+            own = np.searchsorted(u, grid)
+            alone = [one_law(u[[i]]) for i in own]
+            assert np.concatenate([a[0] for a in alone]).tobytes() == x[own, d].tobytes()
+            assert np.concatenate([a[1] for a in alone]).tobytes() == dens[own, d].tobytes()
+
+
 class TestHarshParameters:
     def test_heavy_skew_round_trip(self):
         harsh = GhParams(lam=-3.0, alpha=50.0, delta=3.0, beta=-49.0, mu=-2.0)
@@ -215,9 +243,7 @@ class TestHarshParameters:
         assert np.max(np.abs(back - us)) <= 1e-8
 
     def test_variance_gamma_ridge_round_trip(self):
-        # delta like the fits that end on the variance-gamma ridge: the table's
-        # panels span over eight decades of width
-        ridge = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
+        ridge = VG_RIDGE
         us = np.concatenate([[1e-12, 1e-9, 1e-6], np.linspace(0.02, 0.98, 49),
                              [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]])
         xs = gh_quantile(ridge, us)
