@@ -318,6 +318,4 @@ def scaling_factor(sigma_d: float, marginal: GhParams) -> float:
     if not np.isfinite(sigma_d) or sigma_d <= 0.0:
         raise DomainError("daily volatility must be positive")
     _, variance = gh_moments(marginal)
-    if not np.isfinite(variance) or variance <= 0.0:  # NaN where the Bessel ratios overflow
-        raise DomainError(f"marginal variance must be positive and finite, got {variance!r}")
     return sigma_d / np.sqrt(variance)

@@ -10,13 +10,17 @@ density
         / (sqrt(2*pi) * alpha^(lam-1/2) * delta^lam * K_lam(delta*sqrt(alpha^2-beta^2)))
 
 The CDF has no closed form.  Each parameter set gets a lazily built table:
-adaptive Gauss-Legendre panels accumulate the CDF on a support interval chosen
-so both tail masses are below 1e-16, and a cubic Hermite spline (slopes = the
-exact density, so the interpolant is monotone up to quadrature error)
-represents it.  Each refinement round checks every panel but integrates only
-the children of the panels it splits, so no abscissa is evaluated twice.  The
-check at each panel midpoint compares the local cubic Hermite value with the
-quadrature CDF there, which is the build-time check of the cache error budget.
+adaptive panels accumulate the CDF on a support interval chosen so both tail
+masses are below 1e-16, and a cubic Hermite spline (slopes = the exact
+density, so the interpolant is monotone up to quadrature error) represents
+it.  Each panel and its two halves are integrated by 6-point Gauss-Legendre.
+Each refinement round checks every panel but integrates only the children of
+the panels it splits, so no abscissa is evaluated twice.  A panel is split
+when its halves disagree with its whole (the quadrature check) or when the
+local cubic Hermite value at its midpoint misses the quadrature CDF there (the
+interpolation check, the build-time check of the cache error budget).  The
+interpolation check sets the panel count: on the preset and fitted laws no
+split is left to the quadrature check, which stays as the rule's safeguard.
 A second spline on the same panels holds the CDF of the mirrored law -X (the
 survival function summed from the right), so quantiles above 1/2 keep full
 relative precision.  A quantile is the root of one panel's cubic, and
@@ -45,7 +49,7 @@ _MAX_REFINE_ROUNDS = 60
 _SOLVE_TOL = 1e-9
 _SOLVE_STEPS = 60
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 @dataclass(frozen=True)
@@ -126,16 +130,23 @@ def gh_pdf(p: GhParams, x):
 
 
 def gh_moments(p: GhParams) -> tuple[float, float]:
-    """Mean and variance via Bessel-K ratios of the GIG mixing law."""
+    """Mean and variance via Bessel-K ratios of the GIG mixing law.
+
+    Raises DomainError where the ratios cannot be formed: kve overflows for a
+    large order at a small argument and is NaN past an argument of about 2e9.
+    """
     zeta = p.delta * p.gamma
-    k0 = special.kve(p.lam, zeta)
-    r1 = special.kve(p.lam + 1.0, zeta) / k0
-    r2 = special.kve(p.lam + 2.0, zeta) / k0
-    ew = p.delta / p.gamma * r1
-    var_w = (p.delta / p.gamma) ** 2 * (r2 - r1**2)
-    mean = p.mu + p.beta * ew
-    variance = ew + p.beta**2 * var_w
-    return float(mean), float(variance)
+    with np.errstate(invalid="ignore", over="ignore"):
+        k0 = special.kve(p.lam, zeta)
+        r1 = special.kve(p.lam + 1.0, zeta) / k0
+        r2 = special.kve(p.lam + 2.0, zeta) / k0
+        ew = p.delta / p.gamma * r1
+        var_w = (p.delta / p.gamma) ** 2 * (r2 - r1**2)
+    mean = float(p.mu + p.beta * ew)
+    variance = float(ew + p.beta**2 * var_w)
+    if not (np.isfinite(mean) and np.isfinite(variance) and variance > 0.0):
+        raise DomainError(f"GH moments of {p} are out of reach: mean {mean}, variance {variance}")
+    return mean, variance
 
 
 def _support_bounds(p: GhParams) -> tuple[float, float]:
@@ -158,22 +169,25 @@ def _support_bounds(p: GhParams) -> tuple[float, float]:
 
 
 def _initial_edges(p: GhParams, lo: float, hi: float) -> np.ndarray:
-    edges = [np.linspace(lo, hi, 193), np.array([p.mu])]
     # geometric ladder resolves the peak when delta is tiny (Tianjin-like fits)
     scales = p.delta * 2.0 ** np.arange(-4, 40, dtype=float)
     scales = scales[scales < (hi - lo)]
-    edges.append(p.mu + scales)
-    edges.append(p.mu - scales)
-    merged = np.unique(np.concatenate(edges))
+    # A grid point within the smallest rung of mu (1 to 9 ulps from it on four
+    # of the five preset laws) would leave a panel at the peak so narrow that its
+    # quadrature nodes round onto its edges; without it no panel at mu is
+    # narrower than a rung.
+    grid = np.linspace(lo, hi, 193)
+    grid = grid[np.abs(grid - p.mu) >= scales[0]]
+    merged = np.unique(np.concatenate([grid, [p.mu], p.mu + scales, p.mu - scales]))
     return merged[(merged >= lo) & (merged <= hi)]
 
 
 def _panel_integrals(pdf_vals_fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes = mid[:, None] + half[:, None] * _GL16_NODES[None, :]
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = pdf_vals_fn(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ _GL16_WEIGHTS)
+    return half * (vals @ _GL_WEIGHTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +267,8 @@ def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray
 
 class _SearchedTable(HermiteTable):
     """A HermiteTable whose rows come from ``searchsorted``: a GH table's panel
-    widths span up to 18 decades (a sub-ulp panel at mu), too many for buckets."""
+    widths can span 14 decades (a grid point a few ulps from a ladder rung), too
+    many for buckets."""
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.knots, x, side="right")
@@ -355,6 +370,10 @@ class TableQuantiles:
         self._values = [side.coef[0, 1:, 0] for side in sides]  # each side's knot values
         self._coef = np.concatenate([side.coef[..., 0] for side in sides], axis=1)
         self._anchors = np.concatenate([side.anchors for side in sides])
+        # Each row's panel width and right knot value.  A side's last row is a
+        # constant that no u in (0, 1) reaches, so its entries are never read.
+        self._width = np.append(np.diff(self._anchors), 0.0)
+        self._next = np.append(self._coef[0, 1:], 0.0)
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         upper = u > 0.5
@@ -370,13 +389,12 @@ class TableQuantiles:
         c = self._coef[:, row]
         c0, c1, c2, c3 = c
         c0 -= q  # the cubic minus q: less rounding than subtracting q last
-        start = self._anchors[row]
-        width = self._anchors[row + 1] - start
-        d = width * c0 / (c0 + q - self._coef[0, row + 1])  # the secant's root
+        width = self._width[row]
+        d = width * c0 / (c0 + q - self._next[row])  # the secant's root
         width = width.ravel()
         _newton(c.reshape(4, -1), d.reshape(-1), np.zeros_like(width), width.copy(),
                 _SOLVE_TOL * width, _SOLVE_STEPS)
-        x = start + d
+        x = self._anchors[row] + d
         return np.where(upper[:, None], -x, x), (3.0 * c3 * d + 2.0 * c2) * d + c1
 
 

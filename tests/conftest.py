@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# One BLAS/OpenMP thread, as CI runs the suite: unpinned, OpenBLAS wakes its
+# thread pool on every L-BFGS-B iteration of the GH fits.  This must run before
+# numpy loads; criterion 8 sets its own thread counts in its child processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, paper_portfolio,
@@ -13,6 +21,12 @@ GH_ROWS = {
     "Hs": GhParams(lam=1.7675, alpha=4.8022, delta=0.4498, beta=-1.7954, mu=0.4339),
     "Xt": GhParams(lam=2.0100, alpha=3.9889, delta=0.0500, beta=-1.0875, mu=0.3041),
 }
+
+# Laws whose moments' Bessel-K ratios cannot be formed
+MOMENTS_OVERFLOW = [
+    GhParams(lam=1.0, alpha=1e5, delta=1e5, beta=0.0, mu=0.0),  # kve is NaN at 1e10
+    GhParams(lam=40.0, alpha=2.0, delta=1e-8, beta=0.5, mu=0.0),  # kve overflows
+]
 
 SIGMA = np.array(
     [

@@ -9,7 +9,6 @@ from pmrisk import (
     CityPortfolio,
     CopulaSpec,
     DomainError,
-    GhParams,
     Rng,
     cholesky_factor,
     gh_moments,
@@ -22,7 +21,7 @@ from pmrisk import (
 from pmrisk.copula import CopulaDraw, copula_uniforms, dependent_vector
 from pmrisk.ghdist import TableQuantiles
 
-from conftest import GH_ROWS, NU, SIGMA, model_draw
+from conftest import GH_ROWS, MOMENTS_OVERFLOW, NU, SIGMA, model_draw
 
 
 
@@ -163,14 +162,13 @@ _MAP_CASES = {
     "scaled": lambda p: _twin(p, scale=[0.5, 1.7, 1.0, 2.3, 0.8]),
 }
 
-# Knot count and sha256 of knots + coef of each case's map, recorded while the
-# build still solved each city's GH quantiles in a call of its own
-# (numpy 2.4, scipy 1.17, x86-64).
+# Knot count and sha256 of knots + coef of each case's map, built on the GH
+# tables of test_ghdist.TABLE_FINGERPRINTS (numpy 2.4, scipy 1.17, x86-64).
 MAP_FINGERPRINTS = {
-    "normal": (5210, "47ab08762e0e5c847c0615bf55a8e1fcbe1f12054911886a3ec651f4ee524202"),
-    "paper": (5232, "c9f3efd3f5a208ea3110cc8dcca7a35382e54e1389df5aa9390210189577e684"),
-    "scaled": (5673, "5923be487e790a390b87902cecd24e893ddcd6679fe15399d9ef57284161b2a9"),
-    "t3": (5852, "bc94d6ba34eadb3190528d274f70bfeb2c14f8965d35b1c81ee4f381a57b7f0d"),
+    "normal": (5210, "5b024ae45fb1a3e45e6af197567b9a8577ed2e5ef8263b75a6d3cd45b61c49e9"),
+    "paper": (5232, "d17b5d20a437ce4b6a1537bf1d8d557006f4b5fd4ace1da504d616b8412c2342"),
+    "scaled": (5673, "5ff15d52be81bae653eb3466f6662332366ad0251733c88f088fd9e8e94d7b5d"),
+    "t3": (5852, "42c0aa538408d7508f63399e0df77ddbfbc3c6509c693f13702a6f79efc567bb"),
 }
 
 
@@ -353,12 +351,9 @@ class TestScalingFactor:
         with pytest.raises(DomainError):
             scaling_factor(0.0, GH_ROWS["Bj"])
 
-    @pytest.mark.parametrize("law", [
-        GhParams(lam=1.0, alpha=1e5, delta=1e5, beta=0.0, mu=0.0),  # kve is NaN at 1e10
-        GhParams(lam=40.0, alpha=2.0, delta=1e-8, beta=0.5, mu=0.0),  # kve overflows
-    ])
+    @pytest.mark.parametrize("law", MOMENTS_OVERFLOW)
     def test_rejects_law_whose_variance_overflows(self, law):
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        with pytest.raises(DomainError):
             scaling_factor(0.5, law)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import genhyperbolic
 
 from pmrisk import DomainError, GhParams, gh_cdf, gh_moments, gh_pdf, gh_quantile, ghdist
 
-from conftest import GH_ROWS
+from conftest import GH_ROWS, MOMENTS_OVERFLOW
 
 # Frozen from quad integration of an independent density implementation
 # (scipy.stats.genhyperbolic under the parameter map p=lam, a=alpha*delta,
@@ -24,14 +25,14 @@ SYMMETRIC = GhParams(lam=0.5, alpha=2.0, delta=0.8, beta=0.0, mu=0.3)
 VG_RIDGE = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
 
 # Edge count and sha256 of edges + cdf_values of each preset city's CDF table,
-# recorded while the refinement loop still re-integrated every panel each round
-# (numpy 2.4, scipy 1.17, x86-64).
+# built with the 6-point rule on initial edges that keep every grid point a rung
+# away from mu (numpy 2.4, scipy 1.17, x86-64).
 TABLE_FINGERPRINTS = {
-    "Bj": (1134, "f653394ced8b324c52489035b374ea28738964df60957c38cd624fa620684c75"),
-    "Cd": (1067, "712957c4f090e3590e813c5c564c0b656d0fd9eecc6a8e0e3e649c321a2fbd84"),
-    "Hs": (1036, "f15d56d675a22e6ae715cabfcc89b2702914d03d69a7ac0d88cfcf7307bce905"),
-    "Tj": (1157, "50bd202dedc947becd45ff53d6f34830dff5aa78d22d0625dc606f64179b635a"),
-    "Xt": (1135, "e066e5dfb6b0ff60d422e6d7c2aad2e56a777a456d7bc3b28cd214566898a2aa"),
+    "Bj": (1133, "30b43f798acbdcd14806a2c0c9c8e41845a5cad78d1041f5098e80cef9d4e5d4"),
+    "Cd": (1067, "fc4945245c3bb9ea90fcfde97131a26e6d4ba312676c1adb31f2719c80cb6fc1"),
+    "Hs": (1035, "73a467621b775f387d61f65cf9133a6d077e29b64ab6f087ab7c168ba9e44ca4"),
+    "Tj": (1156, "99ff1fd2f10f69623ff22158295d540c751e8df6426ff94f8aa11f7926a9edde"),
+    "Xt": (1134, "8423d466cd3a009f733541a54b856ad3d2469c3bf7d96570c27b565426a3f514"),
 }
 
 
@@ -123,6 +124,24 @@ class TestCdf:
         xs = np.linspace(-6.0, 6.0, 2001)
         assert np.all(np.diff(gh_cdf(params, xs)) >= 0.0)
 
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_knots_against_adaptive_quadrature(self, city):
+        # At a table knot gh_cdf returns the summed panel quadrature itself;
+        # between knots the cubic adds up to _INTERP_TOL.  The oracle is scipy's
+        # adaptive quad of the density, split at the peak mu.
+        law = GH_ROWS[city]
+        knots = ghdist._tables(law).edges
+        pdf = lambda x: gh_pdf(law, x)
+        tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+        below_mu = integrate.quad(pdf, -np.inf, law.mu, **tol)[0]
+        for dx in (-2.0, -0.5, -0.05, -0.005, 0.005, 0.05, 0.5, 2.0):
+            x = knots[np.argmin(np.abs(knots - (law.mu + dx)))]
+            if x < law.mu:
+                exact = integrate.quad(pdf, -np.inf, x, **tol)[0]
+            else:
+                exact = below_mu + integrate.quad(pdf, law.mu, x, **tol)[0]
+            assert abs(gh_cdf(law, x) - exact) <= 1e-12
+
 
 class TestTableBuild:
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
@@ -137,15 +156,36 @@ class TestTableBuild:
 
         monkeypatch.setattr(ghdist, "gh_logpdf", recording)
         ghdist._GhTables(GH_ROWS[city])
-        # The initial pass (edges, then the whole/left/right panel nodes) may
-        # repeat an abscissa: _initial_edges can leave a sub-ulp panel at mu whose
-        # nodes round onto its edges.  Every later round must see only new ones.
-        seen = np.concatenate(calls[:4])
+        # the initial pass (edges, then the whole/left/right panel nodes) and
+        # every refinement round
         assert len(calls) > 4
-        for x in calls[4:]:
-            assert np.unique(x).size == x.size
-            assert not np.isin(x, seen).any()
-            seen = np.concatenate([seen, x])
+        seen = np.concatenate(calls)
+        assert np.unique(seen).size == seen.size
+
+    def test_density_evaluations_per_knot(self, monkeypatch):
+        # a split adds one edge and two children's halves: 4 * 6 + 1 points
+        points = []
+        real = ghdist.gh_logpdf
+
+        def counting(p, x):
+            points.append(np.size(x))
+            return real(p, x)
+
+        monkeypatch.setattr(ghdist, "gh_logpdf", counting)
+        knots = sum(ghdist._GhTables(law).edges.size for law in GH_ROWS.values())
+        assert sum(points) <= 30 * knots
+
+    @pytest.mark.parametrize("law", [GH_ROWS[city] for city in sorted(GH_ROWS)] + [VG_RIDGE],
+                             ids=sorted(GH_ROWS) + ["vg_ridge"])
+    def test_sixteen_point_rule_gives_the_same_knots(self, law, monkeypatch):
+        # the interpolation check, not the quadrature, sets the panels
+        shipped = ghdist._GhTables(law)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        monkeypatch.setattr(ghdist, "_GL_NODES", nodes)
+        monkeypatch.setattr(ghdist, "_GL_WEIGHTS", weights)
+        reference = ghdist._GhTables(law)
+        assert shipped.edges.tobytes() == reference.edges.tobytes()
+        assert np.max(np.abs(shipped.cdf_values - reference.cdf_values)) <= 4e-15
 
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_table_matches_fingerprint(self, city):
@@ -265,6 +305,13 @@ class TestMoments:
     def test_variance_positive(self, city):
         _, var = gh_moments(GH_ROWS[city])
         assert var > 0.0
+
+    @pytest.mark.parametrize("law", MOMENTS_OVERFLOW)
+    def test_rejects_law_whose_bessel_ratios_overflow(self, law):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(DomainError):
+                gh_moments(law)
 
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_negative_skew_lowers_mean(self, city):
