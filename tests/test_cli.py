@@ -14,7 +14,7 @@ from pmrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_csv,
 from pmrisk.errors import DataError, UsageError
 from pmrisk.presets import resolve_portfolio
 
-from conftest import GH_ROWS
+from conftest import CAR_ROWS, GH_ROWS
 
 
 def _write(path, text):
@@ -81,6 +81,26 @@ class TestRunModes:
         assert "# seed: 1" in text
         assert "# model_sha256: " in text
         assert text.splitlines()[-1].startswith("0.05,")
+
+    def test_is_report_at_small_budget_completes(self, tmp_path):
+        # the alpha=0.005 CaR loop used to two-cycle (413.4 <-> 414.4) and exit 3
+        rc = main([
+            "simulate", "--preset", "paper", "--estimator", "is",
+            "--budget", "5000", "--seed", "2", "--out", str(tmp_path / "report.csv"),
+        ])
+        assert rc == EXIT_OK
+
+    def test_small_sis_car_lands_in_its_band(self, tmp_path):
+        # this query used to two-cycle (352.3 <-> 353.4) and exit 3
+        out = tmp_path / "car.csv"
+        rc = main([
+            "car", "--preset", "paper", "--estimator", "sis", "--alpha", "0.01",
+            "--budget", "5000", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        alpha, car = out.read_text().splitlines()[-1].split(",")
+        assert alpha == "0.01"
+        assert abs(float(car) / CAR_ROWS[1][1] - 1.0) <= 0.015
 
     def test_byte_identical_rerun(self, tmp_path):
         args = [

@@ -11,12 +11,15 @@ from pmrisk import (
     build_report,
     compute_ccar,
     exceedance_curve,
+    gh_quantile,
     solve_car,
     variance_reduction_factor,
     weighted_quantile,
 )
 from pmrisk.errors import UsageError
 from pmrisk.risk import queries
+
+from conftest import CAR_ROWS
 
 
 class TestWeightedQuantile:
@@ -91,6 +94,28 @@ class TestSolveCar:
         }
         spread = max(target.values()) - min(target.values())
         assert spread <= 0.02 * np.mean(list(target.values()))
+
+    @pytest.mark.parametrize("estimator", ["is", "sis"])
+    @pytest.mark.parametrize("budget, seeds", [(5_000, range(1, 11)), (20_000, range(1, 11)),
+                                               (100_000, (1,))])
+    def test_stops_at_every_sensible_budget(self, portfolio, estimator, budget, seeds):
+        # at budget 5000 a fixed relative stop, tighter than the quantile's noise,
+        # two-cycled until CAR_MAX_ITER on some of these (alpha, seed) pairs
+        for seed in seeds:
+            for alpha, car_ref, _ in CAR_ROWS:
+                car = solve_car(portfolio, alpha, estimator, budget, seed)
+                # the paper's band, widened to this budget's Monte Carlo error
+                band = (0.03 if alpha <= 0.002 else 0.015) * np.sqrt(100_000 / budget)
+                assert abs(car / car_ref - 1.0) <= band, (alpha, seed, car)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001])
+    def test_single_city_matches_closed_form(self, single_city, alpha):
+        # one city: C = 100 exp(X), so CaR_alpha = 100 exp(G^-1(1 - alpha)) exactly
+        exact = 100.0 * np.exp(gh_quantile(single_city.marginals[0], 1.0 - alpha))
+        cars = np.array([solve_car(single_city, alpha, "sis", 5_000, seed)
+                         for seed in range(1, 41)])
+        se = cars.std(ddof=1) / np.sqrt(cars.size)
+        assert abs(cars.mean() - exact) <= 3.0 * se, (cars.mean(), exact, se)
 
 
 class TestComputeCcar:
