@@ -37,7 +37,7 @@ from .copula import CityPortfolio, CopulaSpec
 from .errors import CalibrationError, DataError, DomainError, NumericError, UsageError
 from .ghdist import gh_logpdf
 from .presets import portfolio_to_doc, resolve_portfolio
-from .risk import build_report, exceedance_curve, queries, solve_car
+from .risk import build_report, exceedance_curve, queries, solve_cars
 from .statkit import Rng
 
 EXIT_OK = 0
@@ -164,9 +164,7 @@ def run(args: argparse.Namespace) -> None:
                 )
         elif args.command == "car":
             out.write("alpha,car\n")
-            for query in rows:
-                tau = solve_car(portfolio, query.alpha, query.estimator, query.budget,
-                                query.seed, warnings=warnings)
+            for query, tau in zip(rows, solve_cars(portfolio, rows, warnings=warnings)):
                 out.write(f"{query.alpha!r},{tau!r}\n")
         else:
             points = exceedance_curve(

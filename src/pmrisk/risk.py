@@ -10,8 +10,12 @@ the loop stops at the quantile's Monte Carlo noise at any budget.  There is no
 fixed relative tolerance: the former ``CAR_REL_TOL = 1e-3`` was tighter than
 that noise at budget 5000, where some rows two-cycled until ``CAR_MAX_ITER``.
 
+A run's rows are one chain (``solve_cars``): only the first row draws an
+identity-tilt pilot, and each later row starts from the previous row's final
+pool, then runs the same loop on its own stream.
+
 ``_design`` picks every tilt and stratification a query samples with, apart
-from the identity-tilt pilots, and each query function appends its warnings
+from the identity-tilt pilot, and each query function appends its warnings
 to the caller's ``warnings`` list.
 """
 
@@ -27,6 +31,7 @@ from .estimators import (
     ONE_CELL,
     EstimateResult,
     IsParams,
+    SisSample,
     StratificationScheme,
     calibrate_is,
     default_scheme,
@@ -75,7 +80,8 @@ def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     unique = sorted({float(a) for a in alphas}, reverse=True)
     if not unique:
         raise UsageError("alpha list must be nonempty")
-    # distinct substreams per row keep rows independent and reproducible
+    # distinct substreams per row keep rows reproducible: a chained row's first
+    # tilt comes from its neighbour's pool, its rounds and CCaR from its own stream
     return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
                       seed=Rng(seed).split(10 + k).stream)
             for k, a in enumerate(unique)]
@@ -133,39 +139,61 @@ def _design(portfolio: CityPortfolio, estimator: str, tau: float | None, budget:
 
 
 def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
-              seed: int, *, warnings: list[str] | None = None) -> float:
+              seed: int, *, warnings: list[str] | None = None,
+              chain: list[SisSample] | None = None) -> float:
     """Threshold tau with P(C > tau) ~= alpha under the requested estimator.
 
-    Naive returns the weighted (1 - alpha)-quantile of one identity-tilt pool.
-    IS/SIS start from that pilot quantile; each round calibrates the tilt at
-    the current tau, draws a fresh pool on the same random numbers and takes
-    its quantile.  The loop stops once the new pool's stratified EP at the
-    previous tau lies within its 95% halfwidth of alpha, i.e. once that tau is
-    inside the pool's test-inversion interval for the alpha-quantile (Glynn
-    1996), and returns the new pool's quantile.  ``NumericError`` with the
-    trace after ``CAR_MAX_ITER`` rounds.  IS-calibration warnings are
+    The first tau is the weighted (1 - alpha)-quantile of a starting pool:
+    the last pool in ``chain`` when it holds one, else a fresh identity-tilt
+    pilot.  Naive returns that tau.  IS/SIS then loop: each round calibrates
+    the tilt at the current tau, draws a fresh pool on the same random numbers
+    and takes its quantile.  The loop stops once the new pool's stratified EP
+    at the previous tau lies within its 95% halfwidth of alpha, i.e. once that
+    tau is inside the pool's test-inversion interval for the alpha-quantile
+    (Glynn 1996), and returns the new pool's quantile.  ``NumericError`` with
+    the trace after ``CAR_MAX_ITER`` rounds.  A given ``chain`` is left
+    holding the final pool, for the next row.  IS-calibration warnings are
     appended to ``warnings`` when it is given.
     """
     query = RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
     rng = Rng(seed).split(_STREAM_CAR)
     q = 1.0 - query.alpha
 
-    pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
-                                   ONE_CELL, budget, rng)
+    if chain:
+        pool = chain[-1]
+    else:
+        pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
+                                       ONE_CELL, budget, rng)
     tau = weighted_quantile(pool.conc, pool.sample_weight, q)
-    if estimator == "naive":
-        return tau
 
     trace = [tau]
-    for _ in range(CAR_MAX_ITER):
+    while estimator != "naive":
+        if len(trace) > CAR_MAX_ITER:
+            raise NumericError(f"CaR iteration did not converge; trace: {trace}")
         design = _design(portfolio, estimator, tau, budget, warnings, f"alpha={alpha}: ")
         pool = proportional_sis_sample(portfolio, *design, budget, rng)
         ep, halfwidth, _ = pool.ep_at(tau)
         tau = weighted_quantile(pool.conc, pool.sample_weight, q)
         trace.append(tau)
         if abs(ep - query.alpha) <= halfwidth:
-            return tau
-    raise NumericError(f"CaR iteration did not converge; trace: {trace}")
+            break
+    if chain is not None:
+        chain[:] = [pool]
+    return tau
+
+
+def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
+               warnings: list[str] | None = None) -> list[float]:
+    """Each row's CaR, solved in order as one ``solve_car`` chain.
+
+    Only row 0 draws a pilot, so naive rows all read its quantiles.  Rows from
+    ``queries`` run largest alpha first, so each later row starts from a pool
+    tilted just below its own threshold.
+    """
+    chain: list[SisSample] = []
+    return [solve_car(portfolio, query.alpha, query.estimator, query.budget, query.seed,
+                      warnings=warnings, chain=chain)
+            for query in rows]
 
 
 def compute_ccar(portfolio: CityPortfolio, alpha: float, tau: float, estimator: str,
@@ -244,14 +272,15 @@ def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
                  seed: int, *, warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
     """Table rows: one per distinct alpha with CaR, CCaR, CI% and VR.
 
+    The CaRs are one ``solve_cars`` chain, as ``pmrisk car`` writes them.
     VR is the CCaR's ``naive_variance`` over its ``variance``, both from the
     CCaR's own sample, and 1 for naive.  Calibration warnings are appended to
     ``warnings`` when it is given.
     """
     rows = []
-    for query in queries(alphas, estimator, budget, seed):
+    runs = queries(alphas, estimator, budget, seed)
+    for query, tau in zip(runs, solve_cars(portfolio, runs, warnings=warnings)):
         alpha = query.alpha
-        tau = solve_car(portfolio, alpha, estimator, budget, query.seed, warnings=warnings)
         ce = compute_ccar(portfolio, alpha, tau, estimator, budget, query.seed,
                           warnings=warnings)
         if ce.empty_tail:

@@ -17,6 +17,7 @@ import pmrisk
 from pmrisk import (
     IsParams,
     Rng,
+    build_report,
     cholesky_factor,
     compute_ccar,
     exceedance_curve,
@@ -63,6 +64,17 @@ def test_criterion_1_preset_rows_reproduction(portfolio):
         f"\nACCEPTANCE 1 (preset CaR/CCaR rows, SIS @1e5): PASS: worst CaR err "
         f"{100*worst_car:.2f}%, worst CCaR err {100*worst_ccar:.2f}%"
     )
+
+
+def test_criterion_1_report_rows(portfolio):
+    # the rows simulate writes: one CaR chain, then each row's CCaR
+    rows = build_report(portfolio, [a for a, _, _ in CAR_ROWS], "sis", BUDGET, SEED)
+    for row, (alpha, car_ref, ccar_ref) in zip(rows, CAR_ROWS):
+        band = 0.03 if alpha <= 0.002 else 0.015
+        assert row.alpha == alpha
+        assert abs(row.car / car_ref - 1.0) <= band, (alpha, row.car, car_ref)
+        assert abs(row.ccar / ccar_ref - 1.0) <= band, (alpha, row.ccar, ccar_ref)
+    print("\nACCEPTANCE 1 (build_report rows, SIS @1e5): PASS")
 
 
 def test_criterion_2_variance_reduction_ordering(portfolio):

@@ -371,7 +371,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, com
     def never(*args, **kwargs):
         pytest.fail("the work ran before --out was checked")
 
-    monkeypatch.setattr(cli_mod, "solve_car", never)
+    monkeypatch.setattr(cli_mod, "solve_cars", never)
     monkeypatch.setattr(cli_mod, "fit_gh_marginal", never)
     if command == "car":
         argv = ["car", "--preset", "paper", "--alpha", "0.05", "--budget", "1000"]

@@ -16,10 +16,28 @@ from pmrisk import (
     variance_reduction_factor,
     weighted_quantile,
 )
+from pmrisk.cli import main
 from pmrisk.errors import UsageError
-from pmrisk.risk import queries
+from pmrisk.estimators import proportional_sis_sample
+from pmrisk.risk import queries, solve_cars
 
 from conftest import CAR_ROWS
+
+ALPHAS = [alpha for alpha, _, _ in CAR_ROWS]
+
+
+def _spy_pools(monkeypatch) -> list:
+    """Record (is the identity tilt, pool) for each proportional pool ``risk`` draws."""
+    pools = []
+
+    def spy(portfolio, is_params, *args, **kwargs):
+        pool = proportional_sis_sample(portfolio, is_params, *args, **kwargs)
+        identity = is_params.theta == 2.0 and not is_params.mean_shift.any()
+        pools.append((identity, pool))
+        return pool
+
+    monkeypatch.setattr("pmrisk.risk.proportional_sis_sample", spy)
+    return pools
 
 
 class TestWeightedQuantile:
@@ -232,6 +250,50 @@ class TestReport:
         rows = build_report(portfolio, [0.05, 0.01], "sis", 20_000, 21)
         assert estimators == ["sis", "sis"]
         assert all(np.isfinite(row.vr_factor) and row.vr_factor > 1.0 for row in rows)
+
+    def test_sis_report_draws_one_pilot(self, portfolio, monkeypatch):
+        pools = _spy_pools(monkeypatch)
+        build_report(portfolio, ALPHAS, "sis", 5_000, 3)
+        assert [identity for identity, _ in pools].count(True) == 1
+        assert pools[0][0]
+
+    def test_first_row_is_the_one_alpha_row_and_later_rows_chain(self, portfolio):
+        rows = build_report(portfolio, ALPHAS, "sis", 5_000, 3)
+        assert rows[0] == build_report(portfolio, ALPHAS[:1], "sis", 5_000, 3)[0]
+        # row 1 on its own stream but from its own pilot, not from row 0's pool
+        alone = queries(ALPHAS, "sis", 5_000, 3)[1]
+        assert rows[1].car != solve_car(portfolio, alone.alpha, "sis", 5_000, alone.seed)
+
+    def test_car_writes_the_report_car_column(self, portfolio, tmp_path, monkeypatch):
+        pools = _spy_pools(monkeypatch)
+        out = tmp_path / "car.csv"
+        argv = ["car", "--preset", "paper", "--estimator", "sis", "--alpha",
+                ",".join(map(repr, ALPHAS)), "--budget", "5000", "--seed", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body[0] == "alpha,car"
+        assert [identity for identity, _ in pools].count(True) == 1
+        rows = build_report(portfolio, ALPHAS, "sis", 5_000, 3)
+        assert [float(line.split(",")[1]) for line in body[1:]] == [r.car for r in rows]
+
+    def test_naive_rows_read_the_first_pilot(self, portfolio, monkeypatch):
+        pools = _spy_pools(monkeypatch)
+        rows = build_report(portfolio, [0.05, 0.01, 0.001], "naive", 5_000, 5)
+        assert len(pools) == 1
+        pilot = pools[0][1]
+        assert [r.car for r in rows] == [
+            weighted_quantile(pilot.conc, pilot.sample_weight, 1.0 - r.alpha) for r in rows]
+
+    @pytest.mark.parametrize("estimator", ["is", "sis"])
+    def test_chain_stops_at_budget_5000(self, portfolio, estimator):
+        # explicit row streams: queries() derives the same ones at every seed
+        for s in range(1, 11):
+            runs = [RiskQuery(alpha=alpha, estimator=estimator, budget=5_000, seed=100 * s + k)
+                    for k, alpha in enumerate(ALPHAS)]
+            for (alpha, car_ref, _), car in zip(CAR_ROWS, solve_cars(portfolio, runs)):
+                band = (0.03 if alpha <= 0.002 else 0.015) * np.sqrt(100_000 / 5_000)
+                assert abs(car / car_ref - 1.0) <= band, (alpha, s, car)
 
     def test_naive_estimator_reports_unit_vr(self, portfolio):
         rows = build_report(portfolio, [0.05], "naive", 20_000, 5)
