@@ -100,8 +100,18 @@ def compute_log_ratios(series_list: list[ConcentrationSeries]) -> LogRatioPanel:
 
 @dataclass(frozen=True)
 class GhFit:
+    """A GH marginal fit and how its search went.
+
+    ``evaluations`` counts likelihood-and-gradient evaluations over the whole
+    search, ``candidate`` names the polish that won ("interior" or "ridge")
+    and ``at_bound`` the search coordinates that ended on the +-50 box.
+    """
+
     params: GhParams
     loglik: float
+    evaluations: int
+    candidate: str
+    at_bound: tuple[str, ...]
     warning: str | None = None
 
 
@@ -115,15 +125,24 @@ def _unpack(x: np.ndarray) -> GhParams:
 # optimizer box for (lam, log gamma, log delta, beta); mu is left unbounded:
 # with every entry boxed, L-BFGS-B takes a unit first step along the raw
 # gradient, far outside the range where the likelihood is finite
-_BOUNDS = [(-50.0, 50.0)] * 4 + [(None, None)]
+_BOX = 50.0
+_BOUNDS = [(-_BOX, _BOX)] * 4 + [(None, None)]
+# names of the boxed coordinates, as GhFit.at_bound reports them
+_BOXED = ("lam", "log_gamma", "log_delta", "beta")
 # forward-difference step in the Bessel order, for the derivative in lambda
 _ORDER_STEP = 1e-6
 # log(delta) of the second polish candidate, relative to log(std): the
 # variance-gamma ridge (delta -> 0) on which some samples have their optimum
 _RIDGE_LOG_DELTA = -12.0
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-_SCREEN = {"maxiter": 15, "ftol": 1e-6, "gtol": 1e-3}
-_POLISH = {"maxiter": 500, "ftol": 1e-13, "gtol": 1e-7}
+# the screen only ranks the starts' basins; a polish step stops once it gains
+# under 1e-11 relative, about 2e-9 nats at a log-likelihood near 200
+_SCREEN = {"maxiter": 8, "ftol": 1e-6, "gtol": 1e-3}
+_POLISH = {"maxiter": 500, "ftol": 1e-11, "gtol": 1e-7}
+# a polish that stops with a larger projected gradient is rerun from its end
+# point, at most _RESTARTS times
+_RESTART_GTOL = 1e-3
+_RESTARTS = 3
 
 
 def _negloglik(x: np.ndarray, samples: np.ndarray) -> float:
@@ -216,15 +235,45 @@ def _lbfgsb(samples: np.ndarray, x0: np.ndarray, options: dict):
                              method="L-BFGS-B", bounds=_BOUNDS, options=options)
 
 
+def _projected_gradient(res) -> float:
+    """Largest gradient entry at ``res.x`` that a step inside the box can follow."""
+    grad = res.jac.copy()
+    boxed = grad[:4]
+    boxed[(np.abs(res.x[:4]) >= _BOX) & (np.sign(boxed) == -np.sign(res.x[:4]))] = 0.0
+    return float(np.max(np.abs(grad)))
+
+
+def _polish(samples: np.ndarray, x0: np.ndarray):
+    """Tight L-BFGS-B from ``x0``; returns the result and the evaluations spent.
+
+    The relative-reduction stop also fires after one poor step along a flat
+    ridge (alpha -> |beta|, or a coordinate running to the box), so a stop
+    that leaves a projected gradient above _RESTART_GTOL is rerun from where
+    it ended, without the stale curvature pairs, while that gains.
+    """
+    res = _lbfgsb(samples, x0, _POLISH)
+    spent = res.nfev
+    for _ in range(_RESTARTS):
+        if _projected_gradient(res) <= _RESTART_GTOL:
+            break
+        again = _lbfgsb(samples, res.x, _POLISH)
+        spent += again.nfev
+        if not again.fun < res.fun:
+            break
+        res = again
+    return res, spent
+
+
 def fit_gh_marginal(samples, *, rng: Rng) -> GhFit:
     """GH parameters maximizing the log-likelihood of ``samples``.
 
     Bounded L-BFGS-B with an analytic gradient on an unconstrained scale
     (log gamma, log delta).  A short screen runs from each of five
-    moment-informed starts; the best screened point is then polished to tight
-    tolerance, and so is the same point moved onto the variance-gamma ridge
-    (delta -> 0), where the optimum of some samples lies.  The better polish
-    wins.
+    moment-informed starts, and the best screened point is polished to tight
+    tolerance (see _polish).  That interior optimum, moved onto the
+    variance-gamma ridge (delta -> 0) where the optimum of some samples lies,
+    is polished again, with lam raised to 1 if it is lower, since that limit
+    needs lam > 0.  The better polish wins.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -238,12 +287,21 @@ def fit_gh_marginal(samples, *, rng: Rng) -> GhFit:
     if not best.fun < 1e17:
         trace = [(res.fun, res.message) for res in screened]
         raise CalibrationError(f"GH likelihood maximization failed; trace: {trace}")
-    ridge = best.x.copy()
+    interior, spent_interior = _polish(samples, best.x)
+    ridge = interior.x.copy()
     ridge[2] = np.log(max(float(np.std(samples)), 1e-3)) + _RIDGE_LOG_DELTA
-    best = min((_lbfgsb(samples, x0, _POLISH) for x0 in (best.x, ridge)),
-               key=lambda res: res.fun)
-    return GhFit(params=_unpack(best.x), loglik=-_negloglik(best.x, samples),
-                 warning=warning)
+    ridge[0] = max(ridge[0], 1.0)  # the variance-gamma limit needs lam > 0
+    ridge, spent_ridge = _polish(samples, ridge)
+    candidate, best = min((("interior", interior), ("ridge", ridge)),
+                          key=lambda pair: pair[1].fun)
+    return GhFit(
+        params=_unpack(best.x),
+        loglik=-_negloglik(best.x, samples),
+        evaluations=sum(res.nfev for res in screened) + spent_interior + spent_ridge,
+        candidate=candidate,
+        at_bound=tuple(name for name, v in zip(_BOXED, best.x) if abs(v) >= _BOX),
+        warning=warning,
+    )
 
 
 def _nearest_correlation(mat: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -228,6 +228,11 @@ def fit(csv_path: str, out_path: str, seed: int, train_fraction: float = 0.9) ->
                 "marginal_logliks": {
                     panel.cities[j]: fits[j].loglik for j in range(d)
                 },
+                "marginal_search": {
+                    city: {"evaluations": f.evaluations, "candidate": f.candidate,
+                           "at_bound": list(f.at_bound)}
+                    for city, f in zip(panel.cities, fits)
+                },
                 "holdout_logliks": holdout_logliks,
                 "copula": meta_copula,
             },

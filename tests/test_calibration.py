@@ -148,6 +148,30 @@ class TestFitGhMarginal:
             options={"maxfev": 2000, "xatol": 1e-6, "fatol": 1e-7},
         )
         assert fit.loglik >= -res.fun - 1e-6
+        assert fit.candidate == "ridge"
+
+    def test_polish_reruns_a_stalled_stop(self):
+        # on this Cd draw the first tight L-BFGS-B run from the best screened
+        # point stops on its relative-reduction test with a gradient of 2.7
+        u = Rng(4).generator().random(225)
+        samples = gh_quantile(GH_ROWS["Cd"], np.clip(u, 1e-12, 1 - 1e-12))
+        screened = [calibration._lbfgsb(samples, x0, calibration._SCREEN)
+                    for x0 in calibration._start_points(samples, Rng(4).split(100))]
+        x0 = min(screened, key=lambda res: res.fun).x
+        once = calibration._lbfgsb(samples, x0, calibration._POLISH)
+        assert calibration._projected_gradient(once) > 1.0
+        res, spent = calibration._polish(samples, x0)
+        assert res.fun <= once.fun - 0.1
+        assert calibration._projected_gradient(res) <= calibration._RESTART_GTOL
+        assert spent > once.nfev
+
+    def test_reports_box_bound(self):
+        # a 225-row draw of the Cd law whose fit runs beta onto the box
+        u = Rng(30).generator().random(225)
+        samples = gh_quantile(GH_ROWS["Cd"], np.clip(u, 1e-12, 1 - 1e-12))
+        fit = fit_gh_marginal(samples, rng=Rng(30).split(100))
+        assert fit.at_bound == ("beta",)
+        assert fit.params.beta == -50.0
 
     def test_evaluation_count(self, monkeypatch):
         calls = []
@@ -162,7 +186,30 @@ class TestFitGhMarginal:
         samples = gh_quantile(GH_ROWS["Bj"], np.clip(u, 1e-12, 1 - 1e-12))
         fit = fit_gh_marginal(samples, rng=Rng(69))
         assert np.isfinite(fit.loglik)
-        assert 0 < len(calls) <= 400
+        # 97 evaluations here; the earlier schedule (below) made 151
+        assert 0 < len(calls) <= 110
+        assert fit.evaluations == len(calls)
+
+    # log-likelihood reached by the earlier schedule of the search: a
+    # 15-iteration screen, the ridge candidate started from the screened
+    # point, polishes stopped at ftol 1e-13 and never rerun
+    @pytest.mark.parametrize("city, seed, recorded", [
+        ("Bj", 1, -230.61725066487452),
+        ("Bj", 2, -251.03011721106128),
+        ("Tj", 1, -181.80430793510638),
+        ("Tj", 2, -202.8023439665314),
+        ("Cd", 1, -165.53498437374708),
+        ("Cd", 2, -183.24197858852585),
+        ("Hs", 1, -156.90697994832263),
+        ("Hs", 2, -176.77777099783336),
+        ("Xt", 1, -160.54159466265207),
+        ("Xt", 2, -181.25059555981977),
+    ])
+    def test_reaches_recorded_optimum(self, city, seed, recorded):
+        u = Rng(seed).generator().random(225)
+        samples = gh_quantile(GH_ROWS[city], np.clip(u, 1e-12, 1 - 1e-12))
+        fit = fit_gh_marginal(samples, rng=Rng(seed).split(100))
+        assert fit.loglik >= recorded - 1e-3
 
     def test_small_sample_warning(self):
         u = Rng(57).generator().random(60)

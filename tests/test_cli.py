@@ -341,6 +341,21 @@ class TestFit:
         for city in holdout.values():
             assert city["rows"] == doc["meta"]["holdout_rows"]
             assert np.isfinite(city["loglik"]) and city["loglik"] != 0.0
+        search = doc["meta"]["marginal_search"]
+        assert sorted(search) == ["Bj", "Cd", "Tj"]
+        for city in search.values():
+            assert sorted(city) == ["at_bound", "candidate", "evaluations"]
+            assert city["evaluations"] > 0
+            assert city["candidate"] in ("interior", "ridge")
+            assert set(city["at_bound"]) <= {"lam", "log_gamma", "log_delta", "beta"}
+
+    def test_byte_identical_rerun(self, tmp_path):
+        csv_path = _synthetic_csv(tmp_path, ["Bj", "Tj"], 300, 17)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (out1, out2):
+            rc = main(["fit", "--csv", str(csv_path), "--out", str(out), "--seed", "4"])
+            assert rc == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_unwritable_out_is_data_error(self, tmp_path, capsys):
         csv_path = _synthetic_csv(tmp_path, ["Bj"], 400, 11)
