@@ -37,12 +37,12 @@ normal score of the chi-square mixing variable (t family only).
 
 Stream layout: stage s draws from ``rng.split(s + 1)`` (a one-stage pool
 from ``split(1)``), and chunk c of a stage from ``.split(c)`` of that.  A
-chunk of m rows draws ``standard_normal((m, D))`` (``(m, D + 1)`` for the t
-family), then one ``random(m)`` for the drift axis if it has more than one
-slice, then one for the mixing axis if it has more than one.  A one-slice
-axis conditions nothing and draws nothing, so ``ONE_CELL`` draws no uniform.
-``CHUNK`` bounds the working set of a draw: at 2**16 rows the peak memory of
-a 2e5-row curve sample rose by 15%.
+chunk of m rows draws ``standard_normal((m, D - 1 + k))`` for the scores it
+does not stratify, k its one-slice axes (drift, and mixing for the t
+family), then one ``random(m)`` per stratified axis, drift first.  So
+``ONE_CELL`` draws no uniform, and at the identity tilt Z is the first D
+normal columns.  ``CHUNK`` bounds the working set of a draw: at 2**16 rows
+the peak memory of a 2e5-row curve sample rose by 15%.
 """
 
 from __future__ import annotations
@@ -278,11 +278,11 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     """Draws from the IS density, row i conditioned on stratum ``strata[i]``.
 
     ``strata`` is a vector of 1-based flat stratum labels (C order over the
-    grid).  The drift axis projection of Z - mu and the normal score of Y
-    are each forced into their slice of the row's grid cell via the
-    conditional quantile xi = normal_quantile((i-1+U)/I); the orthogonal
-    complement stays unconditioned.  An axis cut into one slice conditions
-    nothing and draws no uniform.
+    grid).  Z = mu + [w | B] s, [w | B] an orthonormal frame of w = mu / |mu|
+    (e_1 at mu = 0) and s the drift and D - 1 complement scores; the t family
+    adds the normal score of Y.  A stratified axis's score is the conditional
+    quantile xi = normal_quantile((i-1+U)/I) of its slice, any other score a
+    standard normal, so a one-slice axis draws no uniform.
     """
     labels = np.asarray(strata)
     if labels.ndim != 1 or labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
@@ -296,23 +296,32 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     g = rng.generator()
     dim = portfolio.dimension
     m = labels.shape[0]
-    gauss = g.standard_normal((m, dim + 1 if spec.family == "t" else dim))
-    drift_cells, mixing_cells = np.unravel_index(labels - 1, scheme.counts)
-    if drift_slices > 1:
-        # mu / |mu|, padded with a zero on the mixing coordinate
-        w = np.zeros(gauss.shape[1])
-        norm = np.linalg.norm(is_params.mean_shift)
-        w[:dim] = is_params.mean_shift / norm if norm > 0.0 else np.eye(dim)[0]
-        xi = _slice_scores(drift_cells, drift_slices, g.random(m))
-        gauss += np.outer(xi - gauss @ w, w)
-    if mixing_slices > 1:
-        xi = _slice_scores(mixing_cells, mixing_slices, g.random(m))
-        gauss[:, dim] += xi - gauss[:, dim]
-    z = is_params.mean_shift + gauss[:, :dim]
+    width = dim + 1 if spec.family == "t" else dim
+    # the normals fill the score columns lo:hi, between the stratified axes
+    lo, hi = int(drift_slices > 1), width - int(mixing_slices > 1)
+    scores = normals = g.standard_normal((m, hi - lo))
+    if hi - lo < width:
+        scores = np.empty((m, width))
+        scores[:, lo:hi] = normals
+        drift_cells, mixing_cells = np.unravel_index(labels - 1, scheme.counts)
+        if lo:
+            scores[:, 0] = _slice_scores(drift_cells, drift_slices, g.random(m))
+        if hi < width:
+            scores[:, dim] = _slice_scores(mixing_cells, mixing_slices, g.random(m))
+    # [w | B]: the Householder reflection I - v v' / |v_1|, v = w + sign(w_1) e_1,
+    # maps e_1 to -sign(w_1) w; its first column is set to w (I at w = e_1)
+    norm = np.linalg.norm(is_params.mean_shift)
+    w = is_params.mean_shift / norm if norm > 0.0 else np.eye(dim)[0]
+    v = w.copy()
+    v[0] += 1.0 if w[0] >= 0.0 else -1.0
+    frame = np.eye(dim) - np.outer(v, v) / abs(v[0])
+    frame[:, 0] = w
+    z = scores[:, :dim] @ frame.T
+    z += is_params.mean_shift
     y = None
     if spec.family == "t":
         # mixing variable through its IS-law quantile at the normal score
-        y = is_params.theta * np.exp(portfolio.mixing_quantile(gauss[:, dim]))
+        y = is_params.theta * np.exp(portfolio.mixing_quantile(scores[:, dim]))
     return CopulaDraw(z=z, y=y, v=dependent_vector(spec, portfolio.chol, z, y))
 
 

@@ -58,7 +58,8 @@ _STREAM_CURVE = 4
 class RiskQuery:
     """One (alpha, estimator, budget, seed) risk request.
 
-    ``queries`` builds a run's rows; there ``seed`` is the row's own stream.
+    ``queries`` builds a run's rows; there ``seed`` is the row's own stream,
+    derived from the run's seed and the row's index.
     """
 
     alpha: float
@@ -83,7 +84,7 @@ def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     # distinct substreams per row keep rows reproducible: a chained row's first
     # tilt comes from its neighbour's pool, its rounds and CCaR from its own stream
     return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
-                      seed=Rng(seed).split(10 + k).stream)
+                      seed=Rng(0, seed).split(10 + k).stream)
             for k, a in enumerate(unique)]
 
 

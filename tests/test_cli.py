@@ -112,6 +112,23 @@ class TestRunModes:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate", "car"])
+    def test_seed_reaches_every_row(self, tmp_path, command):
+        def artifact(seed, alphas):
+            out = tmp_path / f"{command}-{seed}-{alphas}.csv"
+            assert main([command, "--preset", "paper", "--estimator", "sis", "--alpha", alphas,
+                         "--budget", "5000", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        def rows(data):
+            return [line for line in data.decode().splitlines() if not line.startswith("#")][1:]
+
+        one = artifact(1, "0.01,0.001")
+        assert all(a != b for a, b in zip(rows(one), rows(artifact(2, "0.01,0.001"))))
+        assert artifact(1, "0.01,0.001") == one
+        # row 0 of a multi-alpha run is the one-alpha run
+        assert rows(artifact(1, "0.01")) == rows(one)[:1]
+
     def test_curve_monotone(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main([

@@ -230,6 +230,59 @@ class TestStratifiedSample:
                                  np.ones(4000, dtype=int), params, Rng(10))
         assert np.all((draw.z - mu) @ (mu / np.linalg.norm(mu)) < normal_quantile(0.25))
 
+    @pytest.mark.parametrize("counts", [(1, 1), (4, 1), (1, 3), (4, 3)])
+    def test_draw_wastes_no_variate(self, portfolio, monkeypatch, counts):
+        # D - 1 complement normals, one normal per one-slice axis, one uniform per
+        # stratified axis, and nothing else
+        calls = []
+        generator = Rng.generator
+
+        class Spy:
+            def __init__(self, g):
+                self.g = g
+
+            def standard_normal(self, size):
+                calls.append(("standard_normal", size))
+                return self.g.standard_normal(size)
+
+            def random(self, size):
+                calls.append(("random", size))
+                return self.g.random(size)
+
+        monkeypatch.setattr(Rng, "generator", lambda rng: Spy(generator(rng)))
+        m = 120
+        labels = np.arange(m) % (counts[0] * counts[1]) + 1
+        params = IsParams(mean_shift=np.array([0.5, 0.3, 0.1, 0.6, 0.5]), theta=1.5)
+        stratified_sample(portfolio, StratificationScheme(counts), labels, params, Rng(3))
+        one_slice = counts.count(1)
+        assert calls == ([("standard_normal", (m, 4 + one_slice))]
+                         + [("random", m)] * (2 - one_slice))
+
+    def test_identity_tilt_one_cell_z_is_the_normal_block(self, portfolio):
+        draw = stratified_sample(portfolio, ONE_CELL, np.ones(1000, dtype=int),
+                                 IsParams.identity(5), Rng(3))
+        normals = Rng(3).generator().standard_normal((1000, 6))
+        assert draw.z.tobytes() == np.ascontiguousarray(normals[:, :5]).tobytes()
+
+    def test_law_off_every_axis(self, portfolio):
+        # stratum 1 of (4, 1): the drift score stays in its slice, the complement
+        # of w keeps its N(0, I - w w') law and is uncorrelated with the drift score
+        mu = np.array([0.5, 0.3, 0.1, 0.6, 0.5])
+        w = mu / np.linalg.norm(mu)
+        n = 40_000
+        draw = stratified_sample(portfolio, StratificationScheme((4, 1)), np.ones(n, dtype=int),
+                                 IsParams(mean_shift=mu, theta=1.5), Rng(14))
+        x = (draw.z - mu) @ w
+        assert np.all(x < normal_quantile(0.25))
+        c = draw.z - mu - np.outer(x, w)
+        cov = np.eye(5) - np.outer(w, w)
+        var = np.diag(cov)
+        assert np.all(np.abs(c.mean(axis=0)) <= 3.0 * np.sqrt(var / n))
+        se = np.sqrt((np.outer(var, var) + cov**2) / n)
+        assert np.all(np.abs(c.T @ c / n - cov) <= 3.0 * se)
+        cross = c.T @ (x - x.mean()) / n
+        assert np.all(np.abs(cross) <= 3.0 * np.sqrt(var * x.var() / n))
+
     def test_mixing_axis_bounds_the_mixing_variable(self, portfolio):
         # stratum 2 of (1, 4): Y / theta between the IS law's 25% and 50% quantiles
         params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)

@@ -84,7 +84,8 @@ class TestQueries:
     def test_rows_distinct_largest_first_on_own_streams(self):
         rows = queries([0.01, 0.05, 0.01, 0.002], "is", 5000, 7)
         assert [q.alpha for q in rows] == [0.05, 0.01, 0.002]
-        assert [q.seed for q in rows] == [Rng(7).split(10 + k).stream for k in range(3)]
+        assert [q.seed for q in rows] == [Rng(0, 7).split(10 + k).stream for k in range(3)]
+        assert [q.seed for q in queries([0.05], "is", 5000, 8)] != [rows[0].seed]
         assert all(q.estimator == "is" and q.budget == 5000 for q in rows)
 
     @pytest.mark.parametrize("alphas,budget", [([], 5000), ([0.05, 0.5], 5000),
@@ -287,7 +288,7 @@ class TestReport:
 
     @pytest.mark.parametrize("estimator", ["is", "sis"])
     def test_chain_stops_at_budget_5000(self, portfolio, estimator):
-        # explicit row streams: queries() derives the same ones at every seed
+        # ten sets of explicit row streams, as queries() derives one set per seed
         for s in range(1, 11):
             runs = [RiskQuery(alpha=alpha, estimator=estimator, budget=5_000, seed=100 * s + k)
                     for k, alpha in enumerate(ALPHAS)]
