@@ -45,6 +45,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+MAX_GRID_POINTS = 10_001
+
 
 def ingest_csv(path) -> list[ConcentrationSeries]:
     """Parse the long-format concentration schema ``day,city,pm25``.
@@ -156,8 +158,7 @@ def run(args: argparse.Namespace) -> None:
         out.write("\n".join(_metadata_lines(args, digest)) + "\n")
         if args.command == "simulate":
             out.write("alpha,car,ccar,ccar_ci_pct,vr_factor\n")
-            for row in build_report(portfolio, args.alpha, args.estimator, args.budget,
-                                    args.seed, warnings=warnings):
+            for row in build_report(portfolio, rows, warnings=warnings):
                 out.write(
                     f"{row.alpha!r},{row.car!r},{row.ccar!r},"
                     f"{row.ccar_ci_pct!r},{row.vr_factor!r}\n"
@@ -257,6 +258,9 @@ def _parse_alpha_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_tau_grid(text: str) -> tuple[float, ...]:
+    """The points of ``start:stop:step``, refused above ``MAX_GRID_POINTS`` before
+    they are built: a curve bins (points + 1) x strata cells per moment, so a
+    huge grid would exhaust memory here and again in the sampler."""
     try:
         start, stop, step = (float(f) for f in text.split(":"))
     except ValueError:
@@ -264,8 +268,10 @@ def _parse_tau_grid(text: str) -> tuple[float, ...]:
             f"bad grid {text!r}; expected start:stop:step") from None
     if not np.all(np.isfinite([start, stop, step])) or step <= 0.0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + k * step for k in range(count))
+    count = np.floor((stop - start) / step + 1e-9) + 1  # inf when the ratio overflows
+    if not count <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(start + k * step for k in range(int(count)))
 
 
 def build_parser() -> argparse.ArgumentParser:

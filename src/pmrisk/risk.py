@@ -6,13 +6,12 @@ is the conditional excess at that threshold.  For the IS/SIS estimators the
 quantile pass is iterated with re-calibrated tilt parameters on common random
 numbers until the previous threshold is a plausible alpha-quantile of the new
 pool: its stratified EP there lies within its own 95% halfwidth of alpha.  So
-the loop stops at the quantile's Monte Carlo noise at any budget.  There is no
-fixed relative tolerance: the former ``CAR_REL_TOL = 1e-3`` was tighter than
-that noise at budget 5000, where some rows two-cycled until ``CAR_MAX_ITER``.
+the loop stops at the quantile's Monte Carlo noise at any budget.
 
 A run's rows are one chain (``solve_cars``): only the first row draws an
-identity-tilt pilot, and each later row starts from the previous row's final
-pool, then runs the same loop on its own stream.
+identity-tilt pilot, and each later row starts from the final pool that
+``solve_car`` returned for the previous row, then runs the same loop on its
+own stream.
 
 ``_design`` picks every tilt and stratification a query samples with, apart
 from the identity-tilt pilot, and each query function appends its warnings
@@ -56,16 +55,15 @@ _STREAM_CURVE = 4
 
 @dataclass(frozen=True)
 class RiskQuery:
-    """One (alpha, estimator, budget, seed) risk request.
+    """One CaR/CCaR row, validated when built: ``queries`` builds a run's rows.
 
-    ``queries`` builds a run's rows; there ``seed`` is the row's own stream,
-    derived from the run's seed and the row's index.
+    ``solve_car`` and ``compute_ccar`` draw from fixed substreams of ``rng``.
     """
 
     alpha: float
     estimator: str
     budget: int
-    seed: int
+    rng: Rng
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
@@ -81,10 +79,10 @@ def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     unique = sorted({float(a) for a in alphas}, reverse=True)
     if not unique:
         raise UsageError("alpha list must be nonempty")
-    # distinct substreams per row keep rows reproducible: a chained row's first
-    # tilt comes from its neighbour's pool, its rounds and CCaR from its own stream
+    # row k's stream, from the run's seed: a chained row's first tilt comes
+    # from its neighbour's pool, its rounds and CCaR from its own stream
     return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
-                      seed=Rng(0, seed).split(10 + k).stream)
+                      rng=Rng(Rng(0, seed).split(10 + k).stream))
             for k, a in enumerate(unique)]
 
 
@@ -139,48 +137,45 @@ def _design(portfolio: CityPortfolio, estimator: str, tau: float | None, budget:
     return params, default_scheme(portfolio, budget) if estimator == "sis" else ONE_CELL
 
 
-def solve_car(portfolio: CityPortfolio, alpha: float, estimator: str, budget: int,
-              seed: int, *, warnings: list[str] | None = None,
-              chain: list[SisSample] | None = None) -> float:
-    """Threshold tau with P(C > tau) ~= alpha under the requested estimator.
+def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
+              start: SisSample | None = None,
+              warnings: list[str] | None = None) -> tuple[float, SisSample]:
+    """(tau, final pool): tau with P(C > tau) ~= alpha under the query's estimator.
 
     The first tau is the weighted (1 - alpha)-quantile of a starting pool:
-    the last pool in ``chain`` when it holds one, else a fresh identity-tilt
-    pilot.  Naive returns that tau.  IS/SIS then loop: each round calibrates
-    the tilt at the current tau, draws a fresh pool on the same random numbers
-    and takes its quantile.  The loop stops once the new pool's stratified EP
-    at the previous tau lies within its 95% halfwidth of alpha, i.e. once that
-    tau is inside the pool's test-inversion interval for the alpha-quantile
-    (Glynn 1996), and returns the new pool's quantile.  ``NumericError`` with
-    the trace after ``CAR_MAX_ITER`` rounds.  A given ``chain`` is left
-    holding the final pool, for the next row.  IS-calibration warnings are
-    appended to ``warnings`` when it is given.
+    ``start`` when given, else a fresh identity-tilt pilot.  Naive returns
+    that tau.  IS/SIS then loop: each round calibrates the tilt at the current
+    tau, draws a fresh pool on the same random numbers and takes its quantile.
+    The loop stops once the new pool's stratified EP at the previous tau lies
+    within its 95% halfwidth of alpha, i.e. once that tau is inside the pool's
+    test-inversion interval for the alpha-quantile (Glynn 1996), and returns
+    the new pool's quantile.  ``NumericError`` with the trace after
+    ``CAR_MAX_ITER`` rounds.  The returned pool is the one tau was read from,
+    the next row's ``start``.  IS-calibration warnings are appended to
+    ``warnings`` when it is given.
     """
-    query = RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
-    rng = Rng(seed).split(_STREAM_CAR)
+    rng = query.rng.split(_STREAM_CAR)
     q = 1.0 - query.alpha
 
-    if chain:
-        pool = chain[-1]
-    else:
+    pool = start
+    if pool is None:
         pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
-                                       ONE_CELL, budget, rng)
+                                       ONE_CELL, query.budget, rng)
     tau = weighted_quantile(pool.conc, pool.sample_weight, q)
 
     trace = [tau]
-    while estimator != "naive":
+    while query.estimator != "naive":
         if len(trace) > CAR_MAX_ITER:
             raise NumericError(f"CaR iteration did not converge; trace: {trace}")
-        design = _design(portfolio, estimator, tau, budget, warnings, f"alpha={alpha}: ")
-        pool = proportional_sis_sample(portfolio, *design, budget, rng)
+        design = _design(portfolio, query.estimator, tau, query.budget, warnings,
+                         f"alpha={query.alpha}: ")
+        pool = proportional_sis_sample(portfolio, *design, query.budget, rng)
         ep, halfwidth, _ = pool.ep_at(tau)
         tau = weighted_quantile(pool.conc, pool.sample_weight, q)
         trace.append(tau)
         if abs(ep - query.alpha) <= halfwidth:
             break
-    if chain is not None:
-        chain[:] = [pool]
-    return tau
+    return tau, pool
 
 
 def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
@@ -191,23 +186,23 @@ def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
     ``queries`` run largest alpha first, so each later row starts from a pool
     tilted just below its own threshold.
     """
-    chain: list[SisSample] = []
-    return [solve_car(portfolio, query.alpha, query.estimator, query.budget, query.seed,
-                      warnings=warnings, chain=chain)
-            for query in rows]
+    cars, pool = [], None
+    for query in rows:
+        tau, pool = solve_car(portfolio, query, start=pool, warnings=warnings)
+        cars.append(tau)
+    return cars
 
 
-def compute_ccar(portfolio: CityPortfolio, alpha: float, tau: float, estimator: str,
-                 budget: int, seed: int, *,
+def compute_ccar(portfolio: CityPortfolio, query: RiskQuery, tau: float, *,
                  warnings: list[str] | None = None) -> EstimateResult:
     """Conditional excess at tau = CaR_alpha, with a 95% confidence interval.
 
     IS-calibration warnings are appended to ``warnings`` when it is given.
     """
-    RiskQuery(alpha=alpha, estimator=estimator, budget=budget, seed=seed)
-    params, scheme = _design(portfolio, estimator, tau, budget, warnings, f"alpha={alpha}: ")
-    return sis_estimate(portfolio, tau, params, scheme, budget,
-                        Rng(seed).split(_STREAM_CCAR))[1]
+    params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
+                             f"alpha={query.alpha}: ")
+    return sis_estimate(portfolio, tau, params, scheme, query.budget,
+                        query.rng.split(_STREAM_CCAR))[1]
 
 
 @dataclass(frozen=True)
@@ -269,34 +264,25 @@ def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> f
     return (naive.halfwidth95 / other.halfwidth95) ** 2
 
 
-def build_report(portfolio: CityPortfolio, alphas, estimator: str, budget: int,
-                 seed: int, *, warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
-    """Table rows: one per distinct alpha with CaR, CCaR, CI% and VR.
+def build_report(portfolio: CityPortfolio, rows: list[RiskQuery], *,
+                 warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
+    """Table rows: one per query with CaR, CCaR, CI% and VR.
 
     The CaRs are one ``solve_cars`` chain, as ``pmrisk car`` writes them.
     VR is the CCaR's ``naive_variance`` over its ``variance``, both from the
     CCaR's own sample, and 1 for naive.  Calibration warnings are appended to
     ``warnings`` when it is given.
     """
-    rows = []
-    runs = queries(alphas, estimator, budget, seed)
-    for query, tau in zip(runs, solve_cars(portfolio, runs, warnings=warnings)):
-        alpha = query.alpha
-        ce = compute_ccar(portfolio, alpha, tau, estimator, budget, query.seed,
-                          warnings=warnings)
+    report = []
+    for query, tau in zip(rows, solve_cars(portfolio, rows, warnings=warnings)):
+        ce = compute_ccar(portfolio, query, tau, warnings=warnings)
         if ce.empty_tail:
-            raise NumericError(f"empty tail at alpha={alpha}; increase the budget")
-        if estimator == "naive":
+            raise NumericError(f"empty tail at alpha={query.alpha}; increase the budget")
+        if query.estimator == "naive":
             vr = 1.0
         else:
             vr = ce.naive_variance / ce.variance if ce.variance > 0.0 else float("inf")
-        rows.append(
-            RiskRow(
-                alpha=float(alpha),
-                car=float(tau),
-                ccar=float(ce.estimate),
-                ccar_ci_pct=float(100.0 * ce.halfwidth95 / ce.estimate),
-                vr_factor=float(vr),
-            )
-        )
-    return tuple(rows)
+        report.append(RiskRow(alpha=float(query.alpha), car=float(tau), ccar=float(ce.estimate),
+                              ccar_ci_pct=float(100.0 * ce.halfwidth95 / ce.estimate),
+                              vr_factor=float(vr)))
+    return tuple(report)

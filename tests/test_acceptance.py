@@ -16,6 +16,7 @@ from scipy.stats import genhyperbolic
 import pmrisk
 from pmrisk import (
     IsParams,
+    RiskQuery,
     Rng,
     build_report,
     cholesky_factor,
@@ -25,6 +26,7 @@ from pmrisk import (
     gh_quantile,
     is_estimate,
     naive_estimate,
+    queries,
     sis_estimate,
     solve_car,
     variance_reduction_factor,
@@ -50,8 +52,9 @@ def test_criterion_1_preset_rows_reproduction(portfolio):
     for alpha, car_ref, ccar_ref in CAR_ROWS:
         band = 0.03 if alpha <= 0.002 else 0.015
         start = time.perf_counter()
-        car = solve_car(portfolio, alpha, "sis", BUDGET, SEED)
-        ccar = compute_ccar(portfolio, alpha, car, "sis", BUDGET, SEED).estimate
+        query = RiskQuery(alpha, "sis", BUDGET, Rng(SEED))
+        car = solve_car(portfolio, query)[0]
+        ccar = compute_ccar(portfolio, query, car).estimate
         elapsed = time.perf_counter() - start
         car_err = abs(car / car_ref - 1.0)
         ccar_err = abs(ccar / ccar_ref - 1.0)
@@ -68,7 +71,7 @@ def test_criterion_1_preset_rows_reproduction(portfolio):
 
 def test_criterion_1_report_rows(portfolio):
     # the rows simulate writes: one CaR chain, then each row's CCaR
-    rows = build_report(portfolio, [a for a, _, _ in CAR_ROWS], "sis", BUDGET, SEED)
+    rows = build_report(portfolio, queries([a for a, _, _ in CAR_ROWS], "sis", BUDGET, SEED))
     for row, (alpha, car_ref, ccar_ref) in zip(rows, CAR_ROWS):
         band = 0.03 if alpha <= 0.002 else 0.015
         assert row.alpha == alpha
@@ -211,8 +214,9 @@ def test_criterion_7_calibration_round_trip(portfolio):
         marginals=refit_marginals,
         copula=copula_fit.spec,
     )
-    car_preset = solve_car(portfolio, 0.05, "sis", BUDGET, 316)
-    car_refit = solve_car(refit, 0.05, "sis", BUDGET, 316)
+    query = RiskQuery(0.05, "sis", BUDGET, Rng(316))
+    car_preset = solve_car(portfolio, query)[0]
+    car_refit = solve_car(refit, query)[0]
     elapsed = time.perf_counter() - start
     rel = abs(car_refit / car_preset - 1.0)
     assert rel <= 0.05, (car_preset, car_refit)

@@ -10,7 +10,8 @@ import pytest
 
 import pmrisk
 from pmrisk import Rng, gh_quantile, paper_portfolio, portfolio_to_doc
-from pmrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_csv, main
+from pmrisk.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS,
+                        _parse_tau_grid, ingest_csv, main)
 from pmrisk.errors import DataError, UsageError
 from pmrisk.presets import resolve_portfolio
 
@@ -174,6 +175,19 @@ class TestRunModes:
                      "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
+
+    @pytest.mark.parametrize("grid", ["0:1e12:1", "0:10001:1", "0:1e308:1e-300"])
+    def test_oversized_tau_grid_is_refused_before_it_is_built(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert main(["curve", "--preset", "paper", "--tau-grid", grid,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tau_grid_parses_its_points(self):
+        grid = _parse_tau_grid("100:900:10")
+        assert len(grid) == 81 and grid[0] == 100.0 and grid[-1] == 900.0
+        assert len(_parse_tau_grid("0:10000:1")) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("mode,budget", [("car", "500"), ("simulate", "999")])
     def test_budget_below_query_floor_is_usage_error(self, tmp_path, mode, budget):
