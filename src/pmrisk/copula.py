@@ -8,11 +8,13 @@ For a fixed portfolio the log-ratio r_d = s_d * G_d^{-1}(F(v)) is a fixed
 monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
 tabulates it once for all cities (cubic Hermite in asinh(v) with exact
 slopes), so a draw costs one table lookup per city instead of the driving
-CDF plus a root of the GH table's cubic.  The build evaluates that exact
+CDF plus a root of the GH table's log-cubic.  The build evaluates that exact
 chain for all cities together: each refinement round is one batched solve
-of the D cities' GH quantiles (``ghdist.TableQuantiles``).  Likewise the t
-family's mixing variable at normal score s is a fixed multiple of
-G^{-1}(Phi(s)) for the Gamma(nu/2, 1) law G;
+of the D cities' GH quantiles (``ghdist.TableQuantiles``).  The GH tables
+hold log F and log S, which are close to linear in the tails, so the chain is
+smooth there too and the paper preset's map needs under a thousand knots.
+Likewise the t family's mixing variable at normal score s is a fixed
+multiple of G^{-1}(Phi(s)) for the Gamma(nu/2, 1) law G;
 ``CityPortfolio.mixing_quantile`` tabulates its log on a uniform grid in s.
 Both are ``ghdist.HermiteTable``s, which find each entry's interval through
 a bucket table in O(1) and evaluate the cubic by Horner's rule.
@@ -39,8 +41,8 @@ _UNIFORM_CLIP = 1e-15
 # F(v), carried through the GH density), down to a width of _MAP_MIN_WIDTH
 # in asinh(v).  The rounding term matters only in the far upper tail, where
 # F(v) lies within a few ulps of 1 and the chain moves in steps of up to
-# ~3e-2.  The width floor binds at a few second-derivative kinks of the GH
-# tables, below F(v) ~ 1e-5 and above 1 - 1e-6 (residual <= 1e-8).
+# ~3e-2.  On the preset and test maps no interval reaches the width floor;
+# it stays as the refinement's safeguard.
 _MAP_TOL = 1e-10
 _MAP_ULP = 2.0**-52
 _MAP_MIN_WIDTH = 1e-4

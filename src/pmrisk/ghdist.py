@@ -11,21 +11,24 @@ density
 
 The CDF has no closed form.  Each parameter set gets a lazily built table:
 adaptive panels accumulate the CDF on a support interval chosen so both tail
-masses are below 1e-16, and a cubic Hermite spline (slopes = the exact
-density, so the interpolant is monotone up to quadrature error) represents
-it.  Each panel and its two halves are integrated by 6-point Gauss-Legendre.
-Each refinement round checks every panel but integrates only the children of
-the panels it splits, so no abscissa is evaluated twice.  A panel is split
-when its halves disagree with its whole (the quadrature check) or when the
-local cubic Hermite value at its midpoint misses the quadrature CDF there (the
-interpolation check, the build-time check of the cache error budget).  The
-interpolation check sets the panel count: on the preset and fitted laws no
+masses are below 1e-16.  The table stores log F, summed from the left, and
+log S, summed from the right, as cubic Hermite splines on the panel edges
+(slopes g/F and g/S from the exact density g).  Both start from the tail mass
+beyond the support, so both logs are finite, and both are close to linear in
+the tails, so the law keeps its relative precision there.  ``lower`` (log F)
+serves the half below the median and ``upper`` (log S, as the log-CDF of the
+mirrored law -X) the half above it.  Each panel and its two halves are
+integrated by 6-point Gauss-Legendre.  Each refinement round checks every
+panel but integrates only the children of the panels it splits, so no abscissa
+is evaluated twice.  A panel is split when its halves disagree with its whole
+(the quadrature check) or when the served side's log-cubic at its midpoint,
+exponentiated, misses the quadrature CDF there by more than an absolute 2e-11
+(the interpolation check, the build-time check of the cache error budget).
+The interpolation check sets the panel count: on the preset and fitted laws no
 split is left to the quadrature check, which stays as the rule's safeguard.
-A second spline on the same panels holds the CDF of the mirrored law -X (the
-survival function summed from the right), so quantiles above 1/2 keep full
-relative precision.  A quantile is the root of one panel's cubic, and
-``TableQuantiles`` finds the roots for any number of laws in one masked
-Newton solve; ``gh_quantile`` is its one-law case.
+A quantile is the root of one panel's log-cubic, and ``TableQuantiles`` finds
+the roots for any number of laws in one masked Newton solve; ``gh_quantile``
+is its one-law case.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from scipy import special
 from .errors import DomainError, NumericError
 from .statkit import _as_finite_array, _scalar_like
 
-# CDF table tolerances: interpolation checked to _INTERP_TOL at every panel
-# midpoint, so round-trip error stays ~two orders under the 1e-8 contract.
+# CDF table tolerances: the served interpolant is checked to an absolute
+# _INTERP_TOL at every panel midpoint, so round-trip error stays ~two orders
+# under the 1e-8 contract.
 _INTERP_TOL = 2e-11
 _SPLIT_TOL_REL = 1e-14
 _TAIL_MASS = 1e-17
@@ -172,14 +176,16 @@ def _initial_edges(p: GhParams, lo: float, hi: float) -> np.ndarray:
     # geometric ladder resolves the peak when delta is tiny (Tianjin-like fits)
     scales = p.delta * 2.0 ** np.arange(-4, 40, dtype=float)
     scales = scales[scales < (hi - lo)]
-    # A grid point within the smallest rung of mu (1 to 9 ulps from it on four
-    # of the five preset laws) would leave a panel at the peak so narrow that its
-    # quadrature nodes round onto its edges; without it no panel at mu is
-    # narrower than a rung.
+    ladder = np.concatenate([[p.mu], p.mu + scales, p.mu - scales])
+    ladder = ladder[(ladder > lo) & (ladder < hi)]
+    # A grid point within the smallest rung of a ladder point (a few ulps from
+    # it on some laws) would leave a panel so narrow that its quadrature nodes
+    # round onto its edges; without such points no initial panel is narrower
+    # than a rung.  The support bounds stay.
     grid = np.linspace(lo, hi, 193)
-    grid = grid[np.abs(grid - p.mu) >= scales[0]]
-    merged = np.unique(np.concatenate([grid, [p.mu], p.mu + scales, p.mu - scales]))
-    return merged[(merged >= lo) & (merged <= hi)]
+    near = np.abs(grid[:, None] - ladder).min(axis=1) < scales[0]
+    near[[0, -1]] = False
+    return np.unique(np.concatenate([grid[~near], ladder]))
 
 
 def _panel_integrals(pdf_vals_fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,20 +273,22 @@ def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray
 
 class _SearchedTable(HermiteTable):
     """A HermiteTable whose rows come from ``searchsorted``: a GH table's panel
-    widths can span 14 decades (a grid point a few ulps from a ladder rung), too
-    many for buckets."""
+    widths span up to six decades on fits with a tiny delta, too many for
+    buckets."""
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.knots, x, side="right")
 
 
 class _GhTables:
-    """CDF tables of one parameter set: the law's own and its mirror's.
+    """Log-CDF tables of one parameter set, one per side of the median.
 
-    ``lower`` is the cubic Hermite CDF on the panel edges.  ``upper`` is the
-    CDF of the mirrored law -X, the survival function summed from the right
-    over the same panel masses, so its values keep full relative precision
-    where the CDF rounds to ulps of 1.
+    ``lower`` is the cubic Hermite table of log F on the panel edges (slopes
+    g/F); ``upper`` that of log S on the mirrored edges -x (slopes g/S), the
+    log-CDF of the mirrored law -X.  ``lower`` serves x below ``median``, the
+    first edge where F exceeds 1/2, and u up to ``median_cdf``, F there;
+    ``upper`` the rest.  F and S start from the tail mass beyond the support,
+    pdf/(alpha -/+ beta) as in ``_support_bounds``, so every log is finite.
     """
 
     def __init__(self, params: GhParams):
@@ -288,6 +296,8 @@ class _GhTables:
         lo, hi = _support_bounds(params)
         edges = _initial_edges(params, lo, hi)
         dens = pdf(edges)
+        tail_lo = dens[0] / (params.alpha + params.beta)
+        tail_hi = dens[-1] / (params.alpha - params.beta)
         whole = _panel_integrals(pdf, edges[:-1], edges[1:])
         left, right = np.empty_like(whole), np.empty_like(whole)
         new = np.arange(whole.size)
@@ -301,15 +311,17 @@ class _GhTables:
             left[new] = _panel_integrals(pdf, a, mid)
             right[new] = _panel_integrals(pdf, mid, b)
             refined = left + right
-            cdf = np.concatenate([[0.0], np.cumsum(refined)])
-            total = cdf[-1]
+            cdf = tail_lo + np.concatenate([[0.0], np.cumsum(refined)])
+            survival = tail_hi + np.append(np.cumsum(refined[::-1])[::-1], 0.0)
             split_err = np.abs(whole - refined)
-            # cubic Hermite interpolant at the midpoint against the quadrature
-            hermite_mid = 0.5 * refined + np.diff(edges) / 8.0 * (dens[:-1] - dens[1:])
-            interp_err = np.abs(hermite_mid - left)
-            bad = (split_err > _SPLIT_TOL_REL * total + 1e-16) | (
-                interp_err > _INTERP_TOL
-            )
+            # each side's log-cubic at the midpoint against the quadrature, on
+            # the panels where that side is served
+            h8 = np.diff(edges) / 8.0
+            lower_err = np.abs(_served_mid(cdf, dens, h8) - (cdf[:-1] + left))
+            upper_err = np.abs(_served_mid(survival, -dens, h8) - (survival[1:] + right))
+            bad = ((split_err > _SPLIT_TOL_REL * cdf[-1] + 1e-16)
+                   | ((lower_err > _INTERP_TOL) & (cdf[:-1] <= 0.5))
+                   | ((upper_err > _INTERP_TOL) & (survival[1:] <= 0.5)))
             if not bad.any():
                 break
             split = np.flatnonzero(bad)
@@ -325,17 +337,25 @@ class _GhTables:
         else:
             raise NumericError("GH CDF table did not converge while refining panels")
 
+        total = cdf[-1] + tail_hi
         if abs(total - 1.0) > 1e-8:
             raise NumericError(
                 f"GH density integrates to {total!r}, not 1; parametrization mismatch"
             )
 
-        self.edges = edges
-        self.cdf_values = cdf / total
-        survival = np.append(np.cumsum(refined[::-1])[::-1], 0.0) / total
-        dens = (dens / total)[:, None]
-        self.lower = _SearchedTable.from_knots(edges, self.cdf_values[:, None], dens)
-        self.upper = _SearchedTable.from_knots(-edges[::-1], survival[::-1, None], dens[::-1])
+        log_f, log_s = np.log(cdf / total), np.log(survival / total)
+        k = np.searchsorted(cdf, 0.5 * total, side="right")
+        self.median, self.median_cdf = edges[k], np.exp(log_f[k])
+        self.lower = _SearchedTable.from_knots(edges, log_f[:, None], (dens / cdf)[:, None])
+        self.upper = _SearchedTable.from_knots(-edges[::-1], log_s[::-1, None],
+                                               (dens / survival)[::-1, None])
+
+
+def _served_mid(values, dens, h8):
+    """exp of the cubic Hermite of log(values), slopes dens/values, at each
+    panel's midpoint (h8 = panel width / 8): the interpolant a side serves."""
+    logs, slopes = np.log(values), dens / values
+    return np.exp(0.5 * (logs[:-1] + logs[1:]) + h8 * (slopes[:-1] - slopes[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -344,9 +364,16 @@ def _tables(params: GhParams) -> _GhTables:
 
 
 def gh_cdf(p: GhParams, x):
-    """CDF of the GH law, absolute error well inside 1e-9."""
+    """CDF of the GH law: absolute error within 2e-11, and relative error within
+    about 1e-5 in both tails (read off log F below the median, log S above)."""
     arr = _as_finite_array(x, "x")
-    out = np.clip(_tables(p).lower(arr.ravel()), 0.0, 1.0)
+    flat = arr.ravel()
+    t = _tables(p)
+    below = flat < t.median
+    out = np.empty_like(flat)
+    out[below] = np.exp(t.lower(flat[below]))
+    # the sides can differ by a few ulps at the median; the larger value keeps F monotone
+    out[~below] = np.maximum(-np.expm1(t.upper(-flat[~below])), t.median_cdf)
     return _scalar_like(out.reshape(arr.shape), x)
 
 
@@ -354,19 +381,25 @@ class TableQuantiles:
     """The inverse CDF tables of D GH laws, stacked for one batched solve.
 
     Called on n uniforms in (0, 1), it returns the (n, D) x solving
-    F_d(x) = u on each law d's table, and the table's density there.
-    Entries u <= 1/2 are solved on a law's lower table, u > 1/2 as 1 - u
-    (exact in floating point) on its upper one.  ``searchsorted`` per law and
-    side finds each entry's panel among the stacked rows of all 2D tables
-    (a law's lower rows, then its upper rows), and one safeguarded Newton
-    iteration on the panels' cubics runs over the whole (n, D) batch.  An
-    entry that has converged is frozen, so each entry's iterates, and its
-    result, do not depend on the rest of the batch: ``gh_quantile`` is the
-    one-law case.
+    log F_d(x) = log u on each law d's table, and the table's density there,
+    u times the log-cubic's slope.  Entries up to the law's ``median_cdf``
+    are solved on its lower table, the rest as log(1 - u) (1 - u is exact in
+    floating point above 1/2) on its upper one, so the two sides meet at a
+    knot, where both hold the quadrature sums, as ``gh_cdf``'s do.  An entry
+    below a side's first knot value (u under the tail mass beyond the
+    support) is solved at that knot, the support bound.
+    ``searchsorted`` per law and side finds each entry's panel among the
+    stacked rows of all 2D tables (a law's lower rows, then its upper rows),
+    and one safeguarded Newton iteration on the panels' log-cubics runs over
+    the whole (n, D) batch.  An entry that has converged is frozen, so each
+    entry's iterates, and its result, do not depend on the rest of the batch:
+    ``gh_quantile`` is the one-law case.
     """
 
     def __init__(self, laws):
-        sides = [side for t in map(_tables, laws) for side in (t.lower, t.upper)]
+        tables = [_tables(law) for law in laws]
+        sides = [side for t in tables for side in (t.lower, t.upper)]
+        self._split = np.array([t.median_cdf for t in tables])
         self._values = [side.coef[0, 1:, 0] for side in sides]  # each side's knot values
         self._coef = np.concatenate([side.coef[..., 0] for side in sides], axis=1)
         self._anchors = np.concatenate([side.anchors for side in sides])
@@ -376,26 +409,30 @@ class TableQuantiles:
         self._next = np.append(self._coef[0, 1:], 0.0)
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        upper = u > 0.5
-        q = np.where(upper, 1.0 - u, u)
-        at_q = [(at, q[at]) for at in (np.flatnonzero(~upper), np.flatnonzero(upper))]
-        row = np.empty((u.size, len(self._values) // 2), dtype=np.intp)
+        upper = u[:, None] > self._split
+        log_q = (np.log(u), np.log(1.0 - u))  # 1 - u is exact where it is read
+        row = np.empty(upper.shape, dtype=np.intp)
+        target = np.empty(upper.shape)
         base = 0
         for j, values in enumerate(self._values):
-            at, qs = at_q[j % 2]
-            row[at, j // 2] = base + np.searchsorted(values, qs, side="right")
+            law, side = divmod(j, 2)
+            at = np.flatnonzero(upper[:, law] == side)
+            # below the side's first knot the solve lands on the support bound
+            qs = np.maximum(log_q[side][at], values[0])
+            target[at, law] = qs
+            row[at, law] = base + np.searchsorted(values, qs, side="right")
             base += values.size + 1
-        q = q[:, None]
         c = self._coef[:, row]
         c0, c1, c2, c3 = c
-        c0 -= q  # the cubic minus q: less rounding than subtracting q last
+        c0 -= target  # the cubic minus log q: less rounding than subtracting it last
         width = self._width[row]
-        d = width * c0 / (c0 + q - self._next[row])  # the secant's root
+        d = width * c0 / (c0 + target - self._next[row])  # the secant's root
         width = width.ravel()
         _newton(c.reshape(4, -1), d.reshape(-1), np.zeros_like(width), width.copy(),
                 _SOLVE_TOL * width, _SOLVE_STEPS)
         x = self._anchors[row] + d
-        return np.where(upper[:, None], -x, x), (3.0 * c3 * d + 2.0 * c2) * d + c1
+        slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+        return np.where(upper, -x, x), np.exp(target) * slope
 
 
 def _newton(c, d, lo, hi, tol, steps):
@@ -433,7 +470,8 @@ def _newton(c, d, lo, hi, tol, steps):
 
 
 def gh_quantile(p: GhParams, u):
-    """Inverse CDF for u in (0, 1); round-trips through gh_cdf within 1e-8."""
+    """Inverse CDF for u in (0, 1); round-trips through gh_cdf within 1e-8.
+    Below the tail mass beyond the support (under 1e-17) it is the support bound."""
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("u must lie strictly inside (0, 1)")

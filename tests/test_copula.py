@@ -165,10 +165,10 @@ _MAP_CASES = {
 # Knot count and sha256 of knots + coef of each case's map, built on the GH
 # tables of test_ghdist.TABLE_FINGERPRINTS (numpy 2.4, scipy 1.17, x86-64).
 MAP_FINGERPRINTS = {
-    "normal": (5210, "5b024ae45fb1a3e45e6af197567b9a8577ed2e5ef8263b75a6d3cd45b61c49e9"),
-    "paper": (5232, "d17b5d20a437ce4b6a1537bf1d8d557006f4b5fd4ace1da504d616b8412c2342"),
-    "scaled": (5673, "5ff15d52be81bae653eb3466f6662332366ad0251733c88f088fd9e8e94d7b5d"),
-    "t3": (5852, "42c0aa538408d7508f63399e0df77ddbfbc3c6509c693f13702a6f79efc567bb"),
+    "normal": (1119, "675f1be0e46ec064c146aa07ace3f21f5c61afce89430f2afa1618ddedc76664"),
+    "paper": (989, "d9bf01575bca8938128be575d4e182b9b652084d892ef3730a521708b4cd2b0c"),
+    "scaled": (1011, "54d3ad6030d8f637fa693e1368de2f7364e3050ba6603e4398256ccadaf86ded"),
+    "t3": (912, "48fdd8096af8984e360cd4a698f58a46cb6c3797fbf3f0673d77f8ed8083fd2b"),
 }
 
 
@@ -224,15 +224,18 @@ class TestLogRatioMap:
         solve = TableQuantiles.__call__
 
         def spy(self, u):
-            calls.append(self._coef.shape)
+            calls.append((self._coef.shape, u.size))
             return solve(self, u)
 
         monkeypatch.setattr(TableQuantiles, "__call__", spy)
-        _twin(portfolio).log_ratio_map
+        table = _twin(portfolio).log_ratio_map
         # one exact-chain evaluation for the start grid and one per refinement
         # round, each on the stacked tables of all five cities
         stacked = TableQuantiles(portfolio.marginals)._coef.shape
-        assert calls == [stacked] * 11
+        assert [shape for shape, _ in calls] == [stacked] * 8
+        # the size of the build, not its time
+        assert table.knots.size <= 1100
+        assert sum(size for _, size in calls) <= 2500
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_variates(self, portfolio, bad):

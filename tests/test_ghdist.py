@@ -21,18 +21,29 @@ BJ_VAR = 0.6201976513339142
 SYMMETRIC = GhParams(lam=0.5, alpha=2.0, delta=0.8, beta=0.0, mu=0.3)
 
 # delta like the fits that end on the variance-gamma ridge: the table's panels
-# span over eight decades of width
+# span about six decades of width
 VG_RIDGE = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
 
-# Edge count and sha256 of edges + cdf_values of each preset city's CDF table,
-# built with the 6-point rule on initial edges that keep every grid point a rung
-# away from mu (numpy 2.4, scipy 1.17, x86-64).
+# Edge count and sha256 of the two log-CDF sides' coefficients of each preset
+# city's table, built with the 6-point rule on initial edges that keep every
+# grid point a rung away from every ladder point (numpy 2.4, scipy 1.17, x86-64).
 TABLE_FINGERPRINTS = {
-    "Bj": (1133, "30b43f798acbdcd14806a2c0c9c8e41845a5cad78d1041f5098e80cef9d4e5d4"),
-    "Cd": (1067, "fc4945245c3bb9ea90fcfde97131a26e6d4ba312676c1adb31f2719c80cb6fc1"),
-    "Hs": (1035, "73a467621b775f387d61f65cf9133a6d077e29b64ab6f087ab7c168ba9e44ca4"),
-    "Tj": (1156, "99ff1fd2f10f69623ff22158295d540c751e8df6426ff94f8aa11f7926a9edde"),
-    "Xt": (1134, "8423d466cd3a009f733541a54b856ad3d2469c3bf7d96570c27b565426a3f514"),
+    "Bj": (589, "1b16ade8f67ac1f2c10ca8531a9073c9176f645aff20da70069bf932b9806d71"),
+    "Cd": (584, "f6c858e76d6cf9bf1c1f5ba2df5d1546a2ce991027e8f43597c90daa1303bac3"),
+    "Hs": (545, "3d859f13164cb7a4314f8464069c5dd6b1633f0a705fdca3244a0462656753b9"),
+    "Tj": (639, "55cef9f27685ed25918bed892cb0349f955b0a6ef984e4d949535ec8db95edb8"),
+    "Xt": (602, "911c7be7e87846dd66b01db3a3bf634852c50b54be40e23ce8c9d49e8ecb7020"),
+}
+
+# Laws whose `linspace` grid has points a few ulps from a ladder rung
+# mu +- delta * 2**k: the Tj fit of bench/panel.py's panel at seed 305 (fit
+# seed 101; a grid point 6.7e-15 from mu - delta/4) and a strongly skewed law
+# (grid points next to mu - 1).
+RUNG_NEIGHBOURS = {
+    "fit_tj": GhParams(lam=-1.986734963991677, alpha=1.5153215501286896,
+                       delta=1.075010770937169, beta=-0.8069117782112646,
+                       mu=0.311627560903487),
+    "skewed": GhParams(lam=-20.0, alpha=3.0, delta=2.0, beta=-1.0, mu=0.1),
 }
 
 
@@ -44,6 +55,11 @@ def _oracle_frozen(params):
         loc=params.mu,
         scale=params.delta,
     )
+
+
+def _knot_cdf(table):
+    """The CDF at a table's edges, read off its lower side."""
+    return np.exp(table.lower.coef[0, 1:, 0])
 
 
 class TestValidation:
@@ -130,7 +146,7 @@ class TestCdf:
         # between knots the cubic adds up to _INTERP_TOL.  The oracle is scipy's
         # adaptive quad of the density, split at the peak mu.
         law = GH_ROWS[city]
-        knots = ghdist._tables(law).edges
+        knots = ghdist._tables(law).lower.knots
         pdf = lambda x: gh_pdf(law, x)
         tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
         below_mu = integrate.quad(pdf, -np.inf, law.mu, **tol)[0]
@@ -143,9 +159,97 @@ class TestCdf:
             assert abs(gh_cdf(law, x) - exact) <= 1e-12
 
 
-class TestTableBuild:
+class TestAgainstQuadrature:
+    """The tables against scipy's adaptive quad of the density."""
+
+    TOL = dict(epsabs=1e-16, epsrel=1e-12, limit=200)
+
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
-    def test_refinement_evaluates_each_abscissa_once(self, city, monkeypatch):
+    def test_relative_error_in_both_tails(self, city):
+        # Below the median gh_cdf carries F itself; above it, F rounds to ulps of
+        # 1, so the upper tail is read through the quantile: the survival S at
+        # gh_quantile(1 - q) is 1 - (1 - q), exact in floating point.
+        law = GH_ROWS[city]
+        pdf = lambda x: gh_pdf(law, x)
+        for q in (1e-15, 1e-12, 1e-9):
+            x = gh_quantile(law, q)
+            exact = integrate.quad(pdf, -np.inf, x, **self.TOL)[0]
+            assert abs(gh_cdf(law, x) / exact - 1.0) <= 1e-5
+            u = 1.0 - q
+            exact = integrate.quad(pdf, gh_quantile(law, u), np.inf, **self.TOL)[0]
+            assert abs(exact / (1.0 - u) - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_absolute_error_in_the_body(self, city):
+        law = GH_ROWS[city]
+        pdf = lambda x: gh_pdf(law, x)
+        xs = gh_quantile(law, np.concatenate([[1e-6, 1e-4], np.linspace(0.01, 0.99, 15),
+                                              [1.0 - 1e-4, 1.0 - 1e-6]]))
+        # F summed over the gaps between sorted points, from the lower tail up
+        edges = np.concatenate([[-np.inf], xs])
+        exact = np.cumsum([integrate.quad(pdf, a, b, **self.TOL)[0]
+                           for a, b in zip(edges[:-1], edges[1:])])
+        assert np.max(np.abs(gh_cdf(law, xs) - exact)) <= 2e-11
+
+
+class TestTailEdges:
+    """Beyond the tables' knots: clamped, finite and monotone."""
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_quantile_clamps_to_the_support(self, city):
+        law = GH_ROWS[city]
+        knots = ghdist._tables(law).lower.knots
+        us = np.array([1e-300, 1e-200, 1e-17, 1e-15, 0.5, 1.0 - 1e-15, 1.0 - 1e-16])
+        xs = gh_quantile(law, us)
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) >= 0.0)
+        assert xs[0] == xs[1] == knots[0] and xs[-1] <= knots[-1]
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_cdf_is_finite_and_monotone_out_to_the_bounds(self, city):
+        law = GH_ROWS[city]
+        tables = ghdist._tables(law)
+        lo, hi = tables.lower.knots[[0, -1]]
+        med = tables.median
+        xs = np.sort(np.concatenate([
+            [-1e3, lo - 1.0, lo, np.nextafter(lo, np.inf), hi, hi + 1.0, 1e3],
+            [np.nextafter(med, -np.inf), med, np.nextafter(med, np.inf)],
+            np.linspace(lo, hi, 4001)]))
+        f = gh_cdf(law, xs)
+        assert np.all(np.isfinite(f)) and np.all(np.diff(f) >= 0.0)
+        assert 0.0 < f[0] < 1e-16 and f[-1] == 1.0
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_sides_meet_at_the_median_knot(self, city):
+        # the lower side serves u up to the knot's CDF and the upper side the
+        # rest; at a knot both hold the quadrature sums, so the quantile steps
+        # across the switch by rounding only (between knots the two sides'
+        # log-cubics differ by up to 2e-11 in F)
+        law = GH_ROWS[city]
+        tables = ghdist._tables(law)
+        m = tables.median_cdf
+        us = np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                       np.nextafter(m, 0.0), m, np.nextafter(m, 1.0), m + 1e-12])
+        xs = gh_quantile(law, us)
+        assert np.all(np.diff(xs) >= -1e-14)
+        assert np.max(np.abs(xs[3:6] - tables.median)) <= 1e-14
+
+    @pytest.mark.parametrize("city", sorted(GH_ROWS))
+    def test_quantile_inverts_cdf_on_the_support(self, city):
+        # Above 1 - 1e-6 the CDF keeps only ulps of 1 of the survival, so x is
+        # not recoverable from it to 1e-8 there.
+        law = GH_ROWS[city]
+        lo, hi = ghdist._tables(law).lower.knots[[0, -1]]
+        xs = np.linspace(lo, hi, 2001)
+        f = gh_cdf(law, xs)
+        keep = (f > 0.0) & (f <= 1.0 - 1e-6)
+        assert keep.sum() > 500
+        assert np.max(np.abs(gh_quantile(law, f[keep]) - xs[keep])) <= 1e-8
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("law", list(GH_ROWS.values()) + list(RUNG_NEIGHBOURS.values()),
+                             ids=list(GH_ROWS) + list(RUNG_NEIGHBOURS))
+    def test_refinement_evaluates_each_abscissa_once(self, law, monkeypatch):
         calls = []
         real = ghdist.gh_logpdf
 
@@ -155,7 +259,7 @@ class TestTableBuild:
             return real(p, x)
 
         monkeypatch.setattr(ghdist, "gh_logpdf", recording)
-        ghdist._GhTables(GH_ROWS[city])
+        ghdist._GhTables(law)
         # the initial pass (edges, then the whole/left/right panel nodes) and
         # every refinement round
         assert len(calls) > 4
@@ -172,7 +276,7 @@ class TestTableBuild:
             return real(p, x)
 
         monkeypatch.setattr(ghdist, "gh_logpdf", counting)
-        knots = sum(ghdist._GhTables(law).edges.size for law in GH_ROWS.values())
+        knots = sum(ghdist._GhTables(law).lower.knots.size for law in GH_ROWS.values())
         assert sum(points) <= 30 * knots
 
     @pytest.mark.parametrize("law", [GH_ROWS[city] for city in sorted(GH_ROWS)] + [VG_RIDGE],
@@ -184,14 +288,14 @@ class TestTableBuild:
         monkeypatch.setattr(ghdist, "_GL_NODES", nodes)
         monkeypatch.setattr(ghdist, "_GL_WEIGHTS", weights)
         reference = ghdist._GhTables(law)
-        assert shipped.edges.tobytes() == reference.edges.tobytes()
-        assert np.max(np.abs(shipped.cdf_values - reference.cdf_values)) <= 4e-15
+        assert shipped.lower.knots.tobytes() == reference.lower.knots.tobytes()
+        assert np.max(np.abs(_knot_cdf(shipped) - _knot_cdf(reference))) <= 4e-15
 
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_table_matches_fingerprint(self, city):
         table = ghdist._GhTables(GH_ROWS[city])
-        digest = hashlib.sha256(table.edges.tobytes() + table.cdf_values.tobytes())
-        assert (table.edges.size, digest.hexdigest()) == TABLE_FINGERPRINTS[city]
+        digest = hashlib.sha256(table.lower.coef.tobytes() + table.upper.coef.tobytes())
+        assert (table.lower.knots.size, digest.hexdigest()) == TABLE_FINGERPRINTS[city]
 
 
 class TestQuantile:
@@ -247,7 +351,7 @@ class TestQuantile:
 
 def _solve_grid(law):
     """Both tail probes, every knot's CDF value inside (0, 1), and both sides of 1/2."""
-    knots = ghdist._tables(law).cdf_values
+    knots = _knot_cdf(ghdist._tables(law))
     return np.concatenate([[1e-15, 1e-12], knots[(knots > 0.0) & (knots < 1.0)],
                            [0.5, np.nextafter(0.5, 1.0), 1.0 - 1e-12, 1.0 - 1e-15]])
 
