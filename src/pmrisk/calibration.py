@@ -129,8 +129,26 @@ _BOX = 50.0
 _BOUNDS = [(-_BOX, _BOX)] * 4 + [(None, None)]
 # names of the boxed coordinates, as GhFit.at_bound reports them
 _BOXED = ("lam", "log_gamma", "log_delta", "beta")
-# forward-difference step in the Bessel order, for the derivative in lambda
-_ORDER_STEP = 1e-6
+# the Bessel-K kernel of the sample terms (see _log_bessel_terms).  Exponents
+# are floored at -500: exp is slow below that and its subnormal results slower,
+# and no term that counts is that small (a row's sum is at least about e^-t*,
+# t* < 120 for z > 1e-50)
+_KERNEL_DROP = 38.0
+_KERNEL_NODES = 64
+_KERNEL_MAX_STEP = 0.22
+_KERNEL_FLOOR = -500.0
+# orders of _log_bessel_point's one kve call, relative to lambda; a four-point
+# central difference of step 1e-3 (error O(step^4)) gives d log K_lam / d lam
+_ORDER_STEP = 1e-3
+_POINT_ORDERS = np.array([0.0, -1.0, -2.0 * _ORDER_STEP, -_ORDER_STEP, _ORDER_STEP,
+                          2.0 * _ORDER_STEP])
+# The search stays where scipy's kve, through which gh_logpdf reports the fit
+# and tabulates its law, is finite: z below 2^30, where kve turns NaN and the
+# density's -alpha q + delta gamma cancel to noise (without this bound 4 of
+# 240 bench fits ran to log gamma = log delta = 50 on that noise), and kve
+# below the largest float.  z >= delta * gamma covers the normaliser too.
+_KVE_MAX_Z = 2.0**30
+_KVE_MAX_LOG = np.log(np.finfo(float).max)
 # log(delta) of the second polish candidate, relative to log(std): the
 # variance-gamma ridge (delta -> 0) on which some samples have their optimum
 _RIDGE_LOG_DELTA = -12.0
@@ -154,13 +172,96 @@ def _negloglik(x: np.ndarray, samples: np.ndarray) -> float:
     return val if np.isfinite(val) else 1e18
 
 
-def _log_bessel_terms(order: float, z):
-    """log kve(order, z), K_{order-1}/K_order and d/d(order) log K_order at z."""
-    k = special.kve(order, z)
+def _log_bessel_terms(order: float, z: np.ndarray):
+    """log kve(order, z), K_{order-1}/K_order and d/d(order) log K_order at
+    each entry of the vector z, from one trapezoidal rule per group of rows.
+
+    kve(nu, z) = int_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt, and the two
+    other terms are the same integral with cosh((nu - 1) t) and
+    t sinh(nu t) in place of cosh(nu t).  The integrands are even and entire
+    in t, so the trapezoidal rule from t = 0 converges exponentially in
+    1/step (Trefethen & Weideman 2014); a step of min(0.22, 0.5 / sqrt(max(z,
+    a))), with a = max(|nu|, |nu - 1|), holds all three to about 1e-13.
+    Every row is scaled by exp(a t) and divided by its peak, at
+    t* = asinh(a / z), so the sums neither overflow nor underflow, and its
+    nodes run until its integrand is e^-38 below the peak.  A group's
+    exponentials come from one (rows x 3)(3 x nodes) product and its three
+    sums from one (rows x nodes)(nodes x 3) product.  A group shares one
+    step, set by its largest z, and one end, set by its smallest, so rows are
+    grouped by z to keep a group within _KERNEL_NODES nodes; a row that needs
+    more gets a group of its own.  Unlike kve, the kernel stays finite past
+    z = 2^30 and where K_nu overflows.
+    """
+    p, p1 = abs(order), abs(order - 1.0)
+    a = max(p, p1)
+    r = np.hypot(z, a)
+    peak = np.arcsinh(a / z)
+    # each row's (coefficient of cosh t - 1, of t, constant) in its log-integrand;
+    # the constant, a^2 / (r + z) - a t*, is minus the log of the peak
+    rows = np.empty((z.size, 3))
+    rows[:, 0] = -z
+    rows[:, 1] = a
+    np.subtract(a * a / (r + z), a * peak, out=rows[:, 2])
+    sums = np.empty((z.size, 3))
+    for group, step, end in _kernel_groups(z, r, peak, a):
+        t = step * np.arange(int(np.ceil(end / step)) + 1)
+        nodes = np.empty((3, t.size))
+        nodes[0] = np.sinh(0.5 * t)
+        nodes[0] *= 2.0 * nodes[0]  # cosh t - 1, without the cancellation
+        nodes[1] = t
+        nodes[2] = 1.0
+        e = rows[group] @ nodes
+        np.maximum(e, _KERNEL_FLOOR, out=e)
+        np.exp(e, out=e)
+        weight = np.full(t.size, 0.5 * step)  # the cosh halves fold in here
+        weight[0] *= 0.5
+        lead = np.exp((p - a) * t) * weight
+        cols = np.empty((t.size, 3))
+        cols[:, 0] = lead * (1.0 + np.exp(-2.0 * p * t))
+        cols[:, 1] = np.exp((p1 - a) * t) * weight * (1.0 + np.exp(-2.0 * p1 * t))
+        cols[:, 2] = -np.copysign(t, order) * lead * np.expm1(-2.0 * p * t)
+        sums[group] = e @ cols
+    s0 = sums[:, 0]
+    return np.log(s0) - rows[:, 2], sums[:, 1] / s0, sums[:, 2] / s0
+
+
+def _log_bessel_point(order: float, z: float):
+    """The three terms of _log_bessel_terms at one argument, from one scipy
+    kve call over six orders; the derivative is a four-point central
+    difference."""
+    k = special.kve(order + _POINT_ORDERS, z)
     log_k = np.log(k)
-    ratio = special.kve(order - 1.0, z) / k
-    d_order = (np.log(special.kve(order + _ORDER_STEP, z)) - log_k) / _ORDER_STEP
-    return log_k, ratio, d_order
+    d_order = (log_k[2] - 8.0 * log_k[3] + 8.0 * log_k[4] - log_k[5]) / (12.0 * _ORDER_STEP)
+    return log_k[0], k[1] / k[0], d_order
+
+
+def _kernel_step(z_max: float, a: float) -> float:
+    return min(_KERNEL_MAX_STEP, 0.5 / np.sqrt(max(z_max, a)))
+
+
+def _kernel_groups(z, r, peak, a):
+    """(rows, step, end) of each node set of _log_bessel_terms."""
+    # arccosh(1 + d), without rounding 1 + d: the end is decreasing in z
+    d = _KERNEL_DROP / r
+    end = peak + np.log1p(d + np.sqrt(d * (d + 2.0)))
+    step, end_max = _kernel_step(z.max(), a), end.max()
+    if end_max <= _KERNEL_NODES * step:
+        return [(slice(None), step, end_max)]
+    by_z = np.argsort(z, kind="stable")
+    z_sorted = z[by_z]
+    groups = []
+    first = 0
+    while first < z.size:
+        row = by_z[first]
+        # rows up to z_top share this row's end within _KERNEL_NODES nodes:
+        # _kernel_step(z_top) = 0.5 / sqrt(z_top) = end / _KERNEL_NODES
+        z_top = (0.5 * _KERNEL_NODES / end[row]) ** 2
+        last = first + 1
+        if end[row] <= _KERNEL_MAX_STEP * _KERNEL_NODES and a <= z_top:
+            last = max(last, int(np.searchsorted(z_sorted, z_top, side="right")))
+        groups.append((by_z[first:last], _kernel_step(z_sorted[last - 1], a), end[row]))
+        first = last
+    return groups
 
 
 def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarray]:
@@ -170,8 +271,10 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
     With z = alpha * q, q = hypot(delta, x - mu), nu = lam - 1/2 and
     r = K_{nu-1}(z) / K_nu(z), the recurrence K'_nu = -K_{nu-1} - (nu/z) K_nu
     gives d log K_nu(z) / dz = -r - nu/z, from which the (gamma, delta,
-    beta, mu) derivatives are closed form; the lambda derivative is a forward
-    difference in the Bessel order.  Bessel functions enter only as
+    beta, mu) derivatives are closed form.  The sample terms (log K_nu, r and
+    d log K_nu / d nu, which gives the lambda derivative exactly) come from
+    the one-pass kernel of _log_bessel_terms, the normaliser's K_lam(delta *
+    gamma) from _log_bessel_point.  Bessel functions enter only as
     exponentially scaled values and their ratios, so delta * gamma -> 0 stays
     finite.  A point where the likelihood is not finite, or whose parameters
     GhParams rejects, gets a 1e18 penalty with a zero gradient, which makes
@@ -187,7 +290,7 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
     z = alpha * q
     zeta = delta * gamma
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_k_lam, rho, d_lam_norm = _log_bessel_terms(lam, zeta)
+        log_k_lam, rho, d_lam_norm = _log_bessel_point(lam, zeta)
         log_k_nu, r, d_nu = _log_bessel_terms(nu, z)
         log_q = np.log(q)
         log_alpha = np.log(alpha)
@@ -204,7 +307,8 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
             np.sum(slope * dx) - n * beta,
         ])
     # alpha rounds to |beta| once gamma is below |beta| * 1e-8: outside GhParams
-    if not (np.isfinite(loglik) and np.all(np.isfinite(grad)) and alpha > abs(beta)):
+    if not (np.isfinite(loglik) and np.all(np.isfinite(grad)) and alpha > abs(beta)
+            and z.max() < _KVE_MAX_Z and log_k_nu.max() <= _KVE_MAX_LOG):
         return 1e18, np.zeros(5)
     return -float(loglik), -grad
 
@@ -243,18 +347,19 @@ def _projected_gradient(res) -> float:
     return float(np.max(np.abs(grad)))
 
 
-def _polish(samples: np.ndarray, x0: np.ndarray):
+def _polish(samples: np.ndarray, x0: np.ndarray, lead: float = np.inf):
     """Tight L-BFGS-B from ``x0``; returns the result and the evaluations spent.
 
     The relative-reduction stop also fires after one poor step along a flat
     ridge (alpha -> |beta|, or a coordinate running to the box), so a stop
     that leaves a projected gradient above _RESTART_GTOL is rerun from where
-    it ended, without the stale curvature pairs, while that gains.
+    it ended, without the stale curvature pairs, while that gains.  A stop at
+    or above ``lead``, the value it has to beat, is not rerun.
     """
     res = _lbfgsb(samples, x0, _POLISH)
     spent = res.nfev
     for _ in range(_RESTARTS):
-        if _projected_gradient(res) <= _RESTART_GTOL:
+        if _projected_gradient(res) <= _RESTART_GTOL or not res.fun < lead:
             break
         again = _lbfgsb(samples, res.x, _POLISH)
         spent += again.nfev
@@ -291,7 +396,7 @@ def fit_gh_marginal(samples, *, rng: Rng) -> GhFit:
     ridge = interior.x.copy()
     ridge[2] = np.log(max(float(np.std(samples)), 1e-3)) + _RIDGE_LOG_DELTA
     ridge[0] = max(ridge[0], 1.0)  # the variance-gamma limit needs lam > 0
-    ridge, spent_ridge = _polish(samples, ridge)
+    ridge, spent_ridge = _polish(samples, ridge, lead=interior.fun)
     candidate, best = min((("interior", interior), ("ridge", ridge)),
                           key=lambda pair: pair[1].fun)
     return GhFit(

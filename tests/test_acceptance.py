@@ -228,14 +228,11 @@ def test_criterion_7_calibration_round_trip(portfolio):
     )
 
 
-def test_criterion_8_cli_determinism(tmp_path):
-    args = [
-        sys.executable, "-m", "pmrisk.cli", "simulate", "--preset", "paper",
-        "--estimator", "sis", "--alpha", "0.05", "--budget", "8000", "--seed", "5",
-    ]
+def _outputs_at_thread_counts(args, tmp_path, name):
+    """The --out bytes of ``python -m pmrisk.cli *args`` with 1 and 4 BLAS threads."""
     outputs = []
-    for name, threads in (("one.csv", "1"), ("many.csv", "4")):
-        out = tmp_path / name
+    for threads in ("1", "4"):
+        out = tmp_path / f"{name}-{threads}"
         env = {
             "PATH": "/usr/bin:/bin",
             "OMP_NUM_THREADS": threads,
@@ -245,9 +242,31 @@ def test_criterion_8_cli_determinism(tmp_path):
             "PYTHONPATH": str(Path(pmrisk.__file__).resolve().parent.parent),
         }
         proc = subprocess.run(
-            args + ["--out", str(out)], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "pmrisk.cli", *args, "--out", str(out)],
+            env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_criterion_8_cli_determinism(tmp_path):
+    args = ["simulate", "--preset", "paper", "--estimator", "sis", "--alpha", "0.05",
+            "--budget", "8000", "--seed", "5"]
+    outputs = _outputs_at_thread_counts(args, tmp_path, "simulate")
     assert outputs[0] == outputs[1]
     print("\nACCEPTANCE 8 (determinism): PASS: byte-identical across thread counts")
+
+
+def test_fit_determinism_across_blas_threads(tmp_path):
+    # the GH likelihood sums its Bessel-K kernel through matrix products
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import panel
+    finally:
+        sys.path.pop(0)
+    csv = tmp_path / "panel.csv"
+    panel.write_csv(csv, 200, 7)
+    outputs = _outputs_at_thread_counts(["fit", "--csv", str(csv), "--seed", "7"],
+                                        tmp_path, "model")
+    assert outputs[0] == outputs[1]

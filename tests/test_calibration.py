@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from pmrisk import (
     ConcentrationSeries,
@@ -17,7 +17,7 @@ from pmrisk import (
 from pmrisk import calibration
 from pmrisk.calibration import LogRatioPanel, _negloglik, _negloglik_grad
 from pmrisk.copula import marginal_transform
-from pmrisk.ghdist import gh_logpdf
+from pmrisk.ghdist import _log_kve, gh_logpdf
 
 from conftest import GH_ROWS, NU, SIGMA, model_draw
 
@@ -75,6 +75,80 @@ class TestComputeLogRatios:
             compute_log_ratios([_series("a", [1], [100.0])])
 
 
+def _scipy_terms(order, z):
+    """log kve, K_{order-1}/K_order and a four-point central difference of
+    log kve in the order, where scipy holds all of them; else NaN."""
+    with np.errstate(all="ignore"):
+        k = special.kve(order, z)
+        ratio = special.kve(order - 1.0, z) / k
+        step = 1e-3
+        logs = [np.log(special.kve(order + i * step, z)) for i in (-2, -1, 1, 2)]
+        d_order = (logs[0] - 8.0 * logs[1] + 8.0 * logs[2] - logs[3]) / (12.0 * step)
+        return np.log(k), ratio, d_order
+
+
+class TestBesselKernel:
+    # the search box: lam in [-50, 50], so nu = lam - 1/2 in [-50.5, 49.5]
+    ORDERS = np.concatenate([np.linspace(-50.5, 49.5, 41), np.linspace(-3.0, 3.0, 25)])
+
+    def test_matches_scipy_over_the_box(self):
+        z = np.logspace(-12, 9, 85)
+        checked = 0
+        for order in self.ORDERS:
+            log_k, ratio, d_order = calibration._log_bessel_terms(order, z)
+            ref_log_k, ref_ratio, ref_d = _scipy_terms(order, z)
+            held = np.isfinite(ref_log_k) & np.isfinite(ref_ratio) & (ref_ratio > 0)
+            held &= np.isfinite(ref_d)
+            checked += np.count_nonzero(held)
+            log_k, ratio, d_order = log_k[held], ratio[held], d_order[held]
+            ref_log_k, ref_ratio, ref_d = ref_log_k[held], ref_ratio[held], ref_d[held]
+            assert np.all(np.abs(log_k - ref_log_k)
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref_log_k)))
+            assert np.all(np.abs(ratio / ref_ratio - 1.0) <= 1e-11)
+            assert np.all(np.abs(d_order - ref_d) <= 1e-8 * np.maximum(1.0, np.abs(ref_d)))
+        assert checked > 0.9 * self.ORDERS.size * z.size
+
+    def test_holds_where_kve_fails(self):
+        # past z = 2^30 kve is NaN: the Hankel asymptote of _log_kve, exact to
+        # O(z^-2), is the reference there, and the order ratio is
+        # 1 - (2 nu - 1) / (2 z) to O(nu^2 / z^2)
+        big = np.logspace(9.5, 20.0, 22)
+        assert np.all(np.isnan(special.kve(0.3, big)))
+        for order in self.ORDERS:
+            log_k, ratio, d_order = calibration._log_bessel_terms(order, big)
+            assert np.all(np.isfinite(d_order))
+            assert np.all(np.abs(log_k - _log_kve(order, big)) <= 1e-12 * np.abs(log_k))
+            assert np.all(np.abs(ratio - 1.0 + (2.0 * order - 1.0) / (2.0 * big)) <= 1e-11)
+        # kve overflows at a large order and a small z; there K_nu(z) is
+        # Gamma(nu) (2/z)^nu / 2 to relative O(z^2 / nu), and d log K / d nu
+        # is digamma(nu) + log(2/z)
+        tiny = np.logspace(-12.0, -9.0, 7)
+        for order in (40.0, -45.5, 49.5):
+            assert np.all(np.isinf(special.kve(order, tiny)))
+            log_k, ratio, d_order = calibration._log_bessel_terms(order, tiny)
+            nu = abs(order)
+            series = special.gammaln(nu) + nu * np.log(2.0 / tiny) - np.log(2.0) + tiny
+            assert np.all(np.abs(log_k - series) <= 1e-12 * series)
+            assert np.all(np.abs(np.abs(d_order) - special.digamma(nu) - np.log(2.0 / tiny))
+                          <= 1e-9)
+            assert np.all(np.isfinite(ratio) & (ratio > 0.0))
+
+    def test_wide_batch_is_split_into_node_sets(self):
+        # alpha = e^50 next to a tiny z: one node set would need ~1e12 nodes;
+        # the grouped batch gives each row what it gets alone
+        z = np.concatenate([np.logspace(-8.0, 21.0, 60), [3.0, 1e-8, 2e15]])
+        for order in (-7.3, 0.5, 1.7, 49.5):
+            together = calibration._log_bessel_terms(order, z)
+            alone = [calibration._log_bessel_terms(order, z[i:i + 1]) for i in range(z.size)]
+            for got, ref in zip(together, zip(*alone)):
+                ref = np.concatenate(ref)
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        groups = calibration._kernel_groups(z, np.hypot(z, 1.0), np.arcsinh(1.0 / z), 1.0)
+        assert len(groups) > 1
+        for rows, step, end in groups:
+            assert end / step <= calibration._KERNEL_NODES or len(rows) == 1
+
+
 class TestFitGhMarginal:
     def test_refit_dominates_generating_likelihood(self, single_city):
         rng = Rng(51)
@@ -128,7 +202,9 @@ class TestFitGhMarginal:
             (_negloglik(x + h * e, samples) - _negloglik(x - h * e, samples)) / (2 * h)
             for e in np.eye(5)
         ])
-        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.linalg.norm(fd)
+        # 1.5e-7 at most over these points; the forward difference in the
+        # Bessel order that the exact lambda derivative replaced read 7.4e-7
+        assert np.max(np.abs(grad - fd)) <= 5e-7 * np.linalg.norm(fd)
 
     def test_variance_gamma_ridge(self):
         # delta -> 0 is the variance-gamma limit; the fit must find the ridge
@@ -152,7 +228,7 @@ class TestFitGhMarginal:
 
     def test_polish_reruns_a_stalled_stop(self):
         # on this Cd draw the first tight L-BFGS-B run from the best screened
-        # point stops on its relative-reduction test with a gradient of 4.3
+        # point stops on its relative-reduction test with a gradient of 3.3
         u = Rng(4).generator().random(225)
         samples = gh_quantile(GH_ROWS["Cd"], np.clip(u, 1e-12, 1 - 1e-12))
         screened = [calibration._lbfgsb(samples, x0, calibration._SCREEN)
@@ -164,6 +240,26 @@ class TestFitGhMarginal:
         assert res.fun <= once.fun - 0.1
         assert calibration._projected_gradient(res) <= calibration._RESTART_GTOL
         assert spent > once.nfev
+
+    def test_ridge_polish_above_the_interior_is_not_rerun(self):
+        # on this Hs draw the ridge start stops about 300 nats above the
+        # interior optimum with a gradient near 1e5; its reruns would spend
+        # as many evaluations again and still end above that optimum
+        u = Rng(4).generator().random(225)
+        samples = gh_quantile(GH_ROWS["Hs"], np.clip(u, 1e-12, 1 - 1e-12))
+        screened = [calibration._lbfgsb(samples, x0, calibration._SCREEN)
+                    for x0 in calibration._start_points(samples, Rng(4).split(100))]
+        interior, _ = calibration._polish(samples, min(screened, key=lambda r: r.fun).x)
+        start = interior.x.copy()
+        start[2] = np.log(np.std(samples)) + calibration._RIDGE_LOG_DELTA
+        start[0] = max(start[0], 1.0)
+        once = calibration._lbfgsb(samples, start, calibration._POLISH)
+        assert once.fun > interior.fun + 100.0
+        assert calibration._projected_gradient(once) > calibration._RESTART_GTOL
+        rerun, spent_rerun = calibration._polish(samples, start)
+        assert rerun.fun > interior.fun and spent_rerun > once.nfev
+        res, spent = calibration._polish(samples, start, lead=interior.fun)
+        assert res.fun == once.fun and spent == once.nfev
 
     def test_reports_box_bound(self):
         # a 225-row draw of the Cd law whose fit runs beta onto the box
