@@ -213,6 +213,11 @@ class LogRatioMap(HermiteTable):
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return super().__call__(np.arcsinh(v))
 
+    def value_and_slope(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The log-ratios at v and their derivatives in v (through d asinh(v)/dv)."""
+        r, slope = super().value_and_slope(np.arcsinh(v))
+        return r, slope / np.hypot(1.0, v)
+
 
 def _exact_log_ratios(portfolio: CityPortfolio, quantiles: TableQuantiles, v: np.ndarray,
                       u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

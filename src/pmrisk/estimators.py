@@ -28,8 +28,9 @@ three differ only in the tilt and the scheme they pass in.
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
 and the log-ratios come from the tabulated ``log_ratio_map``.  ``calibrate_is``
-solves one root per refinement round; the mixing coordinate of its design
-point has a closed form (``_mixing_mode``).
+solves one root per refinement round by Newton steps on one-row evaluations
+that return C and its exact gradient from the map's own slope; the mixing
+coordinate of its design point has a closed form (``_mixing_mode``).
 
 A scheme is the paper's grid, ``counts = (drift slices, mixing slices)``:
 the drift axis is the direction of the IS mean shift, the mixing axis the
@@ -69,8 +70,10 @@ N_STRATA = 22
 N_MIN = 10
 STAGE_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
-# coordinate-search rounds of calibrate_is (each refreshes the growth direction)
+# coordinate-search rounds of calibrate_is (each refreshes the growth direction),
+# and the cap on the safeguarded Newton steps of each round's root solve
 REFINE_ROUNDS = 3
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,22 +164,19 @@ def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
     return w
 
 
-def _concentration_at(portfolio: CityPortfolio, z: np.ndarray, y: float):
-    """C at one point z of shape (D,), or at each row of an (n, D) z; y is shared."""
-    spec = portfolio.copula
-    rows = np.atleast_2d(z)
-    y_arr = np.full(rows.shape[0], float(y)) if spec.family == "t" else None
-    draw = CopulaDraw(z=rows, y=y_arr, v=dependent_vector(spec, portfolio.chol, rows, y_arr))
-    conc = portfolio_concentration(portfolio, marginal_transform(portfolio, draw))
-    return float(conc[0]) if np.ndim(z) == 1 else conc
+def _concentration_and_gradient(portfolio: CityPortfolio, z: np.ndarray, y: float):
+    """C at one point z of shape (D,) with mixing variable y, and its gradient in z.
+
+    With v = L z / sqrt(y/nu) (y unused for the normal family), the gradient is
+    L'(w_d PM0_d exp(r_d) r_d'(v_d)) / sqrt(y/nu), r' the log-ratio map's slope.
+    """
+    scale = np.sqrt(y / portfolio.copula.nu) if portfolio.copula.family == "t" else 1.0
+    r, slope = portfolio.log_ratio_map.value_and_slope(portfolio.chol @ z / scale)
+    contrib = portfolio.weights * portfolio.pm0 * np.exp(r)
+    return portfolio_concentration(portfolio, r), portfolio.chol.T @ (contrib * slope) / scale
 
 
-def _growth_direction(portfolio: CityPortfolio, z: np.ndarray, y: float) -> np.ndarray:
-    d = portfolio.dimension
-    h = 1e-4
-    steps = h * np.eye(d)
-    conc = _concentration_at(portfolio, z + np.vstack([steps, -steps]), y)
-    grad = (conc[:d] - conc[d:]) / (2 * h)
+def _unit(grad: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(grad)
     if not np.isfinite(norm) or norm <= 0.0:
         raise NumericError("degenerate concentration gradient")
@@ -207,7 +207,11 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     The variates are L z / sqrt(y/nu), so C(t w, y) depends on t and y only
     through x = t / sqrt(y/nu): each round solves C(x w, nu) = tau for x
     once, after which y* has a closed form (``_mixing_mode``) and
-    t* = x sqrt(y*/nu).
+    t* = x sqrt(y*/nu).  The solve takes Newton steps from the previous
+    round's x (4 in the first) while they stay in the bracket of the signs
+    seen so far, and bisects or doubles the bracket otherwise.  Its last
+    gradient is the next growth direction: v at the root, and so the
+    gradient's direction, does not depend on how t and y split.
     """
     if not np.isfinite(tau):
         raise DomainError("tau must be finite")
@@ -222,31 +226,30 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     y_ref = nu if nu is not None else 1.0  # y at which t = x
 
     try:
-        direction = _growth_direction(portfolio, np.zeros(portfolio.dimension), y_mode)
-        t_star, y_star = 1.0, y_mode
+        direction = _unit(_concentration_and_gradient(portfolio, np.zeros(portfolio.dimension),
+                                                      y_ref)[1])
+        x, y_star = 4.0, y_mode
         for _ in range(REFINE_ROUNDS):
-
-            def gap(x):
-                return _concentration_at(portfolio, np.multiply.outer(x, direction), y_ref) - tau
-
-            lo, hi = 0.0, 4.0
-            while gap(hi) < 0.0:
-                hi *= 2.0
-                if hi > 1e4:
-                    raise NumericError("cannot bracket the IS design point")
-            while gap(lo) > 0.0:
-                lo -= 4.0
-                if lo < -1e4:
-                    raise NumericError("cannot bracket the IS design point")
-            while hi - lo > 1e-9:  # the first grid cell where gap reaches 0, one batch a round
-                grid = np.linspace(lo, hi, 65)
-                k = max(int(np.argmax(gap(grid) >= 0.0)), 1)
-                lo, hi = grid[k - 1], grid[k]
-            x_star = 0.5 * (lo + hi)
+            lo, hi = -np.inf, np.inf  # the gap C(x w, nu) - tau is < 0 at lo, >= 0 at hi
+            for _ in range(_NEWTON_STEPS):
+                conc, grad = _concentration_and_gradient(portfolio, x * direction, y_ref)
+                gap, slope = conc - tau, grad @ direction
+                lo, hi = (x, hi) if gap < 0.0 else (lo, x)
+                step = x - gap / slope if slope > 0.0 else np.nan
+                if not max(lo, -1e4) <= step <= min(hi, 1e4):  # bisect, or widen the bracket
+                    step = (0.5 * (lo + hi) if np.isfinite(lo + hi)
+                            else x - np.copysign(max(abs(x), 4.0), gap))
+                    if abs(step) > 1e4:
+                        raise NumericError("cannot bracket the IS design point")
+                x, dx = step, step - x
+                if abs(dx) <= 1e-12 * max(abs(x), 1.0):
+                    break
+            else:
+                raise NumericError("the IS design point did not converge")
             if nu is not None:
-                y_star = _mixing_mode(x_star, nu)
-            t_star = x_star * np.sqrt(y_star / y_ref)
-            new_direction = _growth_direction(portfolio, t_star * direction, y_star)
+                y_star = _mixing_mode(x, nu)
+            t_star = x * np.sqrt(y_star / y_ref)
+            new_direction = _unit(grad)
             if np.linalg.norm(new_direction - direction) < 1e-3:
                 direction = new_direction
                 break

@@ -265,6 +265,13 @@ class HermiteTable:
             r += self.coef[j].take(row)
         return r
 
+    def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``__call__``'s values, to the bit, and the cubic's derivative at x (0 beyond the ends)."""
+        row = self.rows(x)
+        c0, c1, c2, c3 = self.coef[:, row, np.arange(self.coef.shape[2])]
+        d = x - self.anchors[row]
+        return ((c3 * d + c2) * d + c1) * d + c0, (3.0 * c3 * d + 2.0 * c2) * d + c1
+
 
 def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray:
     # monotone in x, so a knot in an earlier bucket lies below every x in a later one

@@ -248,6 +248,25 @@ class TestLogRatioMap:
         _mapped(fresh, np.zeros(1))
         assert "log_ratio_map" in vars(fresh)
 
+    def test_value_and_slope(self, portfolio):
+        table = portfolio.log_ratio_map
+        knots = table.knots
+        # interior points, and each interior knot, so its differences straddle it
+        x = np.concatenate([np.random.default_rng(5).uniform(knots[0] + 1e-3, knots[-1] - 1e-3,
+                                                            5000), knots[1:-1]])
+        v = np.sinh(x)[:, None] * np.ones(portfolio.dimension)
+        value, slope = table.value_and_slope(v)
+        assert np.array_equal(value, table(v))
+        h = 1e-6 * np.hypot(1.0, v)
+        central = (table(v + h) - table(v - h)) / (2.0 * h)
+        assert np.all(slope > 0.0)
+        assert np.max(np.abs(central / slope - 1.0)) <= 1e-6
+        far = np.concatenate([[-1e300, -1e3, 1e3, 1e300], np.sinh(knots[[0, -1]]) * (1.0 + 1e-9)])
+        far = far[:, None] * np.ones(portfolio.dimension)
+        value, slope = table.value_and_slope(far)
+        assert np.array_equal(value, table(far))
+        assert np.all(slope == 0.0)
+
     def test_bucket_index_equals_searchsorted(self, case):
         table = case.log_ratio_map
         knots = table.knots

@@ -12,23 +12,25 @@ from pmrisk import (
     gh_cdf,
     is_estimate,
     likelihood_ratio,
+    marginal_transform,
     naive_estimate,
+    portfolio_concentration,
     sis_estimate,
     stratified_sample,
 )
-from pmrisk.copula import CopulaDraw
+from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
     ONE_CELL,
     SisSample,
     _compose,
-    _concentration_at,
+    _concentration_and_gradient,
     _mixing_mode,
     default_scheme,
     proportional_sis_sample,
 )
 from pmrisk.statkit import normal_quantile
 
-from conftest import NU
+from conftest import CAR_ROWS, NU
 
 CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
@@ -133,22 +135,60 @@ class TestCalibrateIs:
         def boom(*args, **kwargs):
             raise est.NumericError("synthetic gradient failure")
 
-        monkeypatch.setattr(est, "_growth_direction", boom)
+        monkeypatch.setattr(est, "_concentration_and_gradient", boom)
         params = est.calibrate_is(portfolio, 352.03)
         assert params.theta == 2.0 and not np.any(params.mean_shift)
         assert params.warning is not None
+
+    def test_unreachable_threshold_falls_back_to_identity(self, portfolio):
+        # the map is constant beyond its end knots, so C is bounded on every ray
+        params = calibrate_is(portfolio, 1e9)
+        assert params.theta == 2.0 and not np.any(params.mean_shift)
+        assert params.warning == ("IS calibration failed (cannot bracket the IS design point); "
+                                  "using the identity tilt")
+
+    def test_one_row_evaluations_per_call(self, portfolio, monkeypatch):
+        import pmrisk.estimators as est
+
+        shapes = []
+
+        def counted(pf, z, y):
+            shapes.append(np.shape(z))
+            return _concentration_and_gradient(pf, z, y)
+
+        monkeypatch.setattr(est, "_concentration_and_gradient", counted)
+        for _, tau, _ in CAR_ROWS:
+            shapes.clear()
+            assert est.calibrate_is(portfolio, tau).warning is None
+            assert 1 <= len(shapes) <= 16
+            assert set(shapes) == {(portfolio.dimension,)}
 
     def test_concentration_depends_on_scaled_shift_only(self, portfolio):
         w = np.array([0.5, 0.3, 0.1, 0.6, 0.5])
         w /= np.linalg.norm(w)
         for t, y in ((0.7, 3.0), (2.5, 9.78), (4.0, 20.0)):
             x = t / np.sqrt(y / NU)
-            assert _concentration_at(portfolio, t * w, y) == pytest.approx(
-                _concentration_at(portfolio, x * w, NU), rel=1e-12)
+            assert _concentration_and_gradient(portfolio, t * w, y)[0] == pytest.approx(
+                _concentration_and_gradient(portfolio, x * w, NU)[0], rel=1e-12)
+        # the same C as the sampler's batch path
         rows = np.outer([0.5, 1.5], w)
-        np.testing.assert_allclose(_concentration_at(portfolio, rows, 8.0),
-                                   [_concentration_at(portfolio, r, 8.0) for r in rows],
-                                   rtol=1e-12, atol=0.0)
+        y = np.full(2, 8.0)
+        draw = CopulaDraw(z=rows, y=y, v=dependent_vector(portfolio.copula, portfolio.chol, rows, y))
+        np.testing.assert_allclose(
+            [_concentration_and_gradient(portfolio, r, 8.0)[0] for r in rows],
+            portfolio_concentration(portfolio, marginal_transform(portfolio, draw)),
+            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("t, y", [(0.0, NU), (0.7, 3.0), (2.5, 9.78), (4.0, 20.0)])
+    def test_gradient_matches_central_differences(self, portfolio, t, y):
+        z = t * np.array([0.5, 0.3, 0.1, 0.6, 0.5])
+        _, grad = _concentration_and_gradient(portfolio, z, y)
+        h = 1e-5
+        steps = h * np.eye(portfolio.dimension)
+        central = [(_concentration_and_gradient(portfolio, z + e, y)[0]
+                    - _concentration_and_gradient(portfolio, z - e, y)[0]) / (2.0 * h)
+                   for e in steps]
+        np.testing.assert_allclose(grad, central, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("tau", [150.0, CAR_001, 600.0])
     def test_closed_form_mixing_mode(self, portfolio, tau):
@@ -156,8 +196,9 @@ class TestCalibrateIs:
         w = np.full(5, 1.0 / np.sqrt(5.0))
 
         def shift(y):
-            return optimize.brentq(lambda t: _concentration_at(portfolio, t * w, y) - tau,
-                                   0.0, 64.0, xtol=1e-12)
+            return optimize.brentq(
+                lambda t: _concentration_and_gradient(portfolio, t * w, y)[0] - tau,
+                0.0, 64.0, xtol=1e-12)
 
         def objective(log_y):
             y = np.exp(log_y)
