@@ -37,7 +37,7 @@ from .copula import CityPortfolio, CopulaSpec
 from .errors import CalibrationError, DataError, DomainError, NumericError, UsageError
 from .ghdist import gh_logpdf
 from .presets import portfolio_to_doc, resolve_portfolio
-from .risk import build_report, exceedance_curve, queries, solve_cars
+from .risk import ESTIMATORS, build_report, exceedance_curve, queries, solve_cars
 from .statkit import Rng
 
 EXIT_OK = 0
@@ -95,6 +95,8 @@ def ingest_csv(path) -> list[ConcentrationSeries]:
                 pm = float(pm_s)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: pm25 {pm_s!r} is not a number or NA") from None
+            if not np.isfinite(pm):
+                raise DataError(f"{path}:{lineno}: pm25 {pm_s!r} is not finite")
             if pm <= 0.0:
                 raise DataError(f"{path}:{lineno}: nonpositive concentration {pm} for {city}")
             series[day] = pm
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", choices=["paper"])
         source.add_argument("--model")
-        p.add_argument("--estimator", choices=["naive", "is", "sis"], default="sis")
+        p.add_argument("--estimator", choices=ESTIMATORS, default="sis")
         p.add_argument("--alpha", type=_parse_alpha_list,
                        default="0.05,0.01,0.005,0.002,0.001")
         p.add_argument("--budget", type=int, default=100_000)

@@ -11,7 +11,7 @@ Three routes to EP = P(C > tau) and CE = E[C | C > tau]:
   replication budget spread over four stages by adaptive optimal allocation.
 
 All three run on one engine: labels -> ``stratified_sample`` -> pool ->
-composer.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
+readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
 likelihood ratio is exactly 1), and IS is SIS on a one-cell scheme, so the
 three differ only in the tilt and the scheme they pass in.
 
@@ -22,8 +22,9 @@ three differ only in the tilt and the scheme they pass in.
   ``SisSample``.
 * One ``np.bincount`` accumulator (``SisSample.tail_sums``) gives the
   per-stratum tail sums, at one threshold or at every threshold of a curve
-  in one pass; one composer turns them into the EP and CE results, and the
-  AOA stages take their per-stratum deviations from the same sums.
+  in one pass; the AOA stages take their per-stratum deviations from them.
+* A pool's readers answer every caller: ``SisSample.estimates`` (EP and CE)
+  and ``ep_at`` (EP on a grid) from the tail sums, and ``quantile`` (a CaR).
 
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
@@ -451,6 +452,49 @@ class SisSample:
         ep, var = _stratified_mean(self.probs, self.counts, *sums)
         return ep, 1.96 * np.sqrt(var), hits.sum(axis=-1).astype(int)
 
+    def quantile(self, alpha: float) -> float:
+        """Smallest concentration with at most alpha of the sample weight mass strictly above it.
+
+        The mass above is compared with alpha, not a fraction of the weight sum:
+        the weights are an unbiased probability decomposition whose sum is
+        itself random, and this keeps the noisy bulk out of the tail comparison.
+        """
+        if not 0.0 < alpha < 1.0:
+            raise DomainError("alpha must lie in (0, 1)")
+        order = np.argsort(self.conc, kind="stable")
+        cum = np.cumsum(self.sample_weight[order])
+        if cum[-1] <= 0.0:
+            raise DomainError("weights must have positive total mass")
+        tail_above = cum[-1] - cum  # mass strictly above each sorted value
+        # cut at 1 - (1 - alpha), not alpha: an ulp there moves a quantile by one row
+        idx = int(np.searchsorted(-tail_above, -(1.0 - (1.0 - alpha)), side="left"))
+        return float(self.conc[order[min(idx, self.conc.shape[0] - 1)]])
+
+    def estimates(self, tau: float) -> tuple[EstimateResult, EstimateResult]:
+        """EP and CE results at tau from the per-stratum tail sums.
+
+        ``variance`` is n times the stratified variance; the CE variance is the
+        delta-method variance of the ratio of the two stratified means, and its
+        ``naive_variance`` E[(C - CE)^2 1{C > tau}] / EP^2 from the pool's weights.
+        """
+        n = int(self.counts.sum())
+        _, sums = self.tail_sums(tau)
+
+        def result(estimate: float, var: float, **flags) -> EstimateResult:
+            return EstimateResult(estimate=float(estimate), variance=float(var * n),
+                                  halfwidth95=float(1.96 * np.sqrt(var)), n=n, **flags)
+
+        ep, ep_var = _stratified_mean(self.probs, self.counts, sums[0], sums[1])
+        numer = float(self.probs @ (sums[2] / np.maximum(self.counts, 1)))
+        if ep <= 0.0 or numer <= 0.0:
+            return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
+        ratio = numer / ep
+        _, resid_var = _stratified_mean(self.probs, self.counts, *_residual_sums(sums, ratio))
+        tail = self.conc > tau
+        naive_var = self.sample_weight[tail] @ (self.conc[tail] - ratio) ** 2 / ep**2
+        return result(ep, ep_var), result(ratio, resid_var / ep**2,
+                                          naive_variance=float(naive_var))
+
 
 def _stratum_var(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Per-stratum sample variances (n - 1 divisor) from sums and sums of squares."""
@@ -474,32 +518,6 @@ def _residual_sums(sums: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarr
     """Per-stratum sums and sums of squares of x - ratio * y."""
     sy, syy, sx, sxx, sxy = sums
     return sx - ratio * sy, sxx - 2.0 * ratio * sxy + ratio**2 * syy
-
-
-def _compose(pool: SisSample, tau: float) -> tuple[EstimateResult, EstimateResult]:
-    """EP and CE results from a pool's per-stratum tail sums.
-
-    ``variance`` is n times the stratified variance; the CE variance is the
-    delta-method variance of the ratio of the two stratified means, and the
-    CE's ``naive_variance`` is E[(C - CE)^2 1{C > tau}] / EP^2 read off the
-    pool's weights.
-    """
-    n = int(pool.counts.sum())
-    _, sums = pool.tail_sums(tau)
-
-    def result(estimate: float, var: float, **flags) -> EstimateResult:
-        return EstimateResult(estimate=float(estimate), variance=float(var * n),
-                              halfwidth95=float(1.96 * np.sqrt(var)), n=n, **flags)
-
-    ep, ep_var = _stratified_mean(pool.probs, pool.counts, sums[0], sums[1])
-    numer = float(pool.probs @ (sums[2] / np.maximum(pool.counts, 1)))
-    if ep <= 0.0 or numer <= 0.0:
-        return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
-    ratio = numer / ep
-    _, resid_var = _stratified_mean(pool.probs, pool.counts, *_residual_sums(sums, ratio))
-    tail = pool.conc > tau
-    naive_var = pool.sample_weight[tail] @ (pool.conc[tail] - ratio) ** 2 / ep**2
-    return result(ep, ep_var), result(ratio, resid_var / ep**2, naive_variance=float(naive_var))
 
 
 def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:
@@ -564,7 +582,7 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     fractions = np.asarray(STAGE_FRACTIONS)
     budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
     pool = _draw_pool(portfolio, is_params, scheme, budgets, floor, rng, tau)
-    return _compose(pool, tau)
+    return pool.estimates(tau)
 
 
 def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,

@@ -1,20 +1,22 @@
 """Risk measures on top of the estimators: CaR, CCaR, curves, VR reporting.
 
-CaR_alpha is the weighted empirical (1-alpha)-quantile of the simulated
-concentration sample, so P(C > CaR_alpha) is approximately alpha; CCaR_alpha
-is the conditional excess at that threshold.  For the IS/SIS estimators the
-quantile pass is iterated with re-calibrated tilt parameters on common random
-numbers until the previous threshold is a plausible alpha-quantile of the new
-pool: its stratified EP there lies within its own 95% halfwidth of alpha.  So
-the loop stops at the quantile's Monte Carlo noise at any budget.
+CaR_alpha is the weighted (1-alpha)-quantile of a simulated pool,
+``SisSample.quantile(alpha)``, so P(C > CaR_alpha) is approximately alpha;
+CCaR_alpha is the conditional excess at that threshold.  For the IS/SIS
+estimators the quantile pass is iterated with re-calibrated tilt parameters on
+common random numbers until the previous threshold is a plausible
+alpha-quantile of the new pool: its stratified EP there (``SisSample.ep_at``)
+lies within its own 95% halfwidth of alpha.  So the loop stops at the
+quantile's Monte Carlo noise at any budget.  No pool column is read here,
+apart from the curve pilot's interpolated quantile.
 
 A run's rows are one chain (``solve_cars``): only the first row draws an
 identity-tilt pilot, and each later row starts from the final pool that
 ``solve_car`` returned for the previous row, then runs the same loop on its
 own stream.
 
-``_design`` picks every tilt and stratification a query samples with, apart
-from the identity-tilt pilot, and each query function appends its warnings
+``_design`` picks every tilt and stratification a query samples with, the
+pilots' identity tilt included, and each query function appends its warnings
 to the caller's ``warnings`` list.
 """
 
@@ -39,7 +41,7 @@ from .estimators import (
 )
 from .statkit import Rng
 
-_ESTIMATORS = ("naive", "is", "sis")
+ESTIMATORS = ("naive", "is", "sis")
 
 # smallest replication budget of a CaR/CCaR query
 MIN_BUDGET = 1000
@@ -68,8 +70,8 @@ class RiskQuery:
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
             raise UsageError(f"alpha {self.alpha} outside (0, 0.5)")
-        if self.estimator not in _ESTIMATORS:
-            raise UsageError(f"estimator must be one of {_ESTIMATORS}")
+        if self.estimator not in ESTIMATORS:
+            raise UsageError(f"estimator must be one of {ESTIMATORS}")
         if self.budget < MIN_BUDGET:
             raise UsageError(f"budget must be at least {MIN_BUDGET}")
 
@@ -93,26 +95,6 @@ class RiskRow:
     ccar: float
     ccar_ci_pct: float
     vr_factor: float
-
-
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Smallest sample value with simulated mass at most 1 - q strictly above it.
-
-    The weights are an unbiased probability decomposition (total mass 1 in
-    expectation), so the cut is placed against 1 - q itself rather than
-    against a fraction of the weight sum.  That keeps the noisy bulk mass
-    out of the tail comparison, which matters for importance weights whose
-    sum is itself random.
-    """
-    if not 0.0 < q < 1.0:
-        raise DomainError("q must lie in (0, 1)")
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    if cum[-1] <= 0.0:
-        raise DomainError("weights must have positive total mass")
-    tail_above = cum[-1] - cum  # mass strictly above each sorted value
-    idx = int(np.searchsorted(-tail_above, -(1.0 - q), side="left"))
-    return float(values[order[min(idx, values.shape[0] - 1)]])
 
 
 def _note(warnings: list[str] | None, message: str) -> None:
@@ -155,13 +137,11 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
     ``warnings`` when it is given.
     """
     rng = query.rng.split(_STREAM_CAR)
-    q = 1.0 - query.alpha
-
     pool = start
     if pool is None:
-        pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
-                                       ONE_CELL, query.budget, rng)
-    tau = weighted_quantile(pool.conc, pool.sample_weight, q)
+        naive = _design(portfolio, "naive", None, query.budget, warnings)
+        pool = proportional_sis_sample(portfolio, *naive, query.budget, rng)
+    tau = pool.quantile(query.alpha)
 
     trace = [tau]
     while query.estimator != "naive":
@@ -171,7 +151,7 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
                          f"alpha={query.alpha}: ")
         pool = proportional_sis_sample(portfolio, *design, query.budget, rng)
         ep, halfwidth, _ = pool.ep_at(tau)
-        tau = weighted_quantile(pool.conc, pool.sample_weight, q)
+        tau = pool.quantile(query.alpha)
         trace.append(tau)
         if abs(ep - query.alpha) <= halfwidth:
             break
@@ -231,18 +211,19 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
         raise UsageError("tau grid must be a nonempty vector")
     if np.any(np.diff(grid) <= 0.0):
         raise UsageError("tau grid must be strictly increasing")
-    if estimator not in _ESTIMATORS:
-        raise UsageError(f"estimator must be one of {_ESTIMATORS}")
+    if estimator not in ESTIMATORS:
+        raise UsageError(f"estimator must be one of {ESTIMATORS}")
     if budget < 2:
         raise UsageError("budget must be at least 2")
 
     rng = Rng(seed).split(_STREAM_CURVE)
     ref = None
     if estimator != "naive":
-        identity = IsParams.identity(portfolio.dimension)
-        pilot = proportional_sis_sample(portfolio, identity, ONE_CELL, 2048, rng.split(5)).conc
-        # clamp into the grid but never below the calibration domain
-        ref = max(min(max(float(np.quantile(pilot, 0.9)), grid[0]), grid[-1]),
+        naive = _design(portfolio, "naive", None, 2048, warnings)
+        pilot = proportional_sis_sample(portfolio, *naive, 2048, rng.split(5))
+        # clamp into the grid but never below the calibration domain.  Interpolated, not
+        # ``pilot.quantile(0.1)``: its order statistic would move every IS/SIS curve
+        ref = max(min(max(float(np.quantile(pilot.conc, 0.9)), grid[0]), grid[-1]),
                   portfolio.baseline() * 1.05)
     params, scheme = _design(portfolio, estimator, ref, budget, warnings)
     params = IsParams(mean_shift=params.mean_shift, theta=max(params.theta, 1.2))

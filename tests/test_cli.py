@@ -63,6 +63,19 @@ class TestIngest:
         with pytest.raises(DataError, match="nonpositive"):
             ingest_csv(_write(tmp_path / "bad.csv", text))
 
+    def test_nonfinite_concentration_names_line(self, tmp_path, capsys):
+        # fit, not only the parser: past the parser, inf fails the GH fit and nan
+        # reads as a nonpositive concentration, neither with its line
+        days = [f"{day},A,{90.0 + day % 7}" for day in range(1, 301)]
+        for value in ("inf", "nan"):
+            lines = ["day,city,pm25"] + days[:149] + [f"150,A,{value}"] + days[150:]
+            path = _write(tmp_path / f"{value}.csv", "\n".join(lines) + "\n")
+            out = tmp_path / "model.json"
+            assert main(["fit", "--csv", path, "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"data error: {path}:151: pm25 {value!r} is not finite\n")
+            assert not out.exists()
+
     def test_duplicate_rejected(self, tmp_path):
         text = "day,city,pm25\n1,bj,10\n1,bj,11\n"
         with pytest.raises(DataError, match="duplicate"):

@@ -22,13 +22,12 @@ from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
     ONE_CELL,
     SisSample,
-    _compose,
     _concentration_and_gradient,
     _mixing_mode,
     default_scheme,
     proportional_sis_sample,
 )
-from pmrisk.statkit import normal_quantile
+from pmrisk.statkit import normal_cdf, normal_quantile
 
 from conftest import CAR_ROWS, NU
 
@@ -466,7 +465,7 @@ class TestComposer:
         ep_var = sum(p**2 * y.var(ddof=1) / y.size for p, y, _ in parts)
         ratio = sum(p * x.mean() for p, _, x in parts) / ep
         ce_var = sum(p**2 * (x - ratio * y).var(ddof=1) / y.size for p, y, x in parts) / ep**2
-        got_ep, got_ce = _compose(pool, tau)
+        got_ep, got_ce = pool.estimates(tau)
         for got, want in ((got_ep.estimate, ep), (got_ep.variance, ep_var * n),
                           (got_ce.estimate, ratio), (got_ce.variance, ce_var * n)):
             assert got == pytest.approx(want, rel=1e-12)
@@ -479,7 +478,7 @@ class TestComposer:
         y = np.where(pool.conc > tau, pool.weight, 0.0)
         x = pool.conc * y
         ratio = x.sum() / y.sum()
-        ep, ce = _compose(pool, tau)
+        ep, ce = pool.estimates(tau)
         assert ep.estimate == pytest.approx(y.mean(), rel=1e-12)
         assert ep.variance == pytest.approx(np.sum((y - y.mean()) ** 2) / (n - 1), rel=1e-12)
         assert ce.estimate == pytest.approx(ratio, rel=1e-12)
@@ -550,3 +549,75 @@ class TestCrossEstimatorAgreement:
             if ce_sis.variance <= ce_is.variance <= ce_nv.variance:
                 ordered += 1
         assert ordered >= int(0.95 * runs)
+
+
+MIXING_SLICES = 10
+T_MAX = 40.0  # drift bracket: normal_cdf(-40) is 0 in double precision
+
+
+def _cmc_ep(portfolio, tau: float, n: int, rng: Rng) -> tuple[float, float]:
+    """Five-city EP at tau by conditional Monte Carlo along the drift axis, and its SE.
+
+    z = w t + B r, with w the ``calibrate_is`` mean shift normalised and B the
+    Householder complement ``stratified_sample`` builds.  With L w > 0 every
+    V_d, and so C, increases with t, hence P(C > tau | r, y) = Phi(-t*) for
+    the root C(t*) = tau.  y comes from the ``calibrate_is`` gamma tilt,
+    proportionally stratified on its normal score, with its likelihood ratio.
+    The root is a vectorised Newton solve of log C(t) = log tau, slope from
+    the map's own cubic, safeguarded by each row's bracket.
+    """
+    params = calibrate_is(portfolio, tau)
+    dim, nu, theta = portfolio.dimension, portfolio.copula.nu, params.theta
+    w = params.mean_shift / np.linalg.norm(params.mean_shift)
+    lw = portfolio.chol @ w
+    assert np.all(lw > 0.0), lw
+    v = w.copy()
+    v[0] += 1.0 if w[0] >= 0.0 else -1.0
+    complement = (np.eye(dim) - np.outer(v, v) / abs(v[0]))[:, 1:]
+    g = rng.generator()
+    cells = np.arange(n) % MIXING_SLICES
+    u = np.clip((cells + g.random(n)) / MIXING_SLICES, 1e-16, 1.0 - 1e-16)
+    y = theta * np.exp(portfolio.mixing_quantile(normal_quantile(u)))
+    weight_y = (theta / 2.0) ** (nu / 2.0) * np.exp(y * (1.0 / theta - 0.5))
+    scale = np.sqrt(y / nu)[:, None]
+    drift = lw / scale  # dV/dt per row
+    rest = g.standard_normal((n, dim - 1)) @ (portfolio.chol @ complement).T / scale
+    contrib = portfolio.weights * portfolio.pm0
+    t = np.full(n, np.linalg.norm(params.mean_shift))
+    lo, hi = np.full(n, -T_MAX), np.full(n, T_MAX)  # log C < log tau at lo, >= at hi
+    for _ in range(60):
+        r, slope = portfolio.log_ratio_map.value_and_slope(drift * t[:, None] + rest)
+        terms = np.exp(r) * contrib
+        conc = terms.sum(axis=1)
+        gap = np.log(conc / tau)
+        lo, hi = np.where(gap < 0.0, t, lo), np.where(gap < 0.0, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - gap * conc / (terms * slope * drift).sum(axis=1)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = np.abs(step - t) <= 1e-12 * np.maximum(np.abs(t), 1.0)
+        t = step
+        if converged.all():
+            break
+    assert converged.all(), np.count_nonzero(~converged)
+    ep_rows = weight_y * normal_cdf(-t)
+    var = sum(ep_rows[cells == i].var(ddof=1) for i in range(MIXING_SLICES))
+    return float(ep_rows.mean()), float(np.sqrt(var / (MIXING_SLICES * n)))
+
+
+class TestFiveCityOracle:
+    # EP and SE at the reference CaRs from 10 x 1e5 oracle rows, as ROADMAP.md records them
+    RECORDED = {352.03: (1.00996e-2, 1.5e-6), 600.78: (1.04412e-3, 1.9e-7)}
+
+    @pytest.mark.parametrize("tau", [352.03, 600.78])
+    def test_proportional_pools_match_the_cmc_oracle(self, portfolio, tau):
+        oracle, oracle_se = _cmc_ep(portfolio, tau, 100_000, Rng(1))
+        recorded, recorded_se = self.RECORDED[tau]
+        assert abs(oracle - recorded) <= 4.0 * np.hypot(oracle_se, recorded_se)
+        params = calibrate_is(portfolio, tau)
+        for scheme in (ONE_CELL, default_scheme(portfolio, 10_000)):
+            eps = np.array([proportional_sis_sample(portfolio, params, scheme, 10_000,
+                                                    Rng(seed)).ep_at(tau)[0]
+                            for seed in range(1, 41)])
+            se = eps.std(ddof=1) / np.sqrt(eps.size)
+            assert abs(eps.mean() - oracle) <= 4.0 * np.hypot(se, oracle_se), (
+                scheme.counts, eps.mean(), oracle, se, oracle_se)

@@ -14,11 +14,10 @@ from pmrisk import (
     gh_quantile,
     solve_car,
     variance_reduction_factor,
-    weighted_quantile,
 )
 from pmrisk.cli import main
 from pmrisk.errors import UsageError
-from pmrisk.estimators import proportional_sis_sample
+from pmrisk.estimators import SisSample, proportional_sis_sample
 from pmrisk.risk import queries, solve_cars
 
 from conftest import CAR_ROWS
@@ -40,30 +39,65 @@ def _spy_pools(monkeypatch) -> list:
     return pools
 
 
+def _one_stratum_pool(values, weights) -> SisSample:
+    """A pool whose ``sample_weight`` is ``weights`` exactly: one stratum, counts [1]."""
+    values = np.asarray(values, dtype=float)
+    return SisSample(conc=values, weight=np.asarray(weights, dtype=float),
+                     stratum=np.zeros(values.size, dtype=int), probs=np.array([1.0]),
+                     counts=np.array([1]))
+
+
+class _PoolReaders:
+    """A pool seen only through its readers: any other attribute is missing."""
+
+    def __init__(self, pool: SisSample):
+        self._pool = pool
+
+    def __getattr__(self, name):
+        if name not in ("ep_at", "quantile", "estimates"):
+            raise AttributeError(name)
+        return getattr(self._pool, name)
+
+
+class TestPoolInterface:
+    @pytest.mark.parametrize("estimator", ["naive", "is", "sis"])
+    def test_car_chain_reads_pools_only_through_their_readers(self, portfolio, monkeypatch,
+                                                              estimator):
+        rows = queries([0.05, 0.01], estimator, 5000, 3)
+        report, cars = build_report(portfolio, rows), solve_cars(portfolio, rows)
+        wrapped = []
+
+        def readers_only(*args, **kwargs):
+            wrapped.append(_PoolReaders(proportional_sis_sample(*args, **kwargs)))
+            return wrapped[-1]
+
+        monkeypatch.setattr("pmrisk.risk.proportional_sis_sample", readers_only)
+        assert build_report(portfolio, rows) == report
+        assert solve_cars(portfolio, rows) == cars
+        assert wrapped
+
+
 class TestWeightedQuantile:
     def test_unweighted_matches_order_statistic(self):
-        values = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-        w = np.full(5, 0.2)
-        assert weighted_quantile(values, w, 0.5) == 3.0
-        assert weighted_quantile(values, w, 0.9) == 5.0
+        pool = _one_stratum_pool([5.0, 1.0, 3.0, 2.0, 4.0], np.full(5, 0.2))
+        assert pool.quantile(0.5) == 3.0
+        assert pool.quantile(0.1) == 5.0
 
     def test_weights_shift_the_cut(self):
-        values = np.array([1.0, 2.0, 3.0])
-        w = np.array([0.98, 0.01, 0.01])
-        assert weighted_quantile(values, w, 0.5) == 1.0
+        pool = _one_stratum_pool([1.0, 2.0, 3.0], [0.98, 0.01, 0.01])
+        assert pool.quantile(0.5) == 1.0
 
     def test_absolute_tail_mode(self):
-        values = np.arange(1.0, 101.0)
-        w = np.full(100, 0.01)
-        assert weighted_quantile(values, w, 0.95) == 95.0
+        pool = _one_stratum_pool(np.arange(1.0, 101.0), np.full(100, 0.01))
+        assert pool.quantile(0.05) == 95.0
 
     def test_rejects_bad_q(self):
         with pytest.raises(DomainError):
-            weighted_quantile(np.array([1.0]), np.array([1.0]), 0.0)
+            _one_stratum_pool([1.0], [1.0]).quantile(1.0)
 
     def test_rejects_zero_total_mass(self):
         with pytest.raises(DomainError):
-            weighted_quantile(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0.5)
+            _one_stratum_pool([1.0, 2.0], [0.0, 0.0]).quantile(0.5)
 
 
 class TestRiskQuery:
@@ -135,7 +169,7 @@ class TestSolveCar:
     def test_returns_the_pool_its_car_is_read_from(self, portfolio, estimator):
         query = RiskQuery(0.01, estimator, 5_000, Rng(2))
         tau, pool = solve_car(portfolio, query)
-        assert tau == weighted_quantile(pool.conc, pool.sample_weight, 1.0 - query.alpha)
+        assert tau == pool.quantile(query.alpha)
 
     def test_start_pool_replaces_the_pilot(self, portfolio, monkeypatch):
         _, start = solve_car(portfolio, RiskQuery(0.05, "sis", 5_000, Rng(2)))
@@ -146,7 +180,7 @@ class TestSolveCar:
         drawn = len(pools)
         tau, pool = solve_car(portfolio, RiskQuery(0.01, "naive", 5_000, Rng(3)), start=start)
         assert pool is start and len(pools) == drawn
-        assert tau == weighted_quantile(start.conc, start.sample_weight, 0.99)
+        assert tau == start.quantile(0.01)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001])
     def test_single_city_matches_closed_form(self, single_city, alpha):
@@ -320,8 +354,7 @@ class TestReport:
         rows = build_report(portfolio, queries([0.05, 0.01, 0.001], "naive", 5_000, 5))
         assert len(pools) == 1
         pilot = pools[0][1]
-        assert [r.car for r in rows] == [
-            weighted_quantile(pilot.conc, pilot.sample_weight, 1.0 - r.alpha) for r in rows]
+        assert [r.car for r in rows] == [pilot.quantile(r.alpha) for r in rows]
 
     @pytest.mark.parametrize("estimator", ["is", "sis"])
     def test_chain_stops_at_budget_5000(self, portfolio, estimator):
