@@ -9,15 +9,19 @@ monotone function of the variate v alone.  ``CityPortfolio.log_ratio_map``
 tabulates it once for all cities (cubic Hermite in asinh(v) with exact
 slopes), so a draw costs one table lookup per city instead of the driving
 CDF plus a root of the GH table's log-cubic.  The build evaluates that exact
-chain for all cities together: each refinement round is one batched solve
-of the D cities' GH quantiles (``ghdist.TableQuantiles``).  The GH tables
-hold log F and log S, which are close to linear in the tails, so the chain is
+chain for all cities together: each round is one batched solve of the D
+cities' GH quantiles (``ghdist.TableQuantiles``) at the knots and midpoints
+of the intervals it checks next, and an interval that fails its midpoint
+check is cut at once into as many parts as the cubic's h**4 error law asks
+for, so the paper preset's map is built in three rounds.  The GH tables hold
+log F and log S, which are close to linear in the tails, so the chain is
 smooth there too and the paper preset's map needs under a thousand knots.
 Likewise the t family's mixing variable at normal score s is a fixed
 multiple of G^{-1}(Phi(s)) for the Gamma(nu/2, 1) law G;
 ``CityPortfolio.mixing_quantile`` tabulates its log on a uniform grid in s.
 Both are ``ghdist.HermiteTable``s, which find each entry's interval through
-a bucket table in O(1) and evaluate the cubic by Horner's rule.
+a bucket table in O(1) and evaluate the cubic by Horner's rule, one city
+column at a time from that column's own coefficient tables.
 """
 
 from __future__ import annotations
@@ -36,17 +40,24 @@ from .statkit import normal_cdf, normal_pdf, normal_quantile, t_cdf, t_pdf, t_qu
 # tails where F(V) rounds to exactly 0 or 1 in float64.
 _UNIFORM_CLIP = 1e-15
 
-# Log-ratio map: an interval is halved while the error at its midpoint
-# exceeds _MAP_TOL and the exact chain's own rounding there (one ulp of
-# F(v), carried through the GH density), down to a width of _MAP_MIN_WIDTH
-# in asinh(v).  The rounding term matters only in the far upper tail, where
-# F(v) lies within a few ulps of 1 and the chain moves in steps of up to
-# ~3e-2.  On the preset and test maps no interval reaches the width floor;
-# it stays as the refinement's safeguard.
+# Log-ratio map: an interval is cut while the error at its midpoint exceeds
+# _MAP_TOL and the exact chain's own rounding there (one ulp of F(v), carried
+# through the GH density), down to a width of _MAP_MIN_WIDTH in asinh(v).  The
+# rounding term matters only in the far upper tail, where F(v) lies within a
+# few ulps of 1 and the chain moves in steps of up to ~3e-2.  On the preset and
+# test maps no interval reaches the width floor; it stays as the refinement's
+# safeguard.  The build starts from _MAP_START_INTERVALS equal intervals and
+# cuts one that misses by a factor e into ceil(margin e**(1/4)) equal parts,
+# at least 2 and none narrower than the floor.  The margin is
+# _MAP_FIRST_MARGIN on the start grid and _MAP_LATER_MARGIN after: an
+# interval that fails once its parent was cut is one where the h**4 law
+# missed, and a round costs more than the evaluations a wider cut adds.
 _MAP_TOL = 1e-10
 _MAP_ULP = 2.0**-52
 _MAP_MIN_WIDTH = 1e-4
-_MAP_START_INTERVALS = 64
+_MAP_START_INTERVALS = 128
+_MAP_FIRST_MARGIN = 1.2
+_MAP_LATER_MARGIN = 2.0
 
 # Mixing-quantile table: knots at most _MIX_WIDTH apart in the normal score
 # s, out to where Phi(s) reaches _MIX_CLIP (|s| = 8.22); constant beyond.
@@ -219,56 +230,75 @@ class LogRatioMap(HermiteTable):
         return r, slope / np.hypot(1.0, v)
 
 
-def _exact_log_ratios(portfolio: CityPortfolio, quantiles: TableQuantiles, v: np.ndarray,
-                      u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chain s * G^{-1}(u) at u = clip(F(v)), its slope in asinh(v) and its rounding.
+def _exact_log_ratios(portfolio: CityPortfolio, quantiles: TableQuantiles, x: np.ndarray,
+                      v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Points of the chain s * G^{-1}(u) at x = asinh(v), u = clip(F(v)).
 
-    All three are (n, D); ``quantiles`` holds the stacked GH tables of
+    Row i is (x_i, then per city the chain, its slope in x and its rounding),
+    so (n, 1 + 3D); ``quantiles`` holds the stacked GH tables of
     ``portfolio.marginals`` and solves all D cities at once.  The slope is
-    s_d f_F(v) cosh(asinh v) / g_d(r_d / s_d), with g_d the density of the GH
+    s_d f_F(v) cosh(x) / g_d(r_d / s_d), with g_d the density of the GH
     table itself; the rounding is one ulp of u through the same density.
     """
     spec = portfolio.copula
     dens = t_pdf(v, spec.nu) if spec.family == "t" else normal_pdf(v)
     dens = dens * np.sqrt(1.0 + v * v)
-    x, density = quantiles(u)
+    q, density = quantiles(u)
     inv_density = portfolio.scale / density
-    return x * portfolio.scale, dens[:, None] * inv_density, _MAP_ULP * u[:, None] * inv_density
+    return np.hstack([x[:, None], q * portfolio.scale, dens[:, None] * inv_density,
+                      _MAP_ULP * u[:, None] * inv_density])
 
 
 def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     spec = portfolio.copula
+    quantiles = TableQuantiles(portfolio.marginals)
     clip = np.array([_UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP])
     v_ends = t_quantile(clip, spec.nu) if spec.family == "t" else normal_quantile(clip)
-    x = np.linspace(np.arcsinh(v_ends[0]), np.arcsinh(v_ends[1]), _MAP_START_INTERVALS + 1)
+    # The points alternate knot, midpoint, knot, ...: interval i runs from
+    # point 2i to point 2i + 2, and its check is at point 2i + 1.
+    x = np.linspace(np.arcsinh(v_ends[0]), np.arcsinh(v_ends[1]), 2 * _MAP_START_INTERVALS + 1)
     v = np.sinh(x)
     v[[0, -1]] = v_ends
     u = copula_uniforms(spec, v)
     u[[0, -1]] = clip  # F(v_ends) may miss the clip by an ulp
-    quantiles = TableQuantiles(portfolio.marginals)
-    y, m, _ = _exact_log_ratios(portfolio, quantiles, v, u)
+    points = _exact_log_ratios(portfolio, quantiles, x, v, u)
+    d = portfolio.dimension
+    value, slope, rounding = slice(1, d + 1), slice(d + 1, 2 * d + 1), slice(2 * d + 1, None)
 
-    # intervals still to check; one no wider than twice the floor is kept as is
-    pending = np.ones(x.shape[0] - 1, dtype=bool)
+    pending = np.arange(_MAP_START_INTERVALS)  # intervals still to check
+    margin = _MAP_FIRST_MARGIN
     while True:
-        pending &= np.diff(x) > 2.0 * _MAP_MIN_WIDTH
-        if not pending.any():
+        k = 2 * pending
+        lo, mid, hi = points[k], points[k + 1], points[k + 2]
+        h = hi[:, :1] - lo[:, :1]
+        miss = np.abs(0.5 * (lo[:, value] + hi[:, value]) + 0.125 * h * (lo[:, slope] - hi[:, slope])
+                      - mid[:, value])
+        bound = np.maximum(mid[:, rounding], _MAP_TOL)
+        # one no wider than twice the floor is kept as is
+        split = np.any(miss > bound, axis=1) & (h[:, 0] > 2.0 * _MAP_MIN_WIDTH)
+        if not split.any():
             break
-        k = np.flatnonzero(pending)
-        mid = 0.5 * (x[k] + x[k + 1])
-        v_mid = np.sinh(mid)
-        y_mid, m_mid, noise = _exact_log_ratios(portfolio, quantiles, v_mid,
-                                                copula_uniforms(spec, v_mid))
-        h = (x[k + 1] - x[k])[:, None]
-        hermite_mid = 0.5 * (y[k] + y[k + 1]) + 0.125 * h * (m[k] - m[k + 1])
-        split = np.any(np.abs(hermite_mid - y_mid) > np.maximum(noise, _MAP_TOL), axis=1)
-        at = k[split] + 1  # each new knot goes in after its interval's left knot
-        x = np.insert(x, at, mid[split])
-        y = np.insert(y, at, y_mid[split], axis=0)
-        m = np.insert(m, at, m_mid[split], axis=0)
-        left = at - 1 + np.arange(at.size)  # the split intervals' left halves, renumbered
-        pending = np.zeros(x.shape[0] - 1, dtype=bool)
-        pending[left] = pending[left + 1] = True
+        k, h = k[split], h[split, 0]
+        # The midpoint miss of a cubic Hermite falls as h**4, so an interval
+        # that misses by a factor e is cut into about e**(1/4) equal parts.
+        excess = np.max(miss[split] / bound[split], axis=1)
+        parts = np.ceil(margin * np.sqrt(np.sqrt(excess)))
+        parts = np.clip(parts, 2, h // _MAP_MIN_WIDTH).astype(np.intp)
+        margin = _MAP_LATER_MARGIN
+        # The parts' knots and midpoints lie at j / (2 parts) of the interval
+        # for j = 1 .. 2 parts - 1; j = parts is the interval's own midpoint.
+        added = 2 * parts - 2
+        block = np.repeat(np.arange(k.size), added)
+        j = _ragged_arange(added) + 1
+        j += j >= parts[block]
+        x_new = lo[split, 0][block] + h[block] * (j / (2.0 * parts[block]))
+        v_new = np.sinh(x_new)
+        new = _exact_log_ratios(portfolio, quantiles, x_new, v_new, copula_uniforms(spec, v_new))
+        points = np.insert(points, k[block] + np.where(j < parts[block], 1, 2), new, axis=0)
+        # each split interval's parts, renumbered past the points added before it
+        first = (k + np.cumsum(added) - added) // 2
+        pending = np.repeat(first, parts) + _ragged_arange(parts)
+    x, y, m = points[::2, 0], points[::2, value], points[::2, slope]
 
     # Cap the slopes at three times the neighbouring secants, which keeps each
     # cubic monotone, also where the far upper tail steps (see _MAP_TOL).
@@ -276,6 +306,11 @@ def _tabulate_log_ratios(portfolio: CityPortfolio) -> LogRatioMap:
     np.minimum(m[:-1], 3.0 * secant, out=m[:-1])
     np.minimum(m[1:], 3.0 * secant, out=m[1:])
     return LogRatioMap.from_knots(x, y, m)
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0 .. c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _tabulate_mixing_quantile(nu: float) -> HermiteTable:

@@ -200,12 +200,15 @@ def _panel_integrals(pdf_vals_fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class HermiteTable:
     """Piecewise cubic on an increasing knot grid, constant beyond both ends.
 
-    Row k of ``coef[j]`` (shape (4, K + 1, D), power-major so each power's
-    table is contiguous) holds, per column, the coefficient of power j of
+    ``coef[j, c, k]`` (shape (4, D, K + 1), so each power's table of each
+    column is contiguous) is, for column c, the coefficient of power j of
     the cubic in x - ``anchors[k]`` that applies where
     ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
-    Called on an (n, D) matrix, or an (n,) vector when D = 1, it returns
-    the values in the same shape.
+    Called on an (n, D) matrix (or one row of D), or an (n,) vector when
+    D = 1, it returns the values in the same shape, C-ordered.  It reads
+    one column at a time: the column's rows, then four gathers from that
+    column's own tables and Horner's rule, so a column-major input is read
+    contiguously.
 
     A row is found in O(1): a table of equal-width buckets over the knot
     range gives the first row of x's bucket, and the buckets are narrow
@@ -220,16 +223,17 @@ class HermiteTable:
     @classmethod
     def from_knots(cls, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> "HermiteTable":
         """Cubic Hermite spline through values y with slopes m, both (K, D), at knots x."""
-        h = np.diff(x)[:, None]
-        secant = np.diff(y, axis=0) / h
-        coef = np.zeros((4, x.shape[0] + 1, y.shape[1]))
-        coef[0, 0] = y[0]
-        coef[0, -1] = y[-1]
-        inner = coef[:, 1:-1]
-        inner[0] = y[:-1]
-        inner[1] = m[:-1]
-        inner[2] = (3.0 * secant - 2.0 * m[:-1] - m[1:]) / h
-        inner[3] = (m[:-1] + m[1:] - 2.0 * secant) / (h * h)
+        h = np.diff(x)
+        y, m = y.T, m.T
+        secant = np.diff(y, axis=1) / h
+        coef = np.zeros((4, y.shape[0], x.shape[0] + 1))
+        coef[0, :, 0] = y[:, 0]
+        coef[0, :, -1] = y[:, -1]
+        inner = coef[..., 1:-1]
+        inner[0] = y[:, :-1]
+        inner[1] = m[:, :-1]
+        inner[2] = (3.0 * secant - 2.0 * m[:, :-1] - m[:, 1:]) / h
+        inner[3] = (m[:, :-1] + m[:, 1:] - 2.0 * secant) / (h * h)
         return cls(knots=x, anchors=np.concatenate([x[:1], x]), coef=coef)
 
     @cached_property
@@ -250,32 +254,41 @@ class HermiteTable:
     def rows(self, x: np.ndarray) -> np.ndarray:
         """``searchsorted(knots, x, 'right')``, by bucket lookup."""
         origin, scale, n, first, upper = self._buckets
-        row = first[_bucket_of(x, origin, scale, n)]
-        row += x >= upper[row]
+        row = first.take(_bucket_of(x, origin, scale, n))
+        row += x >= upper.take(row)
         return row
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        row = self.rows(x)
-        d = x - self.anchors[row]
-        row *= self.coef.shape[2]
-        row += np.arange(self.coef.shape[2])  # flat index of coef[j, k, d]
-        r = self.coef[3].take(row)
-        for j in (2, 1, 0):
+        columns = self.coef.shape[1]
+        out = np.empty(x.shape)
+        cells = out.reshape(-1, columns)
+        for col, xc in enumerate(x.reshape(-1, columns).T):
+            row = self.rows(xc)
+            d = xc - self.anchors[row]
+            c3, c2, c1, c0 = self.coef[::-1, col]
+            r = c3.take(row)
+            for cj in (c2, c1):
+                r *= d
+                r += cj.take(row)
             r *= d
-            r += self.coef[j].take(row)
-        return r
+            np.add(r, c0.take(row), out=cells[:, col])
+        return out
 
     def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``__call__``'s values, to the bit, and the cubic's derivative at x (0 beyond the ends)."""
         row = self.rows(x)
-        c0, c1, c2, c3 = self.coef[:, row, np.arange(self.coef.shape[2])]
+        c0, c1, c2, c3 = self.coef[:, np.arange(self.coef.shape[1]), row]
         d = x - self.anchors[row]
         return ((c3 * d + c2) * d + c1) * d + c0, (3.0 * c3 * d + 2.0 * c2) * d + c1
 
 
 def _bucket_of(x: np.ndarray, origin: float, scale: float, n: int) -> np.ndarray:
     # monotone in x, so a knot in an earlier bucket lies below every x in a later one
-    return np.clip((x - origin) * scale, 0.0, n - 1).astype(np.intp)
+    bucket = x - origin
+    bucket *= scale
+    np.maximum(bucket, 0.0, out=bucket)
+    np.minimum(bucket, n - 1, out=bucket)
+    return bucket.astype(np.intp)
 
 
 class _SearchedTable(HermiteTable):
@@ -395,20 +408,28 @@ class TableQuantiles:
     knot, where both hold the quadrature sums, as ``gh_cdf``'s do.  An entry
     below a side's first knot value (u under the tail mass beyond the
     support) is solved at that knot, the support bound.
-    ``searchsorted`` per law and side finds each entry's panel among the
-    stacked rows of all 2D tables (a law's lower rows, then its upper rows),
-    and one safeguarded Newton iteration on the panels' log-cubics runs over
-    the whole (n, D) batch.  An entry that has converged is frozen, so each
-    entry's iterates, and its result, do not depend on the rest of the batch:
-    ``gh_quantile`` is the one-law case.
+    One ``searchsorted`` over the knot values of all 2D sides finds each
+    entry's panel among the stacked rows of all 2D tables (a law's lower
+    rows, then its upper rows), and one safeguarded Newton iteration on the
+    panels' log-cubics runs over the whole (n, D) batch.  An entry that has
+    converged is frozen, so each entry's iterates, and its result, do not
+    depend on the rest of the batch: ``gh_quantile`` is the one-law case.
     """
 
     def __init__(self, laws):
         tables = [_tables(law) for law in laws]
         sides = [side for t in tables for side in (t.lower, t.upper)]
         self._split = np.array([t.median_cdf for t in tables])
-        self._values = [side.coef[0, 1:, 0] for side in sides]  # each side's knot values
-        self._coef = np.concatenate([side.coef[..., 0] for side in sides], axis=1)
+        # Side j = 2 law + (upper side).  Complex numbers sort by real part,
+        # then by imaginary part, so the keys (j, knot value) list every
+        # side's knot values in turn, and one search over them finds each
+        # entry's knot on its own side.
+        values = [side.coef[0, 0, 1:] for side in sides]
+        self._keys = np.empty(sum(v.size for v in values), dtype=complex)
+        self._keys.real = np.repeat(np.arange(len(values)), [v.size for v in values])
+        self._keys.imag = np.concatenate(values)
+        self._first = np.array([v[0] for v in values])
+        self._coef = np.concatenate([side.coef[:, 0] for side in sides], axis=1)
         self._anchors = np.concatenate([side.anchors for side in sides])
         # Each row's panel width and right knot value.  A side's last row is a
         # constant that no u in (0, 1) reaches, so its entries are never read.
@@ -416,30 +437,28 @@ class TableQuantiles:
         self._next = np.append(self._coef[0, 1:], 0.0)
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        upper = u[:, None] > self._split
-        log_q = (np.log(u), np.log(1.0 - u))  # 1 - u is exact where it is read
-        row = np.empty(upper.shape, dtype=np.intp)
-        target = np.empty(upper.shape)
-        base = 0
-        for j, values in enumerate(self._values):
-            law, side = divmod(j, 2)
-            at = np.flatnonzero(upper[:, law] == side)
-            # below the side's first knot the solve lands on the support bound
-            qs = np.maximum(log_q[side][at], values[0])
-            target[at, law] = qs
-            row[at, law] = base + np.searchsorted(values, qs, side="right")
-            base += values.size + 1
-        c = self._coef[:, row]
+        # law-major (D, n): each law's entries read its own tables in turn
+        upper = u > self._split[:, None]
+        side = upper + np.arange(0, upper.shape[0] * 2, 2)[:, None]
+        # 1 - u is exact where it is read; below a side's first knot value the
+        # solve lands on the support bound
+        target = np.where(upper, np.log(1.0 - u), np.log(u))
+        np.maximum(target, self._first[side], out=target)
+        key = np.empty(upper.shape, dtype=complex)
+        key.real, key.imag = side, target
+        # a side's rows are its knots' and one more, so side j's rows start j past its knots
+        row = np.searchsorted(self._keys, key, side="right") + side
+        c = self._coef.take(row, axis=1)
         c0, c1, c2, c3 = c
         c0 -= target  # the cubic minus log q: less rounding than subtracting it last
-        width = self._width[row]
-        d = width * c0 / (c0 + target - self._next[row])  # the secant's root
+        width = self._width.take(row)
+        d = width * c0 / (c0 + target - self._next.take(row))  # the secant's root
         width = width.ravel()
         _newton(c.reshape(4, -1), d.reshape(-1), np.zeros_like(width), width.copy(),
                 _SOLVE_TOL * width, _SOLVE_STEPS)
-        x = self._anchors[row] + d
+        x = self._anchors.take(row) + d
         slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
-        return np.where(upper, -x, x), np.exp(target) * slope
+        return np.where(upper, -x, x).T, (np.exp(target) * slope).T
 
 
 def _newton(c, d, lo, hi, tol, steps):

@@ -72,8 +72,15 @@ class RiskQuery:
             raise UsageError(f"alpha {self.alpha} outside (0, 0.5)")
         if self.estimator not in ESTIMATORS:
             raise UsageError(f"estimator must be one of {ESTIMATORS}")
-        if self.budget < MIN_BUDGET:
-            raise UsageError(f"budget must be at least {MIN_BUDGET}")
+        _check_budget(self.budget, MIN_BUDGET)
+
+
+def _check_budget(budget, least: int) -> None:
+    """An integer replication count of at least ``least``; numpy integers pass, bool does not."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise UsageError(f"budget must be an integer, got {budget!r}")
+    if budget < least:
+        raise UsageError(f"budget must be at least {least}")
 
 
 def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
@@ -209,12 +216,13 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise UsageError("tau grid must be a nonempty vector")
+    if not np.all(np.isfinite(grid)):
+        raise UsageError("tau grid must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise UsageError("tau grid must be strictly increasing")
     if estimator not in ESTIMATORS:
         raise UsageError(f"estimator must be one of {ESTIMATORS}")
-    if budget < 2:
-        raise UsageError("budget must be at least 2")
+    _check_budget(budget, 2)
 
     rng = Rng(seed).split(_STREAM_CURVE)
     ref = None

@@ -19,7 +19,7 @@ from pmrisk import (
     t_cdf,
 )
 from pmrisk.copula import CopulaDraw, copula_uniforms, dependent_vector
-from pmrisk.ghdist import TableQuantiles
+from pmrisk.ghdist import HermiteTable, TableQuantiles
 
 from conftest import GH_ROWS, MOMENTS_OVERFLOW, NU, SIGMA, model_draw
 
@@ -162,14 +162,39 @@ _MAP_CASES = {
     "scaled": lambda p: _twin(p, scale=[0.5, 1.7, 1.0, 2.3, 0.8]),
 }
 
-# Knot count and sha256 of knots + coef of each case's map, built on the GH
+# Knot count and sha256 of the knots and the coefficients, in (power, row,
+# city) order, of each case's map, built from 128 start intervals on the GH
 # tables of test_ghdist.TABLE_FINGERPRINTS (numpy 2.4, scipy 1.17, x86-64).
 MAP_FINGERPRINTS = {
-    "normal": (1119, "675f1be0e46ec064c146aa07ace3f21f5c61afce89430f2afa1618ddedc76664"),
-    "paper": (989, "d9bf01575bca8938128be575d4e182b9b652084d892ef3730a521708b4cd2b0c"),
-    "scaled": (1011, "54d3ad6030d8f637fa693e1368de2f7364e3050ba6603e4398256ccadaf86ded"),
-    "t3": (912, "48fdd8096af8984e360cd4a698f58a46cb6c3797fbf3f0673d77f8ed8083fd2b"),
+    "normal": (1020, "97037ed0780aa9cf58aa743f5e813eda04a9bf9c110789bf0f9e1b0a73a94805"),
+    "paper": (941, "356a557863e03af01019a3c66f1f0b064434dbaac599c8e7101254a38ecf2a48"),
+    "scaled": (1025, "33cbec8c9395e651fb4d6420fc328f00a79ce0e2a413cd1d525b0a1691c234ee"),
+    "t3": (903, "fe2bf42cf397233885af896e4da5a7e6f88e91e34814c34ecac0a290a39c55b0"),
 }
+
+
+def _flat_index_call(table, x):
+    """The reference evaluation: one flat index row * D + column into the
+    coefficients laid out (4, K + 1, D), as ``HermiteTable`` read them before
+    it read one column at a time."""
+    coef = np.ascontiguousarray(table.coef.transpose(0, 2, 1))
+    row = table.rows(x)
+    d = x - table.anchors[row]
+    row *= coef.shape[2]
+    row += np.arange(coef.shape[2])
+    r = coef[3].take(row)
+    for j in (2, 1, 0):
+        r *= d
+        r += coef[j].take(row)
+    return r
+
+
+def _flat_index_value_and_slope(table, x):
+    coef = table.coef.transpose(0, 2, 1)
+    row = table.rows(x)
+    c0, c1, c2, c3 = coef[:, row, np.arange(coef.shape[2])]
+    d = x - table.anchors[row]
+    return ((c3 * d + c2) * d + c1) * d + c0, (3.0 * c3 * d + 2.0 * c2) * d + c1
 
 
 def _mapped(portfolio, v):
@@ -194,7 +219,9 @@ class TestLogRatioMap:
     @pytest.mark.parametrize("name", sorted(_MAP_CASES))
     def test_map_matches_fingerprint(self, name, portfolio):
         table = _MAP_CASES[name](portfolio).log_ratio_map
-        digest = hashlib.sha256(table.knots.tobytes() + table.coef.tobytes())
+        # coefficients in (power, row, city) order, whatever the stored layout
+        coef = np.ascontiguousarray(table.coef.transpose(0, 2, 1))
+        digest = hashlib.sha256(table.knots.tobytes() + coef.tobytes())
         assert (table.knots.size, digest.hexdigest()) == MAP_FINGERPRINTS[name]
 
     def test_matches_exact_chain(self, case):
@@ -232,10 +259,10 @@ class TestLogRatioMap:
         # one exact-chain evaluation for the start grid and one per refinement
         # round, each on the stacked tables of all five cities
         stacked = TableQuantiles(portfolio.marginals)._coef.shape
-        assert [shape for shape, _ in calls] == [stacked] * 8
+        assert [shape for shape, _ in calls] == [stacked] * 3
         # the size of the build, not its time
-        assert table.knots.size <= 1100
-        assert sum(size for _, size in calls) <= 2500
+        assert table.knots.size <= 1000
+        assert sum(size for _, size in calls) <= 2000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_variates(self, portfolio, bad):
@@ -266,6 +293,39 @@ class TestLogRatioMap:
         value, slope = table.value_and_slope(far)
         assert np.array_equal(value, table(far))
         assert np.all(slope == 0.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columnwise_read_equals_flat_index(self, case, order):
+        table = case.log_ratio_map
+        knots = table.knots
+        x = np.random.default_rng(6).uniform(knots[0] - 1.0, knots[-1] + 1.0,
+                                             (20_000, case.dimension))
+        # every knot, and the next float above it, in every column
+        x[: knots.size] = knots[:, None]
+        x[knots.size : 2 * knots.size] = np.nextafter(knots, np.inf)[:, None]
+        x = np.asarray(x, order=order)
+        value = HermiteTable.__call__(table, x)
+        assert value.flags.c_contiguous
+        assert np.array_equal(value, _flat_index_call(table, np.ascontiguousarray(x)))
+        assert np.array_equal(table(np.sinh(x)), _flat_index_call(table, np.arcsinh(np.sinh(x))))
+
+    def test_single_city_read_equals_flat_index(self, single_city):
+        table = single_city.log_ratio_map
+        x = np.random.default_rng(9).uniform(table.knots[0] - 1.0, table.knots[-1] + 1.0, 30_000)
+        reference = _flat_index_call(table, x[:, None])
+        assert np.array_equal(HermiteTable.__call__(table, x[:, None]), reference)
+        assert np.array_equal(HermiteTable.__call__(table, x), reference[:, 0])
+
+    def test_one_row_equals_flat_index(self, case):
+        table = case.log_ratio_map
+        for z in np.random.default_rng(7).standard_normal((50, case.dimension)) * 3.0:
+            x = np.arcsinh(z)
+            value, slope = table.value_and_slope(z)
+            ref_value, ref_slope = _flat_index_value_and_slope(table, x)
+            assert value.shape == slope.shape == (case.dimension,)
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(slope, ref_slope / np.hypot(1.0, z))
+            assert np.array_equal(table(z), _flat_index_call(table, x))
 
     def test_bucket_index_equals_searchsorted(self, case):
         table = case.log_ratio_map
@@ -306,6 +366,11 @@ class TestMixingQuantile:
     def test_nondecreasing(self, case):
         s = np.linspace(-9.0, 9.0, 200_001)
         assert np.all(np.diff(case.mixing_quantile(s)) >= 0.0)
+
+    def test_columnwise_read_equals_flat_index(self, case):
+        table = case.mixing_quantile
+        s = np.random.default_rng(8).standard_normal(30_000) * 4.0
+        assert np.array_equal(table(s), _flat_index_call(table, s[:, None])[:, 0])
 
     def test_bucket_index_equals_searchsorted(self, case):
         table = case.mixing_quantile

@@ -115,12 +115,12 @@ class TestCalibrateIs:
     # tables; the design point follows the log-ratio map, so a change of the
     # tables or the map re-records them
     @pytest.mark.parametrize("tau, shift, theta", [
-        (150.0, [0.6068184864619165, 0.17395554695975243, 0.0334474362405254,
-                 0.07132213198928983, 0.052302304585033314], 1.9166809168921337),
-        (352.03, [1.8833837686274228, 0.521260458866293, 0.048470183695809306,
-                  0.14966939318632344, 0.1273910859016084], 1.2106695990514944),
-        (600.78, [2.2976393001345676, 0.589081602621925, 0.039637747200800065,
-                  0.14561059080938024, 0.1309399022138529], 0.8412919547604772),
+        (150.0, [0.6068184857701165, 0.1739555490861003, 0.03344743647415592,
+                 0.0713221322911019, 0.05230230480796825], 1.9166809168957768),
+        (352.03, [1.883383768746793, 0.5212604588813183, 0.04847018378696527,
+                  0.14966939245926295, 0.12739108506487526], 1.210669599042636),
+        (600.78, [2.297639298960627, 0.5890816066700769, 0.03963774747485662,
+                  0.14561059175278682, 0.13093990303228564], 0.841291954783872),
     ], ids=["150.0", "352.03", "600.78"])
     def test_matches_recorded_design_point(self, portfolio, tau, shift, theta):
         params = calibrate_is(portfolio, tau)

@@ -59,7 +59,7 @@ def _oracle_frozen(params):
 
 def _knot_cdf(table):
     """The CDF at a table's edges, read off its lower side."""
-    return np.exp(table.lower.coef[0, 1:, 0])
+    return np.exp(table.lower.coef[0, 0, 1:])
 
 
 class TestValidation:
@@ -356,8 +356,52 @@ def _solve_grid(law):
                            [0.5, np.nextafter(0.5, 1.0), 1.0 - 1e-12, 1.0 - 1e-15]])
 
 
+def _per_side_solve(laws, u):
+    """The reference solve: each law-side's entries found by a ``searchsorted``
+    of their own, in a loop over the sides, as ``TableQuantiles`` found them
+    before its one search over all sides; then the same secant start and
+    Newton iteration, on (n, D) arrays."""
+    stacked = ghdist.TableQuantiles(laws)
+    tables = [ghdist._tables(law) for law in laws]
+    upper = u[:, None] > np.array([t.median_cdf for t in tables])
+    log_q = (np.log(u), np.log(1.0 - u))
+    row = np.empty(upper.shape, dtype=np.intp)
+    target = np.empty(upper.shape)
+    base = 0
+    for j, side in enumerate(side for t in tables for side in (t.lower, t.upper)):
+        values = side.coef[0, 0, 1:]
+        law, which = divmod(j, 2)
+        at = np.flatnonzero(upper[:, law] == which)
+        qs = np.maximum(log_q[which][at], values[0])
+        target[at, law] = qs
+        row[at, law] = base + np.searchsorted(values, qs, side="right")
+        base += values.size + 1
+    c = stacked._coef[:, row]
+    c0, c1, c2, c3 = c
+    c0 -= target
+    width = stacked._width[row]
+    d = width * c0 / (c0 + target - stacked._next[row])
+    width = width.ravel()
+    ghdist._newton(c.reshape(4, -1), d.reshape(-1), np.zeros_like(width), width.copy(),
+                   ghdist._SOLVE_TOL * width, ghdist._SOLVE_STEPS)
+    x = stacked._anchors[row] + d
+    slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+    return np.where(upper, -x, x), np.exp(target) * slope
+
+
 class TestBatchedSolve:
     LAWS = tuple(GH_ROWS[city] for city in sorted(GH_ROWS)) + (VG_RIDGE,)
+
+    def test_one_search_equals_per_side_searches(self):
+        rng = np.random.default_rng(12)
+        u = np.concatenate([np.unique(np.concatenate([_solve_grid(law) for law in self.LAWS])),
+                            rng.uniform(size=20_000), 10.0 ** -rng.uniform(0.0, 300.0, 2000),
+                            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000)])
+        u = u[(u > 0.0) & (u < 1.0)]
+        laws = self.LAWS + tuple(RUNG_NEIGHBOURS.values())
+        x, dens = ghdist.TableQuantiles(laws)(u)
+        ref_x, ref_dens = _per_side_solve(laws, u)
+        assert x.tobytes() == ref_x.tobytes() and dens.tobytes() == ref_dens.tobytes()
 
     def test_batch_equals_one_law_and_one_value_calls(self):
         grids = [_solve_grid(law) for law in self.LAWS]

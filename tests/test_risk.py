@@ -113,6 +113,14 @@ class TestRiskQuery:
         with pytest.raises(DomainError):
             RiskQuery(alpha=0.05, estimator="qmc", budget=10_000, rng=Rng(0))
 
+    @pytest.mark.parametrize("budget", [5000.5, np.float64(5000.0), True, "5000"])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(UsageError, match="integer"):
+            RiskQuery(alpha=0.05, estimator="sis", budget=budget, rng=Rng(0))
+
+    def test_accepts_numpy_integer_budget(self):
+        assert RiskQuery(alpha=0.05, estimator="sis", budget=np.int64(5000), rng=Rng(0)).budget == 5000
+
     @pytest.mark.parametrize("rng", [Rng(0), Rng(42, 7), Rng(2**63, 2**64 - 1)])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.01, 0.6, float("nan")])
     def test_rejects_alpha_out_of_range_whatever_rng(self, alpha, rng):
@@ -245,6 +253,17 @@ class TestExceedanceCurve:
     def test_rejects_unsorted_grid(self, portfolio):
         with pytest.raises(DomainError):
             exceedance_curve(portfolio, np.array([200.0, 150.0]), "naive", 1000, 0)
+
+    @pytest.mark.parametrize("grid", [[100.0, np.nan], [np.nan], [-np.inf, 200.0],
+                                      [100.0, np.inf]])
+    def test_rejects_nonfinite_threshold(self, portfolio, grid):
+        with pytest.raises(UsageError, match="finite"):
+            exceedance_curve(portfolio, np.array(grid), "naive", 1000, 0)
+
+    @pytest.mark.parametrize("budget", [5000.5, np.float64(5000.0), False])
+    def test_rejects_non_integer_budget(self, portfolio, budget):
+        with pytest.raises(UsageError, match="integer"):
+            exceedance_curve(portfolio, np.array([200.0]), "naive", budget, 0)
 
     def test_grid_below_baseline_degrades_gracefully(self, portfolio):
         # thresholds under the current concentration: EP ~ 1, tilt stays mild
