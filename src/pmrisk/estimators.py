@@ -29,9 +29,9 @@ three differ only in the tilt and the scheme they pass in.
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
 and the log-ratios come from the tabulated ``log_ratio_map``.  ``calibrate_is``
-solves one root per refinement round by Newton steps on one-row evaluations
-that return C and its exact gradient from the map's own slope; the mixing
-coordinate of its design point has a closed form (``_mixing_mode``).
+finds its design point by HL-RF steps on one-row evaluations that return C
+and its exact gradient from the map's own slope; the mixing coordinate of
+the design point has a closed form (``_mixing_mode``).
 
 A scheme is the paper's grid, ``counts = (drift slices, mixing slices)``:
 the drift axis is the direction of the IS mean shift, the mixing axis the
@@ -71,10 +71,8 @@ N_STRATA = 22
 N_MIN = 10
 STAGE_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
-# coordinate-search rounds of calibrate_is (each refreshes the growth direction),
-# and the cap on the safeguarded Newton steps of each round's root solve
-REFINE_ROUNDS = 3
-_NEWTON_STEPS = 100
+# cap on the HL-RF steps of calibrate_is
+_HLRF_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +175,6 @@ def _concentration_and_gradient(portfolio: CityPortfolio, z: np.ndarray, y: floa
     return portfolio_concentration(portfolio, r), portfolio.chol.T @ (contrib * slope) / scale
 
 
-def _unit(grad: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(grad)
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise NumericError("degenerate concentration gradient")
-    return grad / norm
-
-
 def _mixing_mode(x: float, nu: float) -> float:
     """The y minimizing x^2 y / (2 nu) + y / 2 - (nu/2 - 1) log y, in calibrate_is's bounds.
 
@@ -199,20 +190,18 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     """IS parameters from the constrained mode of the original density.
 
     Finds (z*, y*) maximizing the joint log-density of (Z, Y) subject to
-    C(z, y) >= tau by a coordinate search: z restricted to the ray along the
-    direction of steepest concentration growth (refreshed each round), y
-    optimized on its own axis.  The mean shift is z*; theta places the tilted
-    gamma mode at y*.  Any numerical failure degrades to the identity tilt
-    with a warning instead of raising.
+    C(z, y) >= tau.  The mean shift is z*; theta places the tilted gamma mode
+    at y*.  Any numerical failure degrades to the identity tilt with a
+    warning instead of raising.
 
-    The variates are L z / sqrt(y/nu), so C(t w, y) depends on t and y only
-    through x = t / sqrt(y/nu): each round solves C(x w, nu) = tau for x
-    once, after which y* has a closed form (``_mixing_mode``) and
-    t* = x sqrt(y*/nu).  The solve takes Newton steps from the previous
-    round's x (4 in the first) while they stay in the bracket of the signs
-    seen so far, and bisects or doubles the bracket otherwise.  Its last
-    gradient is the next growth direction: v at the root, and so the
-    gradient's direction, does not depend on how t and y split.
+    The variates are L z / sqrt(y/nu), so C(z, y) depends on y only through
+    u = z / sqrt(y/nu): the point u of {C(u, nu) = tau} nearest the origin
+    fixes the direction w = u / |u| and x = |u|, after which y* has a closed
+    form (``_mixing_mode``) and z* = x sqrt(y*/nu) w.  That point is found by
+    the Hasofer-Lind-Rackwitz-Fiessler iteration
+    u <- [(g.u - (C(u) - tau)) / |g|^2] g, g the gradient of C at u, which
+    solves the constraint and the direction (g parallel to u) in one loop,
+    from u = 4 g(0) / |g(0)|.
     """
     if not np.isfinite(tau):
         raise DomainError("tau must be finite")
@@ -222,48 +211,28 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
 
     spec = portfolio.copula
     nu = spec.nu if spec.family == "t" else None
-    shape = nu / 2.0 if nu is not None else None
-    y_mode = max(nu - 2.0, 1e-2) if nu is not None else 1.0
-    y_ref = nu if nu is not None else 1.0  # y at which t = x
+    y_ref = nu if nu is not None else 1.0  # y at which z = u
 
     try:
-        direction = _unit(_concentration_and_gradient(portfolio, np.zeros(portfolio.dimension),
-                                                      y_ref)[1])
-        x, y_star = 4.0, y_mode
-        for _ in range(REFINE_ROUNDS):
-            lo, hi = -np.inf, np.inf  # the gap C(x w, nu) - tau is < 0 at lo, >= 0 at hi
-            for _ in range(_NEWTON_STEPS):
-                conc, grad = _concentration_and_gradient(portfolio, x * direction, y_ref)
-                gap, slope = conc - tau, grad @ direction
-                lo, hi = (x, hi) if gap < 0.0 else (lo, x)
-                step = x - gap / slope if slope > 0.0 else np.nan
-                if not max(lo, -1e4) <= step <= min(hi, 1e4):  # bisect, or widen the bracket
-                    step = (0.5 * (lo + hi) if np.isfinite(lo + hi)
-                            else x - np.copysign(max(abs(x), 4.0), gap))
-                    if abs(step) > 1e4:
-                        raise NumericError("cannot bracket the IS design point")
-                x, dx = step, step - x
-                if abs(dx) <= 1e-12 * max(abs(x), 1.0):
-                    break
-            else:
-                raise NumericError("the IS design point did not converge")
-            if nu is not None:
-                y_star = _mixing_mode(x, nu)
-            t_star = x * np.sqrt(y_star / y_ref)
-            new_direction = _unit(grad)
-            if np.linalg.norm(new_direction - direction) < 1e-3:
-                direction = new_direction
+        u = np.zeros(portfolio.dimension)
+        for step in range(_HLRF_STEPS):
+            conc, grad = _concentration_and_gradient(portfolio, u, y_ref)
+            norm2 = grad @ grad
+            if not np.isfinite(norm2) or norm2 <= 0.0:
+                raise NumericError("degenerate concentration gradient")
+            # the first step goes out to 4 along the gradient at the origin
+            new = grad * (4.0 / np.sqrt(norm2) if step == 0 else (grad @ u - (conc - tau)) / norm2)
+            moved, u = np.linalg.norm(new - u), new
+            if moved <= 1e-12 * max(np.linalg.norm(u), 1.0):
                 break
-            direction = new_direction
-        t_star = max(t_star, 0.0)
-        mean_shift = t_star * direction
-        if shape is not None and shape > 1.0:
-            theta = float(np.clip(y_star / (shape - 1.0), 0.05, 2.0))
-        elif shape is not None:
-            theta = float(np.clip(2.0 * y_star / nu, 0.05, 2.0))
         else:
-            theta = 2.0
-        return IsParams(mean_shift=mean_shift, theta=theta)
+            raise NumericError("the IS design point did not converge")
+        if nu is None:
+            return IsParams(mean_shift=u, theta=2.0)
+        y_star = _mixing_mode(np.linalg.norm(u), nu)
+        # the tilted gamma(nu/2, theta) law has its mode at y*, or its mean for nu <= 2
+        theta = y_star / (nu / 2.0 - 1.0) if nu > 2.0 else 2.0 * y_star / nu
+        return IsParams(mean_shift=np.sqrt(y_star / nu) * u, theta=float(np.clip(theta, 0.05, 2.0)))
     except (NumericError, ValueError, FloatingPointError) as exc:
         return IsParams(
             mean_shift=np.zeros(portfolio.dimension),

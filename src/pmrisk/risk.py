@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import CityPortfolio
-from .errors import DomainError, NumericError, UsageError
+from .errors import NumericError, UsageError
 from .estimators import (
     ONE_CELL,
     EstimateResult,
@@ -240,17 +240,6 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
     ep, halfwidth, hits = pool.ep_at(grid)
     return [CurvePoint(tau=float(t), ep=float(e), halfwidth95=float(h), hits=int(k))
             for t, e, h, k in zip(grid, ep, halfwidth, hits)]
-
-
-def variance_reduction_factor(naive: EstimateResult, other: EstimateResult) -> float:
-    """VR = (naive halfwidth / competing halfwidth)^2 at equal budgets."""
-    if naive.n != other.n:
-        raise DomainError("variance reduction requires equal budgets")
-    if naive.empty_tail or other.empty_tail:
-        raise DomainError("variance reduction undefined for empty-tail estimates")
-    if other.halfwidth95 == 0.0:
-        return float("inf")
-    return (naive.halfwidth95 / other.halfwidth95) ** 2
 
 
 def build_report(portfolio: CityPortfolio, rows: list[RiskQuery], *,

@@ -111,16 +111,16 @@ class TestCalibrateIs:
         with pytest.raises(DomainError):
             calibrate_is(portfolio, portfolio.baseline())
 
-    # mean shift and theta of the grid search, recorded on the log-CDF GH
+    # mean shift and theta of the HL-RF design point, recorded on the log-CDF GH
     # tables; the design point follows the log-ratio map, so a change of the
     # tables or the map re-records them
     @pytest.mark.parametrize("tau, shift, theta", [
-        (150.0, [0.6068184857701165, 0.1739555490861003, 0.03344743647415592,
-                 0.0713221322911019, 0.05230230480796825], 1.9166809168957768),
-        (352.03, [1.883383768746793, 0.5212604588813183, 0.04847018378696527,
-                  0.14966939245926295, 0.12739108506487526], 1.210669599042636),
-        (600.78, [2.297639298960627, 0.5890816066700769, 0.03963774747485662,
-                  0.14561059175278682, 0.13093990303228564], 0.841291954783872),
+        (150.0, [0.6068237289943931, 0.17393919048836645, 0.03344720874786212,
+                 0.07131798758426412, 0.052299410244953125], 1.9166809653381454),
+        (352.03, [1.8835073142755028, 0.5208625301017675, 0.04846373256953175,
+                  0.1495689236173013, 0.1273000019700841], 1.210670252560015),
+        (600.78, [2.2979942059348333, 0.5877991919279049, 0.039622608164662516,
+                  0.14535414136749636, 0.13070885685004122], 0.8412949195724624),
     ], ids=["150.0", "352.03", "600.78"])
     def test_matches_recorded_design_point(self, portfolio, tau, shift, theta):
         params = calibrate_is(portfolio, tau)
@@ -140,10 +140,11 @@ class TestCalibrateIs:
         assert params.warning is not None
 
     def test_unreachable_threshold_falls_back_to_identity(self, portfolio):
-        # the map is constant beyond its end knots, so C is bounded on every ray
+        # the map is constant beyond its end knots, so C is bounded and its
+        # gradient vanishes once the HL-RF steps leave the tabulated range
         params = calibrate_is(portfolio, 1e9)
         assert params.theta == 2.0 and not np.any(params.mean_shift)
-        assert params.warning == ("IS calibration failed (cannot bracket the IS design point); "
+        assert params.warning == ("IS calibration failed (degenerate concentration gradient); "
                                   "using the identity tilt")
 
     def test_one_row_evaluations_per_call(self, portfolio, monkeypatch):
@@ -159,8 +160,20 @@ class TestCalibrateIs:
         for _, tau, _ in CAR_ROWS:
             shapes.clear()
             assert est.calibrate_is(portfolio, tau).warning is None
-            assert 1 <= len(shapes) <= 16
+            assert 1 <= len(shapes) <= 18
             assert set(shapes) == {(portfolio.dimension,)}
+
+    @pytest.mark.parametrize("tau", [tau for _, tau, _ in CAR_ROWS])
+    def test_design_point_is_the_constrained_mode(self, portfolio, tau):
+        # on the constraint, and along the gradient of C there: u = mu / sqrt(y*/nu)
+        # with y* the tilted gamma mode theta (nu/2 - 1)
+        params = calibrate_is(portfolio, tau)
+        assert params.warning is None
+        u = params.mean_shift / np.sqrt(params.theta * (NU / 2.0 - 1.0) / NU)
+        conc, grad = _concentration_and_gradient(portfolio, u, NU)
+        assert abs(conc - tau) <= 1e-12 * tau
+        cos = grad @ u / (np.linalg.norm(grad) * np.linalg.norm(u))
+        assert 1.0 - cos <= 1e-10
 
     def test_concentration_depends_on_scaled_shift_only(self, portfolio):
         w = np.array([0.5, 0.3, 0.1, 0.6, 0.5])
@@ -605,10 +618,13 @@ def _cmc_ep(portfolio, tau: float, n: int, rng: Rng) -> tuple[float, float]:
 
 
 class TestFiveCityOracle:
-    # EP and SE at the reference CaRs from 10 x 1e5 oracle rows, as ROADMAP.md records them
-    RECORDED = {352.03: (1.00996e-2, 1.5e-6), 600.78: (1.04412e-3, 1.9e-7)}
+    # EP and SE at the reference CaRs from 10 x 1e5 oracle rows, as ROADMAP.md records
+    # them; those at 239.32, 414.22 and 515.27 from Rng(101) to Rng(110)
+    RECORDED = {239.32: (5.02286e-2, 6.8e-6), 352.03: (1.00996e-2, 1.5e-6),
+                414.22: (5.05801e-3, 1.0e-6), 515.27: (1.99951e-3, 4.4e-7),
+                600.78: (1.04412e-3, 1.9e-7)}
 
-    @pytest.mark.parametrize("tau", [352.03, 600.78])
+    @pytest.mark.parametrize("tau", [tau for _, tau, _ in CAR_ROWS])
     def test_proportional_pools_match_the_cmc_oracle(self, portfolio, tau):
         oracle, oracle_se = _cmc_ep(portfolio, tau, 100_000, Rng(1))
         recorded, recorded_se = self.RECORDED[tau]

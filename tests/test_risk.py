@@ -5,7 +5,6 @@ import pytest
 
 from pmrisk import (
     DomainError,
-    EstimateResult,
     RiskQuery,
     Rng,
     build_report,
@@ -13,7 +12,6 @@ from pmrisk import (
     exceedance_curve,
     gh_quantile,
     solve_car,
-    variance_reduction_factor,
 )
 from pmrisk.cli import main
 from pmrisk.errors import UsageError
@@ -273,23 +271,6 @@ class TestExceedanceCurve:
 
 
 class TestVarianceReduction:
-    @staticmethod
-    def _result(halfwidth, n=1000):
-        return EstimateResult(estimate=1.0, variance=1.0, halfwidth95=halfwidth, n=n)
-
-    def test_identity(self):
-        assert variance_reduction_factor(self._result(0.2), self._result(0.2)) == 1.0
-
-    def test_halved_width_quadruples(self):
-        assert variance_reduction_factor(self._result(0.2), self._result(0.1)) == 4.0
-
-    def test_zero_width_flags_infinite(self):
-        assert variance_reduction_factor(self._result(0.2), self._result(0.0)) == np.inf
-
-    def test_requires_equal_budgets(self):
-        with pytest.raises(DomainError):
-            variance_reduction_factor(self._result(0.2, 1000), self._result(0.1, 2000))
-
     def test_pool_vr_agrees_with_naive_runs(self, portfolio):
         # at CaR_0.01 over 20 streams: the SIS CCaR's own VR against one from a naive run
         tau, budget = 352.03, 10_000
@@ -298,7 +279,7 @@ class TestVarianceReduction:
             ce = compute_ccar(portfolio, RiskQuery(0.01, "sis", budget, Rng(s)), tau)
             naive = compute_ccar(portfolio, RiskQuery(0.01, "naive", budget, Rng(1000 + s)), tau)
             pooled.append(ce.naive_variance / ce.variance)
-            run_based.append(variance_reduction_factor(naive, ce))
+            run_based.append((naive.halfwidth95 / ce.halfwidth95) ** 2)
         se = np.std(run_based, ddof=1) / np.sqrt(len(run_based))
         assert abs(np.mean(pooled) - np.mean(run_based)) <= 3.0 * se
         assert np.std(pooled) < np.std(run_based)
