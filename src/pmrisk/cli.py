@@ -292,11 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--preset", choices=["paper"])
         source.add_argument("--model")
         p.add_argument("--estimator", choices=ESTIMATORS, default="sis")
-        p.add_argument("--alpha", type=_parse_alpha_list,
-                       default="0.05,0.01,0.005,0.002,0.001")
+        # each subcommand takes only the options it reads: another one is a usage error
+        if name == "curve":
+            p.add_argument("--tau-grid", type=_parse_tau_grid, required=True)
+        else:
+            p.add_argument("--alpha", type=_parse_alpha_list,
+                           default="0.05,0.01,0.005,0.002,0.001")
         p.add_argument("--budget", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tau-grid", type=_parse_tau_grid, required=name == "curve")
         p.add_argument("--out", required=True)
     return parser
 

@@ -18,6 +18,10 @@ three differ only in the tilt and the scheme they pass in.
 * A stage turns an allocation (replications per stratum) into a vector of
   1-based stratum labels, ordered by stratum, and draws it in chunks of
   ``CHUNK`` rows, one ``stratified_sample`` call per chunk.
+* ``stratified_sample`` is two steps: the tilt-free draw of the scores and
+  mixing values, then the tilt.  A pool tilts each chunk as it is drawn and
+  keeps no scores; ``CommonDraws`` keeps a proportional pool's scores, so a
+  CaR solve's rounds, which differ only in the tilt, re-tilt one draw.
 * The chunks' concentrations and likelihood ratios join one pooled
   ``SisSample``.
 * One ``np.bincount`` accumulator (``SisSample.tail_sums``) gives the
@@ -31,7 +35,9 @@ s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
 and the log-ratios come from the tabulated ``log_ratio_map``.  ``calibrate_is``
 finds its design point by HL-RF steps on one-row evaluations that return C
 and its exact gradient from the map's own slope; the mixing coordinate of
-the design point has a closed form (``_mixing_mode``).
+the design point has a closed form (``_mixing_mode``).  ``inverse_form`` runs
+the same loop on the sphere of radius t_nu^-1(1 - alpha) for a CaR's first
+threshold and tilt.
 
 A scheme is the paper's grid, ``counts = (drift slices, mixing slices)``:
 the drift axis is the direction of the IS mean shift, the mixing axis the
@@ -61,7 +67,7 @@ from .copula import (
     portfolio_concentration,
 )
 from .errors import DomainError, NumericError
-from .statkit import Rng, normal_quantile
+from .statkit import Rng, normal_quantile, t_quantile
 
 CHUNK = 1 << 14
 
@@ -186,6 +192,46 @@ def _mixing_mode(x: float, nu: float) -> float:
     return float(np.clip((nu - 2.0) / (1.0 + x * x / nu), lo, hi))
 
 
+def _hlrf(portfolio: CityPortfolio, radius: float,
+          tau: float | None = None) -> tuple[np.ndarray, float]:
+    """(u, C): a point u with the gradient g of C at (u, y = nu) parallel to u.
+
+    With ``tau``, the Hasofer-Lind-Rackwitz-Fiessler iteration
+    u <- [(g.u - (C(u) - tau)) / |g|^2] g from u = radius g(0) / |g(0)|, which
+    also solves C(u) = tau.  Without, the inverse-FORM iteration
+    u <- radius g / |g|, which keeps |u| = radius.  One ``_concentration_and_gradient``
+    call per step; the loop stops once a step moves u by <= 1e-12 max(|u|, 1), and
+    C is read at the step's start.  ``NumericError`` for a zero or non-finite
+    gradient, or after ``_HLRF_STEPS`` steps.
+    """
+    y_ref = portfolio.copula.nu if portfolio.copula.family == "t" else 1.0  # y at which z = u
+    u = np.zeros(portfolio.dimension)
+    for step in range(_HLRF_STEPS):
+        conc, grad = _concentration_and_gradient(portfolio, u, y_ref)
+        norm2 = grad @ grad
+        if not np.isfinite(norm2) or norm2 <= 0.0:
+            raise NumericError("degenerate concentration gradient")
+        if tau is None or step == 0:
+            new = grad * (radius / np.sqrt(norm2))
+        else:
+            new = grad * ((grad @ u - (conc - tau)) / norm2)
+        moved, u = np.linalg.norm(new - u), new
+        if moved <= 1e-12 * max(np.linalg.norm(u), 1.0):
+            return u, conc
+    raise NumericError("the IS design point did not converge")
+
+
+def _tilt_at(portfolio: CityPortfolio, u: np.ndarray) -> IsParams:
+    """The tilt of the design point u at y = nu: y* from ``_mixing_mode``, z* = sqrt(y*/nu) u."""
+    nu = portfolio.copula.nu if portfolio.copula.family == "t" else None
+    if nu is None:
+        return IsParams(mean_shift=u, theta=2.0)
+    y_star = _mixing_mode(np.linalg.norm(u), nu)
+    # the tilted gamma(nu/2, theta) law has its mode at y*, or its mean for nu <= 2
+    theta = y_star / (nu / 2.0 - 1.0) if nu > 2.0 else 2.0 * y_star / nu
+    return IsParams(mean_shift=np.sqrt(y_star / nu) * u, theta=float(np.clip(theta, 0.05, 2.0)))
+
+
 def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     """IS parameters from the constrained mode of the original density.
 
@@ -198,41 +244,17 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
     u = z / sqrt(y/nu): the point u of {C(u, nu) = tau} nearest the origin
     fixes the direction w = u / |u| and x = |u|, after which y* has a closed
     form (``_mixing_mode``) and z* = x sqrt(y*/nu) w.  That point is found by
-    the Hasofer-Lind-Rackwitz-Fiessler iteration
-    u <- [(g.u - (C(u) - tau)) / |g|^2] g, g the gradient of C at u, which
-    solves the constraint and the direction (g parallel to u) in one loop,
-    from u = 4 g(0) / |g(0)|.
+    the Hasofer-Lind-Rackwitz-Fiessler iteration (``_hlrf``), which solves
+    the constraint and the direction (g parallel to u) in one loop, from
+    u = 4 g(0) / |g(0)|.
     """
     if not np.isfinite(tau):
         raise DomainError("tau must be finite")
     baseline = portfolio.baseline()
     if tau <= baseline:
         raise DomainError(f"tau must exceed the baseline concentration {baseline:.6g}")
-
-    spec = portfolio.copula
-    nu = spec.nu if spec.family == "t" else None
-    y_ref = nu if nu is not None else 1.0  # y at which z = u
-
     try:
-        u = np.zeros(portfolio.dimension)
-        for step in range(_HLRF_STEPS):
-            conc, grad = _concentration_and_gradient(portfolio, u, y_ref)
-            norm2 = grad @ grad
-            if not np.isfinite(norm2) or norm2 <= 0.0:
-                raise NumericError("degenerate concentration gradient")
-            # the first step goes out to 4 along the gradient at the origin
-            new = grad * (4.0 / np.sqrt(norm2) if step == 0 else (grad @ u - (conc - tau)) / norm2)
-            moved, u = np.linalg.norm(new - u), new
-            if moved <= 1e-12 * max(np.linalg.norm(u), 1.0):
-                break
-        else:
-            raise NumericError("the IS design point did not converge")
-        if nu is None:
-            return IsParams(mean_shift=u, theta=2.0)
-        y_star = _mixing_mode(np.linalg.norm(u), nu)
-        # the tilted gamma(nu/2, theta) law has its mode at y*, or its mean for nu <= 2
-        theta = y_star / (nu / 2.0 - 1.0) if nu > 2.0 else 2.0 * y_star / nu
-        return IsParams(mean_shift=np.sqrt(y_star / nu) * u, theta=float(np.clip(theta, 0.05, 2.0)))
+        return _tilt_at(portfolio, _hlrf(portfolio, 4.0, tau)[0])
     except (NumericError, ValueError, FloatingPointError) as exc:
         return IsParams(
             mean_shift=np.zeros(portfolio.dimension),
@@ -241,21 +263,40 @@ def calibrate_is(portfolio: CityPortfolio, tau: float) -> IsParams:
         )
 
 
+def inverse_form(portfolio: CityPortfolio, alpha: float) -> tuple[float, IsParams] | None:
+    """(tau, tilt) of the inverse-FORM point for exceedance probability alpha, or None.
+
+    The point u of radius b = -t_nu^-1(alpha) (-Phi^-1(alpha) for the normal
+    family) at which grad C is parallel to u, at y = nu (Der Kiureghian, Zhang
+    & Li 1994): were C linear in u, P(C > C(u)) would be alpha exactly, since
+    w.U is t_nu for a unit w.  tau is C there and the tilt is ``calibrate_is``'s
+    at that point, from the same loop (``_hlrf``) and tail (``_tilt_at``).
+    b is taken from the lower tail, so it stays finite for alpha below 1e-16.
+    None where the loop fails (a degenerate gradient or no convergence).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie in (0, 1)")
+    spec = portfolio.copula
+    radius = -(t_quantile(alpha, spec.nu) if spec.family == "t" else normal_quantile(alpha))
+    try:
+        u, tau = _hlrf(portfolio, radius)
+        return tau, _tilt_at(portfolio, u)
+    except (NumericError, ValueError, FloatingPointError):
+        return None
+
+
 def _slice_scores(cells: np.ndarray, slices: int, u: np.ndarray) -> np.ndarray:
     """Normal scores conditioned into equiprobable slice ``cells`` (0-based) of ``slices``."""
     return normal_quantile(np.clip((cells + u) / slices, 1e-16, 1.0 - 1e-16))
 
 
-def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
-                      strata, is_params: IsParams, rng: Rng) -> CopulaDraw:
-    """Draws from the IS density, row i conditioned on stratum ``strata[i]``.
+def _draw_scores(portfolio: CityPortfolio, scheme: StratificationScheme,
+                 strata, rng: Rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """The tilt-free part of ``stratified_sample``: (scores, mixing values).
 
-    ``strata`` is a vector of 1-based flat stratum labels (C order over the
-    grid).  Z = mu + [w | B] s, [w | B] an orthonormal frame of w = mu / |mu|
-    (e_1 at mu = 0) and s the drift and D - 1 complement scores; the t family
-    adds the normal score of Y.  A stratified axis's score is the conditional
-    quantile xi = normal_quantile((i-1+U)/I) of its slice, any other score a
-    standard normal, so a one-slice axis draws no uniform.
+    ``scores`` has the drift score, the D - 1 complement scores and, for the t
+    family, the normal score s of Y; ``mixing`` is exp(q(s)), Y at theta = 1
+    (None for the normal family).
     """
     labels = np.asarray(strata)
     if labels.ndim != 1 or labels.size == 0 or not np.issubdtype(labels.dtype, np.integer):
@@ -281,6 +322,15 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
             scores[:, 0] = _slice_scores(drift_cells, drift_slices, g.random(m))
         if hi < width:
             scores[:, dim] = _slice_scores(mixing_cells, mixing_slices, g.random(m))
+    # the mixing variable through its IS-law quantile at the normal score, before the scale
+    mixing = np.exp(portfolio.mixing_quantile(scores[:, dim])) if spec.family == "t" else None
+    return scores, mixing
+
+
+def _tilt(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | None,
+          is_params: IsParams) -> CopulaDraw:
+    """The draw of ``_draw_scores``'s (scores, mixing) under the tilt ``is_params``."""
+    dim = portfolio.dimension
     # [w | B]: the Householder reflection I - v v' / |v_1|, v = w + sign(w_1) e_1,
     # maps e_1 to -sign(w_1) w; its first column is set to w (I at w = e_1)
     norm = np.linalg.norm(is_params.mean_shift)
@@ -291,11 +341,25 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     frame[:, 0] = w
     z = scores[:, :dim] @ frame.T
     z += is_params.mean_shift
-    y = None
-    if spec.family == "t":
-        # mixing variable through its IS-law quantile at the normal score
-        y = is_params.theta * np.exp(portfolio.mixing_quantile(scores[:, dim]))
-    return CopulaDraw(z=z, y=y, v=dependent_vector(spec, portfolio.chol, z, y))
+    y = None if mixing is None else is_params.theta * mixing
+    return CopulaDraw(z=z, y=y, v=dependent_vector(portfolio.copula, portfolio.chol, z, y))
+
+
+def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
+                      strata, is_params: IsParams, rng: Rng) -> CopulaDraw:
+    """Draws from the IS density, row i conditioned on stratum ``strata[i]``.
+
+    ``strata`` is a vector of 1-based flat stratum labels (C order over the
+    grid).  Z = mu + [w | B] s, [w | B] an orthonormal frame of w = mu / |mu|
+    (e_1 at mu = 0) and s the drift and D - 1 complement scores; the t family
+    adds the normal score of Y.  A stratified axis's score is the conditional
+    quantile xi = normal_quantile((i-1+U)/I) of its slice, any other score a
+    standard normal, so a one-slice axis draws no uniform.
+
+    Two steps: the tilt-free draw of the scores and mixing values
+    (``_draw_scores``), then the tilt (``_tilt``: frame, Z, Y and the variates).
+    """
+    return _tilt(portfolio, *_draw_scores(portfolio, scheme, strata, rng), is_params)
 
 
 # grid ladder for default_scheme, largest first: (drift slices, mixing slices)
@@ -499,6 +563,19 @@ def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:
     return np.sqrt(_stratum_var(pool.counts, s, ss))
 
 
+def _chunks(stratum: np.ndarray, rng: Rng):
+    """A stage's chunks of ``CHUNK`` rows: (1-based labels, ``rng.split(c)``) for chunk c."""
+    return ((stratum[start:start + CHUNK] + 1, rng.split(c))
+            for c, start in enumerate(range(0, stratum.size, CHUNK)))
+
+
+def _pool_columns(portfolio: CityPortfolio, draw: CopulaDraw,
+                  is_params: IsParams) -> tuple[np.ndarray, np.ndarray]:
+    """(C, W) of one chunk drawn at ``is_params``."""
+    return (portfolio_concentration(portfolio, marginal_transform(portfolio, draw)),
+            likelihood_ratio(draw, is_params, portfolio.copula.nu))
+
+
 def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
                scheme: StratificationScheme, budgets: list[int], n_min: int,
                rng: Rng, tau: float | None = None) -> SisSample:
@@ -506,10 +583,10 @@ def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
 
     The first stage allocates proportionally to the stratum probabilities,
     later ones by AOA on the tail at ``tau`` of everything pooled so far.
+    Each chunk is one ``stratified_sample`` call, and its scores are not kept.
     """
     n_strata = scheme.n_strata
     probs = scheme.probs
-    nu = portfolio.copula.nu
     conc, weight, labels = [np.empty(0)], [np.empty(0)], []
     counts = np.zeros(n_strata, dtype=int)
     pool = None
@@ -517,12 +594,11 @@ def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
         sigma = np.ones(n_strata) if pool is None else _aoa_sigma(pool, tau)
         alloc = aoa_allocate(budget, probs, sigma, n_min)
         strata = np.repeat(np.arange(n_strata), alloc)
-        stage_rng = rng.split(stage + 1)
-        for c, start in enumerate(range(0, budget, CHUNK)):
-            draw = stratified_sample(portfolio, scheme, strata[start:start + CHUNK] + 1,
-                                     is_params, stage_rng.split(c))
-            conc.append(portfolio_concentration(portfolio, marginal_transform(portfolio, draw)))
-            weight.append(likelihood_ratio(draw, is_params, nu))
+        for chunk, chunk_rng in _chunks(strata, rng.split(stage + 1)):
+            draw = stratified_sample(portfolio, scheme, chunk, is_params, chunk_rng)
+            c, w = _pool_columns(portfolio, draw, is_params)
+            conc.append(c)
+            weight.append(w)
         labels.append(strata)
         counts = counts + alloc
         pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
@@ -564,6 +640,31 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
     starve the rest of the support.
     """
     return _draw_pool(portfolio, is_params, scheme, [total_n], 1, rng)
+
+
+class CommonDraws:
+    """The random numbers of one proportional pool, drawn once and re-tilted.
+
+    Holds the tilt-free part of ``proportional_sis_sample``'s draw on the same
+    stream: the allocation, and each chunk's scores and mixing values.
+    ``pool(is_params)`` tilts them, and equals
+    ``proportional_sis_sample(portfolio, is_params, scheme, total_n, rng)`` bit
+    for bit, so a CaR solve's rounds, which differ only in the tilt, draw once.
+    """
+
+    def __init__(self, portfolio: CityPortfolio, scheme: StratificationScheme,
+                 total_n: int, rng: Rng):
+        self.portfolio, self.scheme = portfolio, scheme
+        self.counts = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
+        self.stratum = np.repeat(np.arange(scheme.n_strata), self.counts)
+        self.chunks = tuple(_draw_scores(portfolio, scheme, chunk, chunk_rng)
+                            for chunk, chunk_rng in _chunks(self.stratum, rng.split(1)))
+
+    def pool(self, is_params: IsParams) -> SisSample:
+        draws = (_tilt(self.portfolio, *chunk, is_params) for chunk in self.chunks)
+        conc, weight = zip(*(_pool_columns(self.portfolio, draw, is_params) for draw in draws))
+        return SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
+                         stratum=self.stratum, probs=self.scheme.probs, counts=self.counts)
 
 
 def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,

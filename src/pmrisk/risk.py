@@ -7,13 +7,15 @@ estimators the quantile pass is iterated with re-calibrated tilt parameters on
 common random numbers until the previous threshold is a plausible
 alpha-quantile of the new pool: its stratified EP there (``SisSample.ep_at``)
 lies within its own 95% halfwidth of alpha.  So the loop stops at the
-quantile's Monte Carlo noise at any budget.  No pool column is read here,
-apart from the curve pilot's interpolated quantile.
+quantile's Monte Carlo noise at any budget.  A solve draws its random numbers
+once (``CommonDraws``) and each round re-tilts them.  No pool column is read
+here, apart from the curve pilot's interpolated quantile.
 
-A run's rows are one chain (``solve_cars``): only the first row draws an
-identity-tilt pilot, and each later row starts from the final pool that
-``solve_car`` returned for the previous row, then runs the same loop on its
-own stream.
+A run's rows are one chain (``solve_cars``).  The first IS/SIS row takes its
+first threshold and tilt from the inverse-FORM point (``inverse_form``), and
+draws an identity-tilt pilot only where that solve fails, as naive does.  Each
+later row starts from the final pool that ``solve_car`` returned for the
+previous row, then runs the same loop on its own stream.
 
 ``_design`` picks every tilt and stratification a query samples with, the
 pilots' identity tilt included, and each query function appends its warnings
@@ -30,12 +32,14 @@ from .copula import CityPortfolio
 from .errors import NumericError, UsageError
 from .estimators import (
     ONE_CELL,
+    CommonDraws,
     EstimateResult,
     IsParams,
     SisSample,
     StratificationScheme,
     calibrate_is,
     default_scheme,
+    inverse_form,
     proportional_sis_sample,
     sis_estimate,
 )
@@ -110,17 +114,18 @@ def _note(warnings: list[str] | None, message: str) -> None:
 
 
 def _design(portfolio: CityPortfolio, estimator: str, tau: float | None, budget: int,
-            warnings: list[str] | None,
-            label: str = "") -> tuple[IsParams, StratificationScheme]:
+            warnings: list[str] | None, label: str = "",
+            tilt: IsParams | None = None) -> tuple[IsParams, StratificationScheme]:
     """(tilt, scheme) of an estimator at threshold tau, which naive does not use.
 
     Naive samples the identity tilt on one cell, IS the ``calibrate_is`` tilt
-    on one cell and SIS that tilt on the budget's default grid.  A calibration
-    warning goes to ``warnings``, prefixed with ``label``.
+    at tau (or ``tilt``, when given) on one cell and SIS that tilt on the
+    budget's default grid.  A calibration warning goes to ``warnings``,
+    prefixed with ``label``.
     """
     if estimator == "naive":
         return IsParams.identity(portfolio.dimension), ONE_CELL
-    params = calibrate_is(portfolio, tau)
+    params = calibrate_is(portfolio, tau) if tilt is None else tilt
     if params.warning:
         _note(warnings, label + params.warning)
     return params, default_scheme(portfolio, budget) if estimator == "sis" else ONE_CELL
@@ -131,10 +136,14 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
               warnings: list[str] | None = None) -> tuple[float, SisSample]:
     """(tau, final pool): tau with P(C > tau) ~= alpha under the query's estimator.
 
-    The first tau is the weighted (1 - alpha)-quantile of a starting pool:
-    ``start`` when given, else a fresh identity-tilt pilot.  Naive returns
-    that tau.  IS/SIS then loop: each round calibrates the tilt at the current
-    tau, draws a fresh pool on the same random numbers and takes its quantile.
+    The first tau is the weighted (1 - alpha)-quantile of ``start`` when it is
+    given.  Without it, IS/SIS take the first tau and the first round's tilt
+    from ``inverse_form``; naive, and IS/SIS where that solve fails, take the
+    quantile of a fresh identity-tilt pilot.  Naive returns that tau.  IS/SIS
+    then loop: each round tilts at the current tau (``calibrate_is``, or the
+    FORM tilt in the first round), re-tilts the solve's ``CommonDraws``, drawn
+    once on the query's CaR stream, and takes the pool's quantile; so every
+    round samples on the same random numbers, bit for bit as a fresh draw.
     The loop stops once the new pool's stratified EP at the previous tau lies
     within its 95% halfwidth of alpha, i.e. once that tau is inside the pool's
     test-inversion interval for the alpha-quantile (Glynn 1996), and returns
@@ -144,19 +153,25 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
     ``warnings`` when it is given.
     """
     rng = query.rng.split(_STREAM_CAR)
+    form = None
+    if start is None and query.estimator != "naive":
+        form = inverse_form(portfolio, query.alpha)
     pool = start
-    if pool is None:
+    if pool is None and form is None:
         naive = _design(portfolio, "naive", None, query.budget, warnings)
         pool = proportional_sis_sample(portfolio, *naive, query.budget, rng)
-    tau = pool.quantile(query.alpha)
+    tau, tilt = form or (pool.quantile(query.alpha), None)
 
-    trace = [tau]
+    trace, draws = [tau], None
     while query.estimator != "naive":
         if len(trace) > CAR_MAX_ITER:
             raise NumericError(f"CaR iteration did not converge; trace: {trace}")
-        design = _design(portfolio, query.estimator, tau, query.budget, warnings,
-                         f"alpha={query.alpha}: ")
-        pool = proportional_sis_sample(portfolio, *design, query.budget, rng)
+        params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
+                                 f"alpha={query.alpha}: ", tilt)
+        tilt = None
+        if draws is None:
+            draws = CommonDraws(portfolio, scheme, query.budget, rng)
+        pool = draws.pool(params)
         ep, halfwidth, _ = pool.ep_at(tau)
         tau = pool.quantile(query.alpha)
         trace.append(tau)
@@ -169,7 +184,8 @@ def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
                warnings: list[str] | None = None) -> list[float]:
     """Each row's CaR, solved in order as one ``solve_car`` chain.
 
-    Only row 0 draws a pilot, so naive rows all read its quantiles.  Rows from
+    Only row 0 starts without a pool (from the inverse-FORM point, or from a
+    pilot for naive, whose rows all read that pilot's quantiles).  Rows from
     ``queries`` run largest alpha first, so each later row starts from a pool
     tilted just below its own threshold.
     """

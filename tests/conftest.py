@@ -72,3 +72,17 @@ def single_city():
         marginals=(GH_ROWS["Bj"],),
         copula=CopulaSpec(family="t", sigma=np.eye(1), nu=NU),
     )
+
+
+@pytest.fixture(scope="session")
+def normal_portfolio():
+    """The preset's cities, weights and correlation under a normal copula."""
+    names = ("Bj", "Tj", "Cd", "Hs", "Xt")
+    return CityPortfolio(
+        names=names,
+        weights=np.array([0.4132, 0.2726, 0.0732, 0.0914, 0.1496]),
+        pm0=np.full(5, 100.0),
+        scale=np.ones(5),
+        marginals=tuple(GH_ROWS[c] for c in names),
+        copula=CopulaSpec(family="normal", sigma=SIGMA.copy()),
+    )

@@ -189,6 +189,20 @@ class TestRunModes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    @pytest.mark.parametrize("argv, option", [
+        (["car", "--alpha", "0.05", "--tau-grid", "100:200:10"], "--tau-grid"),
+        (["simulate", "--tau-grid", "100:200:10"], "--tau-grid"),
+        (["curve", "--tau-grid", "100:200:50", "--alpha", "0.9"], "--alpha"),
+        (["curve", "--tau-grid", "100:200:50", "--alpha", "abc"], "--alpha"),
+    ])
+    def test_option_of_another_subcommand_is_usage_error(self, tmp_path, capsys, argv, option):
+        # --tau-grid is read by curve only and --alpha by simulate and car only
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--preset", "paper", "--budget", "1000",
+                            "--out", str(out)]) == EXIT_USAGE
+        assert f"usage error: unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:1e12:1", "0:10001:1", "0:1e308:1e-300"])
     def test_oversized_tau_grid_is_refused_before_it_is_built(self, tmp_path, capsys, grid):
         out = tmp_path / "x.csv"

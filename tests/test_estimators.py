@@ -3,6 +3,8 @@ import pytest
 from scipy import optimize, stats
 
 from pmrisk import (
+    CityPortfolio,
+    CopulaSpec,
     DomainError,
     IsParams,
     Rng,
@@ -20,16 +22,19 @@ from pmrisk import (
 )
 from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
+    CHUNK,
     ONE_CELL,
+    CommonDraws,
     SisSample,
     _concentration_and_gradient,
     _mixing_mode,
     default_scheme,
+    inverse_form,
     proportional_sis_sample,
 )
 from pmrisk.statkit import normal_cdf, normal_quantile
 
-from conftest import CAR_ROWS, NU
+from conftest import CAR_ROWS, GH_ROWS, NU
 
 CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
@@ -226,6 +231,80 @@ class TestCalibrateIs:
         ep_nv, _ = naive_estimate(portfolio, CAR_001, 50_000, Rng(6))
         ep_is, _ = is_estimate(portfolio, CAR_001, params, 50_000, Rng(6))
         assert ep_is.variance < ep_nv.variance
+
+
+class TestInverseForm:
+    @staticmethod
+    def _point(portfolio, params):
+        """u at y = nu: the mean shift over sqrt(y*/nu), y* the gamma mode theta (nu/2 - 1)."""
+        if portfolio.copula.family == "normal":
+            return params.mean_shift
+        return params.mean_shift / np.sqrt(params.theta * (NU / 2.0 - 1.0) / NU)
+
+    @staticmethod
+    def _radius(portfolio, alpha):
+        if portfolio.copula.family == "normal":
+            return -stats.norm.ppf(alpha)
+        return -stats.t.ppf(alpha, NU)
+
+    def _check_point(self, portfolio, alpha):
+        tau, params = inverse_form(portfolio, alpha)
+        assert params.warning is None
+        u = self._point(portfolio, params)
+        conc, grad = _concentration_and_gradient(portfolio, u, NU)
+        assert np.linalg.norm(u) == pytest.approx(self._radius(portfolio, alpha), rel=1e-12)
+        cos = grad @ u / (np.linalg.norm(grad) * np.linalg.norm(u))
+        assert 1.0 - cos <= 1e-10
+        assert conc == pytest.approx(tau, rel=1e-10)
+        return tau
+
+    @pytest.mark.parametrize("alpha, car", [(alpha, car) for alpha, car, _ in CAR_ROWS])
+    def test_point_lies_just_below_the_reference_car(self, portfolio, alpha, car):
+        # exact for a C linear in u; C is convex along the tail, so the point sits below
+        assert 0.94 * car < self._check_point(portfolio, alpha) < car
+
+    @pytest.mark.parametrize("alpha", [alpha for alpha, _, _ in CAR_ROWS] + [0.49])
+    def test_point_on_the_normal_family(self, normal_portfolio, alpha):
+        self._check_point(normal_portfolio, alpha)
+
+    def test_point_near_the_median(self, portfolio):
+        assert self._check_point(portfolio, 0.49) > portfolio.baseline()
+
+    def test_radius_stays_finite_below_1e_16(self, portfolio):
+        # 1 - 1e-20 rounds to 1, where the upper-tail quantile is infinite
+        assert np.isinf(stats.norm.ppf(1.0 - 1e-20))
+        # four exchangeable independent cities keep each variate at radius / 2,
+        # inside the log-ratio map's range, so the point exists
+        exchangeable = CityPortfolio(
+            names=("A", "B", "C", "D"), weights=np.full(4, 0.25), pm0=np.full(4, 100.0),
+            scale=np.ones(4), marginals=(GH_ROWS["Bj"],) * 4,
+            copula=CopulaSpec(family="normal", sigma=np.eye(4)))
+        self._check_point(exchangeable, 1e-20)
+        # on the preset the point would lie past the map's end knots, where C is
+        # flat: the solve fails, and the caller falls back to a pilot
+        assert inverse_form(portfolio, 1e-20) is None
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_rejects_alpha_outside_the_unit_interval(self, portfolio, alpha):
+        with pytest.raises(DomainError):
+            inverse_form(portfolio, alpha)
+
+
+class TestCommonDraws:
+    @pytest.mark.parametrize("family", ["t", "normal"])
+    @pytest.mark.parametrize("estimator", ["naive", "is", "sis"])
+    def test_retilt_equals_a_fresh_pool(self, portfolio, normal_portfolio, family, estimator):
+        model = portfolio if family == "t" else normal_portfolio
+        n = CHUNK + 1000  # two chunks
+        scheme = default_scheme(model, n) if estimator == "sis" else ONE_CELL
+        tilts = ([IsParams.identity(5)] if estimator == "naive"
+                 else [calibrate_is(model, tau) for tau in (CAR_001, 600.78)])
+        draws = CommonDraws(model, scheme, n, Rng(5))
+        for params in tilts:  # each tilt re-reads the same draws
+            fresh = proportional_sis_sample(model, params, scheme, n, Rng(5))
+            pool = draws.pool(params)
+            for column in ("conc", "weight", "stratum", "counts", "probs"):
+                assert getattr(pool, column).tobytes() == getattr(fresh, column).tobytes()
 
 
 class TestIsEstimate:

@@ -23,20 +23,7 @@ from pmrisk.estimators import (
     proportional_sis_sample,
 )
 
-from conftest import GH_ROWS, SIGMA
-
-
-@pytest.fixture(scope="module")
-def normal_portfolio():
-    names = ("Bj", "Tj", "Cd", "Hs", "Xt")
-    return CityPortfolio(
-        names=names,
-        weights=np.array([0.4132, 0.2726, 0.0732, 0.0914, 0.1496]),
-        pm0=np.full(5, 100.0),
-        scale=np.ones(5),
-        marginals=tuple(GH_ROWS[c] for c in names),
-        copula=CopulaSpec(family="normal", sigma=SIGMA.copy()),
-    )
+from conftest import GH_ROWS
 
 
 @pytest.fixture(scope="module")

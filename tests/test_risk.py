@@ -15,8 +15,17 @@ from pmrisk import (
 )
 from pmrisk.cli import main
 from pmrisk.errors import UsageError
-from pmrisk.estimators import SisSample, proportional_sis_sample
-from pmrisk.risk import queries, solve_cars
+from pmrisk.estimators import (
+    ONE_CELL,
+    CommonDraws,
+    IsParams,
+    SisSample,
+    calibrate_is,
+    default_scheme,
+    inverse_form,
+    proportional_sis_sample,
+)
+from pmrisk.risk import _STREAM_CAR, queries, solve_cars
 
 from conftest import CAR_ROWS
 
@@ -24,17 +33,43 @@ ALPHAS = [alpha for alpha, _, _ in CAR_ROWS]
 
 
 def _spy_pools(monkeypatch) -> list:
-    """Record (is the identity tilt, pool) for each proportional pool ``risk`` draws."""
+    """Record (is the identity tilt, pool) for each pool ``risk`` draws: every
+    fresh proportional pool and every re-tilt of a solve's ``CommonDraws``."""
     pools = []
 
-    def spy(portfolio, is_params, *args, **kwargs):
-        pool = proportional_sis_sample(portfolio, is_params, *args, **kwargs)
-        identity = is_params.theta == 2.0 and not is_params.mean_shift.any()
-        pools.append((identity, pool))
+    def record(is_params, pool):
+        pools.append((is_params.theta == 2.0 and not is_params.mean_shift.any(), pool))
         return pool
 
+    def spy(portfolio, is_params, *args, **kwargs):
+        return record(is_params, proportional_sis_sample(portfolio, is_params, *args, **kwargs))
+
+    retilt = CommonDraws.pool
     monkeypatch.setattr("pmrisk.risk.proportional_sis_sample", spy)
+    monkeypatch.setattr(CommonDraws, "pool", lambda draws, is_params: record(
+        is_params, retilt(draws, is_params)))
     return pools
+
+
+def _redrawn_solve(portfolio, query, start=None) -> tuple[float, SisSample]:
+    """The CaR loop with a fresh pool per round: the first tau from ``start`` or an
+    identity-tilt pilot, then each round calibrated at the current tau and drawn
+    anew on the CaR stream, stopping as ``solve_car`` does."""
+    rng = query.rng.split(_STREAM_CAR)
+    pool = start
+    if pool is None:
+        pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
+                                       ONE_CELL, query.budget, rng)
+    tau = pool.quantile(query.alpha)
+    scheme = default_scheme(portfolio, query.budget) if query.estimator == "sis" else ONE_CELL
+    while query.estimator != "naive":
+        pool = proportional_sis_sample(portfolio, calibrate_is(portfolio, tau), scheme,
+                                       query.budget, rng)
+        ep, halfwidth, _ = pool.ep_at(tau)
+        tau = pool.quantile(query.alpha)
+        if abs(ep - query.alpha) <= halfwidth:
+            break
+    return tau, pool
 
 
 def _one_stratum_pool(values, weights) -> SisSample:
@@ -65,11 +100,15 @@ class TestPoolInterface:
         report, cars = build_report(portfolio, rows), solve_cars(portfolio, rows)
         wrapped = []
 
-        def readers_only(*args, **kwargs):
-            wrapped.append(_PoolReaders(proportional_sis_sample(*args, **kwargs)))
+        def readers_only(pool):
+            wrapped.append(_PoolReaders(pool))
             return wrapped[-1]
 
-        monkeypatch.setattr("pmrisk.risk.proportional_sis_sample", readers_only)
+        retilt = CommonDraws.pool
+        monkeypatch.setattr("pmrisk.risk.proportional_sis_sample",
+                            lambda *args: readers_only(proportional_sis_sample(*args)))
+        monkeypatch.setattr(CommonDraws, "pool",
+                            lambda draws, is_params: readers_only(retilt(draws, is_params)))
         assert build_report(portfolio, rows) == report
         assert solve_cars(portfolio, rows) == cars
         assert wrapped
@@ -187,6 +226,33 @@ class TestSolveCar:
         tau, pool = solve_car(portfolio, RiskQuery(0.01, "naive", 5_000, Rng(3)), start=start)
         assert pool is start and len(pools) == drawn
         assert tau == start.quantile(0.01)
+
+    @pytest.mark.parametrize("estimator", ["naive", "is", "sis"])
+    def test_without_the_form_start_rounds_equal_fresh_pools(self, portfolio, monkeypatch,
+                                                             estimator):
+        # a failed inverse-FORM solve falls back to the pilot, and re-tilting the
+        # solve's common draws gives each round's fresh pool bit for bit
+        monkeypatch.setattr("pmrisk.risk.inverse_form", lambda portfolio, alpha: None)
+        for seed in (1, 2):
+            first, second = (RiskQuery(alpha, estimator, 5_000, Rng(seed, k))
+                             for k, alpha in enumerate((0.05, 0.001)))
+            tau, pool = solve_car(portfolio, first)
+            ref_tau, ref_pool = _redrawn_solve(portfolio, first)
+            assert tau == ref_tau and pool.ep_at(tau) == ref_pool.ep_at(tau)
+            tau, chained = solve_car(portfolio, second, start=pool)
+            ref_tau, ref_chained = _redrawn_solve(portfolio, second, start=pool)
+            assert tau == ref_tau and chained.ep_at(tau) == ref_chained.ep_at(tau)
+
+    def test_one_alpha_solve_starts_at_the_form_point(self, portfolio, monkeypatch):
+        query = RiskQuery(0.01, "sis", 5_000, Rng(4))
+        tau0, tilt = inverse_form(portfolio, query.alpha)
+        pools = _spy_pools(monkeypatch)
+        solve_car(portfolio, query)
+        # no pilot: round 1 samples at the FORM tilt on the CaR stream
+        first = proportional_sis_sample(portfolio, tilt, default_scheme(portfolio, 5_000),
+                                        5_000, query.rng.split(_STREAM_CAR))
+        assert not any(identity for identity, _ in pools)
+        assert pools[0][1].ep_at(tau0) == first.ep_at(tau0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001])
     def test_single_city_matches_closed_form(self, single_city, alpha):
@@ -311,16 +377,16 @@ class TestReport:
         assert estimators == ["sis", "sis"]
         assert all(np.isfinite(row.vr_factor) and row.vr_factor > 1.0 for row in rows)
 
-    def test_sis_report_draws_one_pilot(self, portfolio, monkeypatch):
+    def test_sis_report_draws_no_pilot(self, portfolio, monkeypatch):
+        # row 0 starts from the inverse-FORM point, later rows from their neighbour's pool
         pools = _spy_pools(monkeypatch)
         build_report(portfolio, queries(ALPHAS, "sis", 5_000, 3))
-        assert [identity for identity, _ in pools].count(True) == 1
-        assert pools[0][0]
+        assert pools and [identity for identity, _ in pools].count(True) == 0
 
     def test_first_row_is_the_one_alpha_row_and_later_rows_chain(self, portfolio):
         rows = build_report(portfolio, queries(ALPHAS, "sis", 5_000, 3))
         assert rows[0] == build_report(portfolio, queries(ALPHAS[:1], "sis", 5_000, 3))[0]
-        # row 1 on its own stream but from its own pilot, not from row 0's pool
+        # row 1 on its own stream but from its own start, not from row 0's pool
         alone = queries(ALPHAS, "sis", 5_000, 3)[1]
         assert rows[1].car != solve_car(portfolio, alone)[0]
 
@@ -333,7 +399,7 @@ class TestReport:
         assert main(argv) == 0
         body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert body[0] == "alpha,car"
-        assert [identity for identity, _ in pools].count(True) == 1
+        assert pools and [identity for identity, _ in pools].count(True) == 0
         rows = build_report(portfolio, queries(ALPHAS, "sis", 5_000, 3))
         assert [float(line.split(",")[1]) for line in body[1:]] == [r.car for r in rows]
 
