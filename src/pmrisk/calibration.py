@@ -4,7 +4,7 @@ Two-stage inference-functions-for-margins pipeline: each city's marginal is
 fitted by likelihood maximization on its own complete day pairs, then the
 copula is fitted on pseudo-observations from the complete cross-city rows
 (Kendall-tau inversion for the correlation matrix, profile likelihood for the
-degrees of freedom).
+degrees of freedom).  The GH likelihood shares ghdist's Bessel evaluators.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 from scipy.special import gammaln
 
 from .copula import CopulaSpec, cholesky_factor
 from .errors import CalibrationError, DataError, DomainError, UsageError
-from .ghdist import GhParams, gh_cdf, gh_logpdf
+from .ghdist import GhParams, _log_bessel_point, _log_bessel_terms, gh_cdf
 from .statkit import Rng, normal_quantile, t_quantile
 
 
@@ -129,26 +128,13 @@ _BOX = 50.0
 _BOUNDS = [(-_BOX, _BOX)] * 4 + [(None, None)]
 # names of the boxed coordinates, as GhFit.at_bound reports them
 _BOXED = ("lam", "log_gamma", "log_delta", "beta")
-# the Bessel-K kernel of the sample terms (see _log_bessel_terms).  Exponents
-# are floored at -500: exp is slow below that and its subnormal results slower,
-# and no term that counts is that small (a row's sum is at least about e^-t*,
-# t* < 120 for z > 1e-50)
-_KERNEL_DROP = 38.0
-_KERNEL_NODES = 64
-_KERNEL_MAX_STEP = 0.22
-_KERNEL_FLOOR = -500.0
-# orders of _log_bessel_point's one kve call, relative to lambda; a four-point
-# central difference of step 1e-3 (error O(step^4)) gives d log K_lam / d lam
-_ORDER_STEP = 1e-3
-_POINT_ORDERS = np.array([0.0, -1.0, -2.0 * _ORDER_STEP, -_ORDER_STEP, _ORDER_STEP,
-                          2.0 * _ORDER_STEP])
-# The search stays where scipy's kve, through which gh_logpdf reports the fit
-# and tabulates its law, is finite: z below 2^30, where kve turns NaN and the
-# density's -alpha q + delta gamma cancel to noise (without this bound 4 of
-# 240 bench fits ran to log gamma = log delta = 50 on that noise), and kve
-# below the largest float.  z >= delta * gamma covers the normaliser too.
-_KVE_MAX_Z = 2.0**30
-_KVE_MAX_LOG = np.log(np.finfo(float).max)
+# The search stays below z = alpha * q = 2^30.  That keeps the normaliser's
+# argument delta * gamma <= z below where kve turns NaN, so it stays on its
+# kve point, and it keeps fits off the near-normal limit (delta, gamma ->
+# infinity), where the density's -alpha q + delta gamma cancel to noise and
+# the law's CDF table cannot be built (without this bound 4 of 240 bench fits
+# ran to log gamma = log delta = 50 on that noise)
+_MAX_Z = 2.0**30
 # log(delta) of the second polish candidate, relative to log(std): the
 # variance-gamma ridge (delta -> 0) on which some samples have their optimum
 _RIDGE_LOG_DELTA = -12.0
@@ -163,107 +149,6 @@ _RESTART_GTOL = 1e-3
 _RESTARTS = 3
 
 
-def _negloglik(x: np.ndarray, samples: np.ndarray) -> float:
-    try:
-        params = _unpack(x)
-        val = -float(np.sum(gh_logpdf(params, samples)))
-    except (DomainError, FloatingPointError, OverflowError):
-        return 1e18
-    return val if np.isfinite(val) else 1e18
-
-
-def _log_bessel_terms(order: float, z: np.ndarray):
-    """log kve(order, z), K_{order-1}/K_order and d/d(order) log K_order at
-    each entry of the vector z, from one trapezoidal rule per group of rows.
-
-    kve(nu, z) = int_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt, and the two
-    other terms are the same integral with cosh((nu - 1) t) and
-    t sinh(nu t) in place of cosh(nu t).  The integrands are even and entire
-    in t, so the trapezoidal rule from t = 0 converges exponentially in
-    1/step (Trefethen & Weideman 2014); a step of min(0.22, 0.5 / sqrt(max(z,
-    a))), with a = max(|nu|, |nu - 1|), holds all three to about 1e-13.
-    Every row is scaled by exp(a t) and divided by its peak, at
-    t* = asinh(a / z), so the sums neither overflow nor underflow, and its
-    nodes run until its integrand is e^-38 below the peak.  A group's
-    exponentials come from one (rows x 3)(3 x nodes) product and its three
-    sums from one (rows x nodes)(nodes x 3) product.  A group shares one
-    step, set by its largest z, and one end, set by its smallest, so rows are
-    grouped by z to keep a group within _KERNEL_NODES nodes; a row that needs
-    more gets a group of its own.  Unlike kve, the kernel stays finite past
-    z = 2^30 and where K_nu overflows.
-    """
-    p, p1 = abs(order), abs(order - 1.0)
-    a = max(p, p1)
-    r = np.hypot(z, a)
-    peak = np.arcsinh(a / z)
-    # each row's (coefficient of cosh t - 1, of t, constant) in its log-integrand;
-    # the constant, a^2 / (r + z) - a t*, is minus the log of the peak
-    rows = np.empty((z.size, 3))
-    rows[:, 0] = -z
-    rows[:, 1] = a
-    np.subtract(a * a / (r + z), a * peak, out=rows[:, 2])
-    sums = np.empty((z.size, 3))
-    for group, step, end in _kernel_groups(z, r, peak, a):
-        t = step * np.arange(int(np.ceil(end / step)) + 1)
-        nodes = np.empty((3, t.size))
-        nodes[0] = np.sinh(0.5 * t)
-        nodes[0] *= 2.0 * nodes[0]  # cosh t - 1, without the cancellation
-        nodes[1] = t
-        nodes[2] = 1.0
-        e = rows[group] @ nodes
-        np.maximum(e, _KERNEL_FLOOR, out=e)
-        np.exp(e, out=e)
-        weight = np.full(t.size, 0.5 * step)  # the cosh halves fold in here
-        weight[0] *= 0.5
-        lead = np.exp((p - a) * t) * weight
-        cols = np.empty((t.size, 3))
-        cols[:, 0] = lead * (1.0 + np.exp(-2.0 * p * t))
-        cols[:, 1] = np.exp((p1 - a) * t) * weight * (1.0 + np.exp(-2.0 * p1 * t))
-        cols[:, 2] = -np.copysign(t, order) * lead * np.expm1(-2.0 * p * t)
-        sums[group] = e @ cols
-    s0 = sums[:, 0]
-    return np.log(s0) - rows[:, 2], sums[:, 1] / s0, sums[:, 2] / s0
-
-
-def _log_bessel_point(order: float, z: float):
-    """The three terms of _log_bessel_terms at one argument, from one scipy
-    kve call over six orders; the derivative is a four-point central
-    difference."""
-    k = special.kve(order + _POINT_ORDERS, z)
-    log_k = np.log(k)
-    d_order = (log_k[2] - 8.0 * log_k[3] + 8.0 * log_k[4] - log_k[5]) / (12.0 * _ORDER_STEP)
-    return log_k[0], k[1] / k[0], d_order
-
-
-def _kernel_step(z_max: float, a: float) -> float:
-    return min(_KERNEL_MAX_STEP, 0.5 / np.sqrt(max(z_max, a)))
-
-
-def _kernel_groups(z, r, peak, a):
-    """(rows, step, end) of each node set of _log_bessel_terms."""
-    # arccosh(1 + d), without rounding 1 + d: the end is decreasing in z
-    d = _KERNEL_DROP / r
-    end = peak + np.log1p(d + np.sqrt(d * (d + 2.0)))
-    step, end_max = _kernel_step(z.max(), a), end.max()
-    if end_max <= _KERNEL_NODES * step:
-        return [(slice(None), step, end_max)]
-    by_z = np.argsort(z, kind="stable")
-    z_sorted = z[by_z]
-    groups = []
-    first = 0
-    while first < z.size:
-        row = by_z[first]
-        # rows up to z_top share this row's end within _KERNEL_NODES nodes:
-        # _kernel_step(z_top) = 0.5 / sqrt(z_top) = end / _KERNEL_NODES
-        z_top = (0.5 * _KERNEL_NODES / end[row]) ** 2
-        last = first + 1
-        if end[row] <= _KERNEL_MAX_STEP * _KERNEL_NODES and a <= z_top:
-            last = max(last, int(np.searchsorted(z_sorted, z_top, side="right")))
-        groups.append((by_z[first:last], _kernel_step(z_sorted[last - 1], a), end[row]))
-        first = last
-    return groups
-
-
 def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative log-likelihood and its gradient in x = (lam, log gamma,
     log delta, beta, mu).
@@ -273,8 +158,8 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
     gives d log K_nu(z) / dz = -r - nu/z, from which the (gamma, delta,
     beta, mu) derivatives are closed form.  The sample terms (log K_nu, r and
     d log K_nu / d nu, which gives the lambda derivative exactly) come from
-    the one-pass kernel of _log_bessel_terms, the normaliser's K_lam(delta *
-    gamma) from _log_bessel_point.  Bessel functions enter only as
+    ghdist's kernel and the normaliser's K_lam(delta * gamma) from its point
+    evaluator, as in gh_logpdf.  Bessel functions enter only as
     exponentially scaled values and their ratios, so delta * gamma -> 0 stays
     finite.  A point where the likelihood is not finite, or whose parameters
     GhParams rejects, gets a 1e18 penalty with a zero gradient, which makes
@@ -308,7 +193,7 @@ def _negloglik_grad(x: np.ndarray, samples: np.ndarray) -> tuple[float, np.ndarr
         ])
     # alpha rounds to |beta| once gamma is below |beta| * 1e-8: outside GhParams
     if not (np.isfinite(loglik) and np.all(np.isfinite(grad)) and alpha > abs(beta)
-            and z.max() < _KVE_MAX_Z and log_k_nu.max() <= _KVE_MAX_LOG):
+            and z.max() < _MAX_Z):
         return 1e18, np.zeros(5)
     return -float(loglik), -grad
 
@@ -401,7 +286,7 @@ def fit_gh_marginal(samples, *, rng: Rng) -> GhFit:
                           key=lambda pair: pair[1].fun)
     return GhFit(
         params=_unpack(best.x),
-        loglik=-_negloglik(best.x, samples),
+        loglik=-best.fun,
         evaluations=sum(res.nfev for res in screened) + spent_interior + spent_ridge,
         candidate=candidate,
         at_bound=tuple(name for name, v in zip(_BOXED, best.x) if abs(v) >= _BOX),

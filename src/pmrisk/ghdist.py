@@ -29,6 +29,11 @@ split is left to the quadrature check, which stays as the rule's safeguard.
 A quantile is the root of one panel's log-cubic, and ``TableQuantiles`` finds
 the roots for any number of laws in one masked Newton solve; ``gh_quantile``
 is its one-law case.
+
+Bessel K has two evaluators, shared with the GH fit: a trapezoidal kernel at
+the sample points (``_log_bessel_terms``, with the order ratio and derivative
+the fit needs) and, at the normaliser's one argument, scipy's kve
+(``_log_bessel_point``), or the kernel where kve is not finite.
 """
 
 from __future__ import annotations
@@ -54,6 +59,21 @@ _SOLVE_TOL = 1e-9
 _SOLVE_STEPS = 60
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# The Bessel-K kernel of the density (see _log_bessel_terms).  A node set
+# holds up to _KERNEL_NODES nodes, or more for rows that need more alone
+# (see _kernel_groups).  Exponents are floored at -500: exp is slow below
+# that and its subnormal results slower, and no term that counts is that
+# small (a row's sum is at least about e^-t*, t* < 120 for z > 1e-50)
+_KERNEL_DROP = 38.0
+_KERNEL_NODES = 64
+_KERNEL_MAX_STEP = 0.22
+_KERNEL_SHARE = 4.0
+_KERNEL_FLOOR = -500.0
+# orders of _log_bessel_point's one kve call, relative to lambda; a four-point
+# central difference of step 1e-3 (error O(step^4)) gives d log K_lam / d lam
+_ORDER_STEP = 1e-3
+_POINT_ORDERS = np.array([0.0, -1.0, -2.0 * _ORDER_STEP, -_ORDER_STEP, _ORDER_STEP,
+                          2.0 * _ORDER_STEP])
 
 
 @dataclass(frozen=True)
@@ -82,28 +102,115 @@ class GhParams:
         return float(np.sqrt(self.alpha**2 - self.beta**2))
 
 
-def _log_kve(order: float, z):
-    """log(kve(order, z)), with the large-argument asymptote where kve fails.
+def _log_bessel_terms(order: float, z: np.ndarray):
+    """log kve(order, z), K_{order-1}/K_order and d/d(order) log K_order at
+    each entry of the vector z, from one trapezoidal rule per group of rows.
 
-    scipy's kve returns NaN once z exceeds about 2e9.  There (and where it
-    would underflow to 0) the two-term Hankel expansion of log K is used; it
-    is exact for order 1/2 and off by O(z**-2) otherwise.  Where kve is finite
-    and positive the result is log(kve) bit for bit; where it overflows (small
-    z, large order) it stays +inf.
+    kve(nu, z) = int_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt, and the two
+    other terms are the same integral with cosh((nu - 1) t) and
+    t sinh(nu t) in place of cosh(nu t).  The integrands are even and entire
+    in t, so the trapezoidal rule from t = 0 converges exponentially in
+    1/step (Trefethen & Weideman 2014); a step of min(0.22, 0.5 / sqrt(max(z,
+    a))), with a = max(|nu|, |nu - 1|), holds all three to about 1e-13.
+    Every row is scaled by exp(a t) and divided by its peak, at
+    t* = asinh(a / z), so the sums neither overflow nor underflow, and its
+    nodes run until its integrand is e^-38 below the peak.  A group's
+    exponentials come from one (rows x 3)(3 x nodes) product and its three
+    sums from one (rows x nodes)(nodes x 3) product (see _kernel_groups for
+    how rows share a node set).  Unlike kve, the kernel stays finite past
+    z = 2^30 and where K_nu overflows.
     """
-    k = special.kve(order, z)
-    lost = np.isnan(k) | (k == 0.0)
-    if not np.any(lost):
-        return np.log(k)
-    zl = np.where(lost, z, 1.0)
-    asym = 0.5 * np.log(np.pi / (2.0 * zl)) + np.log1p((4.0 * order**2 - 1.0) / (8.0 * zl))
-    with np.errstate(divide="ignore"):
-        return np.where(lost, asym, np.log(k))
+    p, p1 = abs(order), abs(order - 1.0)
+    a = max(p, p1)
+    r = np.hypot(z, a)
+    peak = np.arcsinh(a / z)
+    # each row's (coefficient of cosh t - 1, of t, constant) in its log-integrand;
+    # the constant, a^2 / (r + z) - a t*, is minus the log of the peak
+    rows = np.empty((z.size, 3))
+    rows[:, 0] = -z
+    rows[:, 1] = a
+    np.subtract(a * a / (r + z), a * peak, out=rows[:, 2])
+    sums = np.empty((z.size, 3))
+    for group, step, end in _kernel_groups(z, r, peak, a):
+        t = step * np.arange(int(np.ceil(end / step)) + 1)
+        nodes = np.empty((3, t.size))
+        nodes[0] = np.sinh(0.5 * t)
+        nodes[0] *= 2.0 * nodes[0]  # cosh t - 1, without the cancellation
+        nodes[1] = t
+        nodes[2] = 1.0
+        e = rows[group] @ nodes
+        np.maximum(e, _KERNEL_FLOOR, out=e)
+        np.exp(e, out=e)
+        weight = np.full(t.size, 0.5 * step)  # the cosh halves fold in here
+        weight[0] *= 0.5
+        lead = np.exp((p - a) * t) * weight
+        cols = np.empty((t.size, 3))
+        cols[:, 0] = lead * (1.0 + np.exp(-2.0 * p * t))
+        cols[:, 1] = np.exp((p1 - a) * t) * weight * (1.0 + np.exp(-2.0 * p1 * t))
+        cols[:, 2] = -np.copysign(t, order) * lead * np.expm1(-2.0 * p * t)
+        sums[group] = e @ cols
+    s0 = sums[:, 0]
+    return np.log(s0) - rows[:, 2], sums[:, 1] / s0, sums[:, 2] / s0
+
+
+def _kernel_step(z_max: float, a: float) -> float:
+    return min(_KERNEL_MAX_STEP, 0.5 / np.sqrt(max(z_max, a)))
+
+
+def _kernel_groups(z, r, peak, a):
+    """(rows, step, end) of each node set of _log_bessel_terms.
+
+    A group shares one step, set by its largest z, and one end, set by its
+    smallest, so rows are grouped by z: up to _KERNEL_NODES nodes, or, for a
+    first row that needs more, the rows at its step whose ends are within
+    _KERNEL_SHARE of its own (the rows near mu of a law with a tiny delta).
+    """
+    # arccosh(1 + d), without rounding 1 + d: the end is decreasing in z
+    d = _KERNEL_DROP / r
+    end = peak + np.log1p(d + np.sqrt(d * (d + 2.0)))
+    step, end_max = _kernel_step(z.max(), a), end.max()
+    if end_max <= _KERNEL_NODES * step:
+        return [(slice(None), step, end_max)]
+    by_z = np.argsort(z, kind="stable")
+    z_sorted = z[by_z]
+    less_end = -end[by_z]  # increasing
+    # rows up to z_same have the step of every smaller z
+    z_same = max(a, (0.5 / _KERNEL_MAX_STEP) ** 2)
+    groups = []
+    first = 0
+    while first < z.size:
+        row = by_z[first]
+        if end[row] <= _KERNEL_NODES * _kernel_step(z[row], a):
+            # rows up to z_top share this row's end within _KERNEL_NODES nodes:
+            # _kernel_step(z_top) = 0.5 / sqrt(z_top) = end / _KERNEL_NODES
+            last = np.searchsorted(z_sorted, (0.5 * _KERNEL_NODES / end[row]) ** 2, "right")
+        elif z[row] <= z_same:
+            last = min(np.searchsorted(z_sorted, z_same, "right"),
+                       np.searchsorted(less_end, _KERNEL_SHARE - end[row], "right"))
+        else:
+            last = first + 1
+        last = max(int(last), first + 1)
+        groups.append((by_z[first:last], _kernel_step(z_sorted[last - 1], a), end[row]))
+        first = last
+    return groups
+
+
+def _log_bessel_point(order: float, z: float):
+    """The three terms of _log_bessel_terms at one argument.  Where scipy's
+    kve is finite and positive at all six orders, they come from one kve
+    call and a four-point central difference in the order; elsewhere
+    (past z ~ 2e9, or where K overflows) from the kernel at that one z."""
+    k = special.kve(order + _POINT_ORDERS, z)
+    if not np.all(np.isfinite(k) & (k > 0.0)):
+        return tuple(term[0] for term in _log_bessel_terms(order, np.array([z])))
+    log_k = np.log(k)
+    d_order = (log_k[2] - 8.0 * log_k[3] + 8.0 * log_k[4] - log_k[5]) / (12.0 * _ORDER_STEP)
+    return log_k[0], k[1] / k[0], d_order
 
 
 def _log_norm_const(p: GhParams) -> float:
     zeta = p.delta * p.gamma
-    log_k = float(_log_kve(p.lam, zeta) - zeta)
+    log_k = float(_log_bessel_point(p.lam, zeta)[0] - zeta)
     return (
         p.lam * np.log(p.gamma)
         - 0.5 * np.log(2.0 * np.pi)
@@ -118,10 +225,11 @@ def gh_logpdf(p: GhParams, x):
     arr = _as_finite_array(x, "x")
     q = np.hypot(p.delta, arr - p.mu)
     aq = p.alpha * q
+    log_k, _, _ = _log_bessel_terms(p.lam - 0.5, aq.ravel())
     out = (
         _log_norm_const(p)
         + (p.lam - 0.5) * np.log(q)
-        + _log_kve(p.lam - 0.5, aq)
+        + log_k.reshape(aq.shape)
         - aq
         + p.beta * (arr - p.mu)
     )

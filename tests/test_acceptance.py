@@ -38,7 +38,7 @@ from pmrisk.estimators import (
     default_scheme,
     proportional_sis_sample,
 )
-from pmrisk.ghdist import _log_kve
+from pmrisk.ghdist import _log_bessel_point, _log_bessel_terms
 
 from conftest import CAR_ROWS, GH_ROWS, SIGMA, model_draw
 
@@ -176,16 +176,16 @@ def test_criterion_6_numerics_suite():
         )
         assert abs(total - 1.0) <= 1e-8, city
 
-    # the scaled K = e^x K that the GH density evaluates; e^x is common to all
-    # three terms, so the recurrence holds for it as written
-    def scaled_k(order, x):
-        return np.exp(_log_kve(order, x))
-
-    for order in (-2.0, 0.3, 1.7, 4.0):
-        for x in (0.2, 2.0, 30.0):
-            lhs = scaled_k(order + 1.0, x)
-            rhs = scaled_k(order - 1.0, x) + (2.0 * order / x) * scaled_k(order, x)
-            assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+    # the scaled K = e^x K that the GH density evaluates, by its kernel at the
+    # sample points and by its normaliser's point evaluator; e^x is common to
+    # all three terms, so the recurrence holds for it as written
+    for scaled_k in (lambda order, x: np.exp(_log_bessel_terms(order, np.array([x]))[0][0]),
+                     lambda order, x: np.exp(_log_bessel_point(order, x)[0])):
+        for order in (-2.0, 0.3, 1.7, 4.0):
+            for x in (0.2, 2.0, 30.0):
+                lhs = scaled_k(order + 1.0, x)
+                rhs = scaled_k(order - 1.0, x) + (2.0 * order / x) * scaled_k(order, x)
+                assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
     lower = cholesky_factor(SIGMA)
     assert np.max(np.abs(lower @ lower.T - SIGMA)) <= 1e-12

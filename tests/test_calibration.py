@@ -15,9 +15,10 @@ from pmrisk import (
     split_train_holdout,
 )
 from pmrisk import calibration
-from pmrisk.calibration import LogRatioPanel, _negloglik, _negloglik_grad
+from pmrisk import ghdist
+from pmrisk.calibration import LogRatioPanel, _negloglik_grad, _unpack
 from pmrisk.copula import marginal_transform
-from pmrisk.ghdist import _log_kve, gh_logpdf
+from pmrisk.ghdist import gh_logpdf
 
 from conftest import GH_ROWS, NU, SIGMA, model_draw
 
@@ -75,6 +76,11 @@ class TestComputeLogRatios:
             compute_log_ratios([_series("a", [1], [100.0])])
 
 
+def _negloglik(x, samples):
+    """The negative log-likelihood at search point x, as gh_logpdf gives it."""
+    return -float(np.sum(gh_logpdf(_unpack(x), samples)))
+
+
 def _scipy_terms(order, z):
     """log kve, K_{order-1}/K_order and a four-point central difference of
     log kve in the order, where scipy holds all of them; else NaN."""
@@ -95,7 +101,7 @@ class TestBesselKernel:
         z = np.logspace(-12, 9, 85)
         checked = 0
         for order in self.ORDERS:
-            log_k, ratio, d_order = calibration._log_bessel_terms(order, z)
+            log_k, ratio, d_order = ghdist._log_bessel_terms(order, z)
             ref_log_k, ref_ratio, ref_d = _scipy_terms(order, z)
             held = np.isfinite(ref_log_k) & np.isfinite(ref_ratio) & (ref_ratio > 0)
             held &= np.isfinite(ref_d)
@@ -109,15 +115,17 @@ class TestBesselKernel:
         assert checked > 0.9 * self.ORDERS.size * z.size
 
     def test_holds_where_kve_fails(self):
-        # past z = 2^30 kve is NaN: the Hankel asymptote of _log_kve, exact to
-        # O(z^-2), is the reference there, and the order ratio is
-        # 1 - (2 nu - 1) / (2 z) to O(nu^2 / z^2)
+        # past z = 2^30 kve is NaN: the two-term Hankel asymptote of log kve
+        # (DLMF 10.40.2), exact to O(z^-2), is the reference there, and the
+        # order ratio is 1 - (2 nu - 1) / (2 z) to O(nu^2 / z^2)
         big = np.logspace(9.5, 20.0, 22)
         assert np.all(np.isnan(special.kve(0.3, big)))
         for order in self.ORDERS:
-            log_k, ratio, d_order = calibration._log_bessel_terms(order, big)
+            log_k, ratio, d_order = ghdist._log_bessel_terms(order, big)
+            hankel = 0.5 * np.log(np.pi / (2.0 * big)) + np.log1p((4.0 * order**2 - 1.0)
+                                                                   / (8.0 * big))
             assert np.all(np.isfinite(d_order))
-            assert np.all(np.abs(log_k - _log_kve(order, big)) <= 1e-12 * np.abs(log_k))
+            assert np.all(np.abs(log_k - hankel) <= 1e-12 * np.abs(log_k))
             assert np.all(np.abs(ratio - 1.0 + (2.0 * order - 1.0) / (2.0 * big)) <= 1e-11)
         # kve overflows at a large order and a small z; there K_nu(z) is
         # Gamma(nu) (2/z)^nu / 2 to relative O(z^2 / nu), and d log K / d nu
@@ -125,7 +133,7 @@ class TestBesselKernel:
         tiny = np.logspace(-12.0, -9.0, 7)
         for order in (40.0, -45.5, 49.5):
             assert np.all(np.isinf(special.kve(order, tiny)))
-            log_k, ratio, d_order = calibration._log_bessel_terms(order, tiny)
+            log_k, ratio, d_order = ghdist._log_bessel_terms(order, tiny)
             nu = abs(order)
             series = special.gammaln(nu) + nu * np.log(2.0 / tiny) - np.log(2.0) + tiny
             assert np.all(np.abs(log_k - series) <= 1e-12 * series)
@@ -138,15 +146,23 @@ class TestBesselKernel:
         # the grouped batch gives each row what it gets alone
         z = np.concatenate([np.logspace(-8.0, 21.0, 60), [3.0, 1e-8, 2e15]])
         for order in (-7.3, 0.5, 1.7, 49.5):
-            together = calibration._log_bessel_terms(order, z)
-            alone = [calibration._log_bessel_terms(order, z[i:i + 1]) for i in range(z.size)]
+            together = ghdist._log_bessel_terms(order, z)
+            alone = [ghdist._log_bessel_terms(order, z[i:i + 1]) for i in range(z.size)]
             for got, ref in zip(together, zip(*alone)):
                 ref = np.concatenate(ref)
                 assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-        groups = calibration._kernel_groups(z, np.hypot(z, 1.0), np.arcsinh(1.0 / z), 1.0)
+        r, peak = np.hypot(z, 1.0), np.arcsinh(1.0 / z)
+        groups = ghdist._kernel_groups(z, r, peak, 1.0)
         assert len(groups) > 1
+        # a node set past _KERNEL_NODES nodes holds only rows that need its
+        # step alone, and none whose own end is more than _KERNEL_SHARE short
         for rows, step, end in groups:
-            assert end / step <= calibration._KERNEL_NODES or len(rows) == 1
+            if end / step <= ghdist._KERNEL_NODES:
+                continue
+            for i in rows:
+                ((_, own_step, own_end),) = ghdist._kernel_groups(z[i:i + 1], r[i:i + 1],
+                                                                  peak[i:i + 1], 1.0)
+                assert own_step == step and end - ghdist._KERNEL_SHARE <= own_end <= end
 
 
 class TestFitGhMarginal:
@@ -242,13 +258,13 @@ class TestFitGhMarginal:
         assert spent > once.nfev
 
     def test_ridge_polish_above_the_interior_is_not_rerun(self):
-        # on this Hs draw the ridge start stops about 300 nats above the
-        # interior optimum with a gradient near 1e5; its reruns would spend
+        # on this Tj draw the ridge start stops about 430 nats above the
+        # interior optimum with a gradient near 5e3; its reruns would spend
         # as many evaluations again and still end above that optimum
-        u = Rng(4).generator().random(225)
-        samples = gh_quantile(GH_ROWS["Hs"], np.clip(u, 1e-12, 1 - 1e-12))
+        u = Rng(147).generator().random(225)
+        samples = gh_quantile(GH_ROWS["Tj"], np.clip(u, 1e-12, 1 - 1e-12))
         screened = [calibration._lbfgsb(samples, x0, calibration._SCREEN)
-                    for x0 in calibration._start_points(samples, Rng(4).split(100))]
+                    for x0 in calibration._start_points(samples, Rng(147).split(100))]
         interior, _ = calibration._polish(samples, min(screened, key=lambda r: r.fun).x)
         start = interior.x.copy()
         start[2] = np.log(np.std(samples)) + calibration._RIDGE_LOG_DELTA
@@ -263,9 +279,9 @@ class TestFitGhMarginal:
 
     def test_reports_box_bound(self):
         # a 225-row draw of the Cd law whose fit runs beta onto the box
-        u = Rng(20).generator().random(225)
+        u = Rng(21).generator().random(225)
         samples = gh_quantile(GH_ROWS["Cd"], np.clip(u, 1e-12, 1 - 1e-12))
-        fit = fit_gh_marginal(samples, rng=Rng(20).split(100))
+        fit = fit_gh_marginal(samples, rng=Rng(21).split(100))
         assert fit.at_bound == ("beta",)
         assert fit.params.beta == -50.0
 

@@ -166,10 +166,10 @@ _MAP_CASES = {
 # city) order, of each case's map, built from 128 start intervals on the GH
 # tables of test_ghdist.TABLE_FINGERPRINTS (numpy 2.4, scipy 1.17, x86-64).
 MAP_FINGERPRINTS = {
-    "normal": (1020, "97037ed0780aa9cf58aa743f5e813eda04a9bf9c110789bf0f9e1b0a73a94805"),
-    "paper": (941, "356a557863e03af01019a3c66f1f0b064434dbaac599c8e7101254a38ecf2a48"),
-    "scaled": (1025, "33cbec8c9395e651fb4d6420fc328f00a79ce0e2a413cd1d525b0a1691c234ee"),
-    "t3": (903, "fe2bf42cf397233885af896e4da5a7e6f88e91e34814c34ecac0a290a39c55b0"),
+    "normal": (1020, "fa838dd805c1093441c31b07f4acf096957e1e70740be60075326b4c57c5930b"),
+    "paper": (941, "086a6a4a5ebd16be794b87253c732c9fe89ef71e0319440cce54d9a069944b1b"),
+    "scaled": (1025, "f810df7c1f5914a0ccb2aa7e6c41683a2f21bc1338028e21d355fad84095c4d2"),
+    "t3": (903, "120fdf927e6aa6e6c3779acefb0a7bebbf993d5800fd6e623f90b317153759f9"),
 }
 
 

@@ -24,15 +24,20 @@ SYMMETRIC = GhParams(lam=0.5, alpha=2.0, delta=0.8, beta=0.0, mu=0.3)
 # span about six decades of width
 VG_RIDGE = GhParams(lam=1.3, alpha=2.5, delta=3e-6, beta=-0.9, mu=0.25)
 
+# a fit on the variance-gamma ridge, as some bench-panel fits end (delta
+# <= 4e-6): every table batch has about 100 rows near mu that need more than
+# _KERNEL_NODES Bessel-kernel nodes each
+RIDGE_FIT = GhParams(lam=1.78, alpha=3.9, delta=3.5e-6, beta=-1.29, mu=0.3)
+
 # Edge count and sha256 of the two log-CDF sides' coefficients of each preset
 # city's table, built with the 6-point rule on initial edges that keep every
 # grid point a rung away from every ladder point (numpy 2.4, scipy 1.17, x86-64).
 TABLE_FINGERPRINTS = {
-    "Bj": (589, "1b16ade8f67ac1f2c10ca8531a9073c9176f645aff20da70069bf932b9806d71"),
-    "Cd": (584, "f6c858e76d6cf9bf1c1f5ba2df5d1546a2ce991027e8f43597c90daa1303bac3"),
-    "Hs": (545, "3d859f13164cb7a4314f8464069c5dd6b1633f0a705fdca3244a0462656753b9"),
-    "Tj": (639, "55cef9f27685ed25918bed892cb0349f955b0a6ef984e4d949535ec8db95edb8"),
-    "Xt": (602, "911c7be7e87846dd66b01db3a3bf634852c50b54be40e23ce8c9d49e8ecb7020"),
+    "Bj": (589, "2ae761ea30e7ea970cf5303c582dcb4f1f55a83b6559d83d75fdd4ebbaa20f69"),
+    "Cd": (584, "8d91da8b2159c1e55825989844dee649b5eb526ac7230504b4ce18f9e69049ab"),
+    "Hs": (545, "ace38c6b4cd117139cd7002f4a21ba2676f2504da4c8284dea1fe17023d8acd6"),
+    "Tj": (639, "7839957a41ffc4840549ed3d19cfac037ae8aa39d647824cd4cbcaf2d17fe448"),
+    "Xt": (602, "b17042d71febb032f38174a2009acf8fe78bd877472852bd2eca583eba315cdb"),
 }
 
 # Laws whose `linspace` grid has points a few ulps from a ladder rung
@@ -45,6 +50,17 @@ RUNG_NEIGHBOURS = {
                        mu=0.311627560903487),
     "skewed": GhParams(lam=-20.0, alpha=3.0, delta=2.0, beta=-1.0, mu=0.1),
 }
+
+
+def _kve_logpdf(p, x):
+    """The GH log-density written out with scipy's kve for both Bessel terms."""
+    q = np.hypot(p.delta, x - p.mu)
+    zeta = p.delta * p.gamma
+    log_norm = (p.lam * np.log(p.gamma) - 0.5 * np.log(2.0 * np.pi)
+                - (p.lam - 0.5) * np.log(p.alpha) - p.lam * np.log(p.delta)
+                - np.log(special.kve(p.lam, zeta)) + zeta)
+    return (log_norm + (p.lam - 0.5) * np.log(q) + np.log(special.kve(p.lam - 0.5, p.alpha * q))
+            - p.alpha * q + p.beta * (x - p.mu))
 
 
 def _oracle_frozen(params):
@@ -98,6 +114,12 @@ class TestPdf:
     @pytest.mark.parametrize("x", [-10.0, 0.0, 10.0])
     def test_strictly_positive(self, city, x):
         assert gh_pdf(GH_ROWS[city], x) > 0.0
+
+    @pytest.mark.parametrize("law", [*GH_ROWS.values(), RIDGE_FIT],
+                             ids=[*GH_ROWS, "ridge_fit"])
+    def test_matches_kve_at_every_table_edge(self, law):
+        edges = ghdist._tables(law).lower.knots
+        assert np.max(np.abs(ghdist.gh_logpdf(law, edges) - _kve_logpdf(law, edges))) <= 1e-12
 
     def test_far_tail_follows_closed_form(self):
         # lam = 1 gives Bessel order 1/2 in the density, where K has a closed
@@ -290,6 +312,20 @@ class TestTableBuild:
         reference = ghdist._GhTables(law)
         assert shipped.lower.knots.tobytes() == reference.lower.knots.tobytes()
         assert np.max(np.abs(_knot_cdf(shipped) - _knot_cdf(reference))) <= 4e-15
+
+    def test_ridge_rows_share_node_sets(self, monkeypatch):
+        # one node set per row near mu made 100 sets in one 1,470-row batch
+        counts = []
+        groups = ghdist._kernel_groups
+
+        def counted(z, *args):
+            found = groups(z, *args)
+            counts.append(len(found))
+            return found
+
+        monkeypatch.setattr(ghdist, "_kernel_groups", counted)
+        ghdist._GhTables(RIDGE_FIT)
+        assert max(counts) <= 5
 
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_table_matches_fingerprint(self, city):

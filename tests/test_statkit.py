@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from pmrisk import DomainError, Rng, normal_cdf, normal_quantile, t_cdf
-from pmrisk.ghdist import _log_kve
+from pmrisk.ghdist import _log_bessel_point, _log_bessel_terms
 from pmrisk.statkit import normal_pdf, t_pdf
 
 # Oracle values, frozen from adaptive quadrature of the respective densities
@@ -112,31 +112,39 @@ class TestDensities:
             normal_pdf(np.inf)
 
 
-def _scaled_k(order, x):
-    """e^x K_order(x), as the GH density evaluates it (through its logarithm)."""
-    return float(np.exp(_log_kve(order, x)))
+# e^x K_order(x), as the GH density evaluates it (through its logarithm):
+# the kernel at the sample points and the normaliser's point evaluator; each
+# test checks both
+SCALED_K = (
+    lambda order, x: float(np.exp(_log_bessel_terms(order, np.array([x]))[0][0])),
+    lambda order, x: float(np.exp(_log_bessel_point(order, x)[0])),
+)
 
 
 class TestBesselK:
     def test_half_integer_closed_form(self):
-        assert abs(_scaled_k(0.5, 2.0) - np.sqrt(np.pi / 4.0)) <= 1e-12
+        for scaled_k in SCALED_K:
+            assert abs(scaled_k(0.5, 2.0) - np.sqrt(np.pi / 4.0)) <= 1e-12
 
     def test_symmetry_in_order(self):
-        assert abs(_scaled_k(-0.7, 1.3) - _scaled_k(0.7, 1.3)) <= 1e-14
+        for scaled_k in SCALED_K:
+            assert abs(scaled_k(-0.7, 1.3) - scaled_k(0.7, 1.3)) <= 1e-14
 
     def test_integral_representation_oracle(self):
-        k0 = _scaled_k(0.0, 1.0) * np.exp(-1.0)
-        assert abs(k0 - K0_1) <= 1e-10
         live, _ = integrate.quad(lambda t: np.exp(-np.cosh(t)), 0.0, 30.0)
-        assert abs(k0 - live) <= 1e-7
+        for scaled_k in SCALED_K:
+            k0 = scaled_k(0.0, 1.0) * np.exp(-1.0)
+            assert abs(k0 - K0_1) <= 1e-10
+            assert abs(k0 - live) <= 1e-7
 
     @pytest.mark.parametrize("order", [-2.0, -0.5, 0.7, 1.5, 3.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0, 50.0])
     def test_recurrence(self, order, x):
         # e^x is common to all three terms, so the scaled K obeys the recurrence too
-        lhs = _scaled_k(order + 1.0, x)
-        rhs = _scaled_k(order - 1.0, x) + (2.0 * order / x) * _scaled_k(order, x)
-        assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+        for scaled_k in SCALED_K:
+            lhs = scaled_k(order + 1.0, x)
+            rhs = scaled_k(order - 1.0, x) + (2.0 * order / x) * scaled_k(order, x)
+            assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
 class TestRng:
