@@ -164,7 +164,10 @@ def _kernel_groups(z, r, peak, a):
     smallest, so rows are grouped by z: up to _KERNEL_NODES nodes, or, for a
     first row that needs more, the rows at its step whose ends are within
     _KERNEL_SHARE of its own (the rows near mu of a law with a tiny delta).
+    An empty batch has no node set.
     """
+    if z.size == 0:
+        return []
     # arccosh(1 + d), without rounding 1 + d: the end is decreasing in z
     d = _KERNEL_DROP / r
     end = peak + np.log1p(d + np.sqrt(d * (d + 2.0)))

@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 # One BLAS/OpenMP thread, as CI runs the suite: unpinned, OpenBLAS wakes its
@@ -9,7 +10,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
-from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, paper_portfolio,
+from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, ghdist, paper_portfolio,
                     stratified_sample)
 from pmrisk.estimators import ONE_CELL
 
@@ -54,6 +55,25 @@ def model_draw(portfolio, rng, n):
     """n draws of the model law: the sampling engine at the identity tilt on one cell."""
     return stratified_sample(portfolio, ONE_CELL, np.ones(n, dtype=int),
                              IsParams.identity(portfolio.dimension), rng)
+
+
+@contextlib.contextmanager
+def kernel_node_sets():
+    """Within the block, each Bessel-kernel call of ghdist appends to the
+    yielded list one entry per node set: its rows x nodes."""
+    calls, groups = [], ghdist._kernel_groups
+
+    def counted(z, *args):
+        found = groups(z, *args)
+        calls.append([np.arange(z.size)[rows].size * (int(np.ceil(end / step)) + 1)
+                      for rows, step, end in found])
+        return found
+
+    ghdist._kernel_groups = counted
+    try:
+        yield calls
+    finally:
+        ghdist._kernel_groups = groups
 
 
 @pytest.fixture(scope="session")

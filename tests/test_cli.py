@@ -407,6 +407,17 @@ class TestFit:
             assert city["candidate"] in ("interior", "ridge")
             assert set(city["at_bound"]) <= {"lam", "log_gamma", "log_delta", "beta"}
 
+    def test_empty_holdout_scores_zero(self, tmp_path):
+        # ceil(0.995 * 119) = 119: every log-ratio goes to training
+        csv_path = _synthetic_csv(tmp_path, ["Bj"], 120, 7)
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--csv", str(csv_path), "--out", str(out), "--seed", "3",
+                   "--train-fraction", "0.995"])
+        assert rc == EXIT_OK
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["holdout_rows"] == 0
+        assert meta["holdout_logliks"] == {"Bj": {"loglik": 0.0, "rows": 0}}
+
     def test_byte_identical_rerun(self, tmp_path):
         csv_path = _synthetic_csv(tmp_path, ["Bj", "Tj"], 300, 17)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -8,7 +8,7 @@ from scipy.stats import genhyperbolic
 
 from pmrisk import DomainError, GhParams, gh_cdf, gh_moments, gh_pdf, gh_quantile, ghdist
 
-from conftest import GH_ROWS, MOMENTS_OVERFLOW
+from conftest import GH_ROWS, MOMENTS_OVERFLOW, kernel_node_sets
 
 # Frozen from quad integration of an independent density implementation
 # (scipy.stats.genhyperbolic under the parameter map p=lam, a=alpha*delta,
@@ -114,6 +114,11 @@ class TestPdf:
     @pytest.mark.parametrize("x", [-10.0, 0.0, 10.0])
     def test_strictly_positive(self, city, x):
         assert gh_pdf(GH_ROWS[city], x) > 0.0
+
+    def test_empty_input_gives_empty_output(self):
+        params = GH_ROWS["Bj"]
+        assert ghdist.gh_logpdf(params, np.array([])).shape == (0,)
+        assert gh_pdf(params, np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("law", [*GH_ROWS.values(), RIDGE_FIT],
                              ids=[*GH_ROWS, "ridge_fit"])
@@ -313,19 +318,11 @@ class TestTableBuild:
         assert shipped.lower.knots.tobytes() == reference.lower.knots.tobytes()
         assert np.max(np.abs(_knot_cdf(shipped) - _knot_cdf(reference))) <= 4e-15
 
-    def test_ridge_rows_share_node_sets(self, monkeypatch):
+    def test_ridge_rows_share_node_sets(self):
         # one node set per row near mu made 100 sets in one 1,470-row batch
-        counts = []
-        groups = ghdist._kernel_groups
-
-        def counted(z, *args):
-            found = groups(z, *args)
-            counts.append(len(found))
-            return found
-
-        monkeypatch.setattr(ghdist, "_kernel_groups", counted)
-        ghdist._GhTables(RIDGE_FIT)
-        assert max(counts) <= 5
+        with kernel_node_sets() as calls:
+            ghdist._GhTables(RIDGE_FIT)
+        assert max(map(len, calls)) <= 5
 
     @pytest.mark.parametrize("city", sorted(GH_ROWS))
     def test_table_matches_fingerprint(self, city):
