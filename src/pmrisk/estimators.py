@@ -10,25 +10,30 @@ Three routes to EP = P(C > tau) and CE = E[C | C > tau]:
   over the drift direction and the mixing-variable score, with the
   replication budget spread over four stages by adaptive optimal allocation.
 
-All three run on one engine: labels -> ``stratified_sample`` -> pool ->
-readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
+All three run on one engine: labels -> ``stratified_sample`` -> tail sums
+-> readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
 likelihood ratio is exactly 1), and IS is SIS on a one-cell scheme, so the
 three differ only in the tilt and the scheme they pass in.
 
 * A stage turns an allocation (replications per stratum) into a vector of
-  1-based stratum labels, ordered by stratum, and draws it in chunks of
-  ``CHUNK`` rows, one ``stratified_sample`` call per chunk.
+  stratum labels, ordered by stratum, and draws it in chunks of ``CHUNK``
+  rows, one ``stratified_sample`` call per chunk (``_stage``).
 * ``stratified_sample`` is two steps: the tilt-free draw of the scores and
-  mixing values, then the tilt.  A pool tilts each chunk as it is drawn and
+  mixing values, then the tilt.  A stage tilts each chunk as it is drawn and
   keeps no scores; ``CommonDraws`` keeps a proportional pool's scores, so a
   CaR solve's rounds, which differ only in the tilt, re-tilt one draw.
-* The chunks' concentrations and likelihood ratios join one pooled
-  ``SisSample``.
-* One ``np.bincount`` accumulator (``SisSample.tail_sums``) gives the
-  per-stratum tail sums, at one threshold or at every threshold of a curve
-  in one pass; the AOA stages take their per-stratum deviations from them.
-* A pool's readers answer every caller: ``SisSample.estimates`` (EP and CE)
-  and ``ep_at`` (EP on a grid) from the tail sums, and ``quantile`` (a CaR).
+* One accumulator (``_TailBins``) bins each chunk's concentrations and
+  likelihood ratios once into per-(threshold bin, stratum) counts and
+  moment sums, at one threshold or at every threshold of a curve; the tail
+  sums above each threshold are their reverse cumulative sums.
+* ``sis_estimate`` (every CCaR) and ``proportional_ep_at`` (a curve) keep
+  only those sums: the AOA stages take their per-stratum deviations from
+  them, and one composer each turns them into EP and CE (``_estimates``)
+  or EP on a grid (``_ep_reading``).
+* Only a quantile needs rows: ``proportional_sis_sample`` and
+  ``CommonDraws.pool`` return a pooled ``SisSample``, whose ``quantile``
+  reads a CaR and whose ``estimates`` and ``ep_at`` bin it with the same
+  accumulator and read it with the same composers.
 
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
@@ -432,7 +437,8 @@ class SisSample:
 
     ``stratum`` holds 0-based labels and ``counts`` the rows per stratum.
     ``sample_weight`` is p_i W / n_i, so plain weighted sums over the pool are
-    unbiased for the corresponding expectations.
+    unbiased for the corresponding expectations.  Only a CaR needs the rows
+    (``quantile``); the tail readers bin them as the streamed estimators do.
     """
 
     conc: np.ndarray
@@ -450,30 +456,13 @@ class SisSample:
 
         Returns (hits, sums): ``hits[..., i]`` counts the rows of stratum i
         with C > tau, and ``sums[m, ..., i]`` sums moment m over them: W, W^2
-        and, with ``ce``, x, x^2 and x W for x = C W.  The middle axis runs
-        over the grid and is absent for a scalar tau.
-
-        One pass serves the whole grid: each row's bin (the number of
-        thresholds strictly below its C) is found once, every moment is
-        summed per (bin, stratum) by one ``np.bincount``, and a reverse
-        cumulative sum over the bins gives the sums above each threshold.
+        and, with ``ce``, x, x^2, x W and x C for x = C W.  The middle axis
+        runs over the grid and is absent for a scalar tau.  The pool is binned
+        once by ``_TailBins``, as the streamed estimators bin their chunks.
         """
-        grid = np.atleast_1d(np.asarray(tau, dtype=float))
-        n_strata = self.probs.shape[0]
-        cell = np.searchsorted(grid, self.conc, side="left") * n_strata + self.stratum
-        size = (grid.size + 1) * n_strata
-        w = self.weight
-        moments = [w, w * w]
-        if ce:
-            x = self.conc * w
-            moments += [x, x * x, x * w]
-        binned = np.array([np.bincount(cell, minlength=size)]
-                          + [np.bincount(cell, weights=m, minlength=size) for m in moments])
-        binned = binned.reshape(len(binned), grid.size + 1, n_strata)
-        above = np.cumsum(binned[:, :0:-1], axis=1)[:, ::-1]
-        if np.ndim(tau) == 0:
-            above = above[:, 0]
-        return above[0], above[1:]
+        bins = _TailBins(tau, self.probs.shape[0], ce)
+        bins.add(self.stratum, self.conc, self.weight)
+        return bins.above()
 
     def ep_at(self, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stratified EP, its 95% halfwidth and the tail hit count.
@@ -481,9 +470,7 @@ class SisSample:
         At one threshold or at each threshold of an increasing grid, shaped
         as in ``tail_sums``.
         """
-        hits, sums = self.tail_sums(tau, ce=False)
-        ep, var = _stratified_mean(self.probs, self.counts, *sums)
-        return ep, 1.96 * np.sqrt(var), hits.sum(axis=-1).astype(int)
+        return _ep_reading(self.probs, self.counts, *self.tail_sums(tau, ce=False))
 
     def quantile(self, alpha: float) -> float:
         """Smallest concentration with at most alpha of the sample weight mass strictly above it.
@@ -491,10 +478,18 @@ class SisSample:
         The mass above is compared with alpha, not a fraction of the weight sum:
         the weights are an unbiased probability decomposition whose sum is
         itself random, and this keeps the noisy bulk out of the tail comparison.
+
+        The sort need not be stable.  Sorts differ only in the order of equal
+        concentrations; a pool's concentrations are continuous, so ties have
+        probability zero, its sort order is unique, and every cumulative mass
+        is the same sum in the same order.  Within a tie the returned value
+        is the same whichever row it is read from, so only the cumulative
+        mass at a tie's end can round differently (not at all for weights
+        whose partial sums are exact, such as dyadic ones).
         """
         if not 0.0 < alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
-        order = np.argsort(self.conc, kind="stable")
+        order = np.argsort(self.conc)
         cum = np.cumsum(self.sample_weight[order])
         if cum[-1] <= 0.0:
             raise DomainError("weights must have positive total mass")
@@ -504,29 +499,46 @@ class SisSample:
         return float(self.conc[order[min(idx, self.conc.shape[0] - 1)]])
 
     def estimates(self, tau: float) -> tuple[EstimateResult, EstimateResult]:
-        """EP and CE results at tau from the per-stratum tail sums.
+        """EP and CE results at tau from the per-stratum tail sums (``_estimates``)."""
+        return _estimates(self.probs, self.counts, self.tail_sums(tau)[1])
 
-        ``variance`` is n times the stratified variance; the CE variance is the
-        delta-method variance of the ratio of the two stratified means, and its
-        ``naive_variance`` E[(C - CE)^2 1{C > tau}] / EP^2 from the pool's weights.
-        """
-        n = int(self.counts.sum())
-        _, sums = self.tail_sums(tau)
 
-        def result(estimate: float, var: float, **flags) -> EstimateResult:
-            return EstimateResult(estimate=float(estimate), variance=float(var * n),
-                                  halfwidth95=float(1.96 * np.sqrt(var)), n=n, **flags)
+class _TailBins:
+    """Running row counts and moment sums per (threshold bin, stratum).
 
-        ep, ep_var = _stratified_mean(self.probs, self.counts, sums[0], sums[1])
-        numer = float(self.probs @ (sums[2] / np.maximum(self.counts, 1)))
-        if ep <= 0.0 or numer <= 0.0:
-            return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
-        ratio = numer / ep
-        _, resid_var = _stratified_mean(self.probs, self.counts, *_residual_sums(sums, ratio))
-        tail = self.conc > tau
-        naive_var = self.sample_weight[tail] @ (self.conc[tail] - ratio) ** 2 / ep**2
-        return result(ep, ep_var), result(ratio, resid_var / ep**2,
-                                          naive_variance=float(naive_var))
+    Bin b of a threshold grid holds the rows with b thresholds strictly below
+    their C.  ``add`` bins a batch of rows (0-based labels, C, W) once: its
+    bin by one ``searchsorted``, then one ``np.add.at`` per moment, which
+    adds the rows in order as one ``np.bincount`` over all of them would.  So
+    a sample binned chunk by chunk has the sums of the pooled sample, bit for
+    bit, and the streamed estimators keep no rows.  ``above`` reads the tail
+    sums above every threshold by a reverse cumulative sum over the bins.
+    """
+
+    def __init__(self, tau, n_strata: int, ce: bool):
+        self.scalar = np.ndim(tau) == 0
+        self.grid = np.atleast_1d(np.asarray(tau, dtype=float))
+        self.ce = ce
+        self.binned = np.zeros((7 if ce else 3, self.grid.size + 1, n_strata))
+
+    def add(self, stratum: np.ndarray, conc: np.ndarray, weight: np.ndarray) -> None:
+        n_strata = self.binned.shape[2]
+        cell = np.searchsorted(self.grid, conc, side="left") * n_strata + stratum
+        flat = self.binned.reshape(len(self.binned), -1)
+        flat[0] += np.bincount(cell, minlength=flat.shape[1])
+        moments = [weight, weight * weight]
+        if self.ce:
+            x = conc * weight
+            moments += [x, x * x, x * weight, x * conc]
+        for row, moment in zip(flat[1:], moments):
+            np.add.at(row, cell, moment)
+
+    def above(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hits, sums) above each threshold, shaped as in ``SisSample.tail_sums``."""
+        above = np.cumsum(self.binned[:, :0:-1], axis=1)[:, ::-1]
+        if self.scalar:
+            above = above[:, 0]
+        return above[0], above[1:]
 
 
 def _stratum_var(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -547,25 +559,58 @@ def _stratified_mean(probs: np.ndarray, counts: np.ndarray, s: np.ndarray,
     return mean, var
 
 
+def _ep_reading(probs: np.ndarray, counts: np.ndarray, hits: np.ndarray,
+                sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified EP, its 95% halfwidth and the total hit count from EP tail sums."""
+    ep, var = _stratified_mean(probs, counts, *sums)
+    return ep, 1.96 * np.sqrt(var), hits.sum(axis=-1).astype(int)
+
+
 def _residual_sums(sums: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-stratum sums and sums of squares of x - ratio * y."""
-    sy, syy, sx, sxx, sxy = sums
+    sy, syy, sx, sxx, sxy = sums[:5]
     return sx - ratio * sy, sxx - 2.0 * ratio * sxy + ratio**2 * syy
 
 
-def _aoa_sigma(pool: SisSample, tau: float) -> np.ndarray:
+def _estimates(probs: np.ndarray, counts: np.ndarray,
+               sums: np.ndarray) -> tuple[EstimateResult, EstimateResult]:
+    """EP and CE results from the per-stratum tail sums at one threshold.
+
+    ``variance`` is n times the stratified variance; the CE variance is the
+    delta-method variance of the ratio of the two stratified means, and its
+    ``naive_variance`` E[(C - CE)^2 1{C > tau}] / EP^2 from the sample's
+    weights, sum_i p_i / n_i (sum x C - 2 CE sum x + CE^2 sum W) / EP^2.
+    """
+    n = int(counts.sum())
+
+    def result(estimate: float, var: float, **flags) -> EstimateResult:
+        return EstimateResult(estimate=float(estimate), variance=float(var * n),
+                              halfwidth95=float(1.96 * np.sqrt(var)), n=n, **flags)
+
+    ep, ep_var = _stratified_mean(probs, counts, sums[0], sums[1])
+    numer = float(probs @ (sums[2] / np.maximum(counts, 1)))
+    if ep <= 0.0 or numer <= 0.0:
+        return result(ep, ep_var), result(float("nan"), float("nan"), empty_tail=True)
+    ratio = numer / ep
+    _, resid_var = _stratified_mean(probs, counts, *_residual_sums(sums, ratio))
+    spread = np.maximum(sums[5] - 2.0 * ratio * sums[2] + ratio**2 * sums[0], 0.0)
+    naive_var = probs @ (spread / np.maximum(counts, 1)) / ep**2
+    return result(ep, ep_var), result(ratio, resid_var / ep**2,
+                                      naive_variance=float(naive_var))
+
+
+def _aoa_sigma(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Per-stratum deviations of the CE residual for AOA; ones before any tail hit."""
-    _, sums = pool.tail_sums(tau)
     total_sy = sums[0].sum()
     if total_sy <= 0.0:
-        return np.ones(pool.probs.shape[0])
+        return np.ones(counts.shape[0])
     s, ss = _residual_sums(sums, sums[2].sum() / total_sy)
-    return np.sqrt(_stratum_var(pool.counts, s, ss))
+    return np.sqrt(_stratum_var(counts, s, ss))
 
 
 def _chunks(stratum: np.ndarray, rng: Rng):
-    """A stage's chunks of ``CHUNK`` rows: (1-based labels, ``rng.split(c)``) for chunk c."""
-    return ((stratum[start:start + CHUNK] + 1, rng.split(c))
+    """A stage's chunks of ``CHUNK`` rows: (0-based labels, ``rng.split(c)``) for chunk c."""
+    return ((stratum[start:start + CHUNK], rng.split(c))
             for c, start in enumerate(range(0, stratum.size, CHUNK)))
 
 
@@ -576,34 +621,20 @@ def _pool_columns(portfolio: CityPortfolio, draw: CopulaDraw,
             likelihood_ratio(draw, is_params, portfolio.copula.nu))
 
 
-def _draw_pool(portfolio: CityPortfolio, is_params: IsParams,
-               scheme: StratificationScheme, budgets: list[int], n_min: int,
-               rng: Rng, tau: float | None = None) -> SisSample:
-    """Pooled sample over stages; stage s spends ``budgets[s]`` replications.
+def _stage(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
+           alloc: np.ndarray, rng: Rng):
+    """A stage's chunks at allocation ``alloc`` on the stage stream: (0-based labels, C, W).
 
-    The first stage allocates proportionally to the stratum probabilities,
-    later ones by AOA on the tail at ``tau`` of everything pooled so far.
     Each chunk is one ``stratified_sample`` call, and its scores are not kept.
     """
-    n_strata = scheme.n_strata
-    probs = scheme.probs
-    conc, weight, labels = [np.empty(0)], [np.empty(0)], []
-    counts = np.zeros(n_strata, dtype=int)
-    pool = None
-    for stage, budget in enumerate(budgets):
-        sigma = np.ones(n_strata) if pool is None else _aoa_sigma(pool, tau)
-        alloc = aoa_allocate(budget, probs, sigma, n_min)
-        strata = np.repeat(np.arange(n_strata), alloc)
-        for chunk, chunk_rng in _chunks(strata, rng.split(stage + 1)):
-            draw = stratified_sample(portfolio, scheme, chunk, is_params, chunk_rng)
-            c, w = _pool_columns(portfolio, draw, is_params)
-            conc.append(c)
-            weight.append(w)
-        labels.append(strata)
-        counts = counts + alloc
-        pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
-                         stratum=np.concatenate(labels), probs=probs, counts=counts)
-    return pool
+    for chunk, chunk_rng in _chunks(np.repeat(np.arange(scheme.n_strata), alloc), rng):
+        draw = stratified_sample(portfolio, scheme, chunk + 1, is_params, chunk_rng)
+        yield (chunk, *_pool_columns(portfolio, draw, is_params))
+
+
+def _proportional(scheme: StratificationScheme, total_n: int) -> np.ndarray:
+    """The allocation of a proportional pool: p_i total_n, at least one row per stratum."""
+    return aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
 
 
 def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
@@ -615,7 +646,10 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     to the stratum probabilities, later stages rebalance via ``aoa_allocate``
     with standard deviations pooled over everything sampled so far.  A
     one-cell scheme has no per-stratum floor: it is plain importance sampling
-    on the same four stages, and needs two replications.
+    on the same four stages, and needs two replications.  Stage s draws from
+    ``rng.split(s + 1)``; its chunks go into running tail sums at tau and are
+    not kept, and the estimates equal ``SisSample.estimates`` on the pooled
+    rows.
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
@@ -626,8 +660,15 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
         )
     fractions = np.asarray(STAGE_FRACTIONS)
     budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
-    pool = _draw_pool(portfolio, is_params, scheme, budgets, floor, rng, tau)
-    return pool.estimates(tau)
+    bins = _TailBins(tau, scheme.n_strata, ce=True)
+    counts = np.zeros(scheme.n_strata, dtype=int)
+    for stage, budget in enumerate(budgets):
+        sigma = _aoa_sigma(counts, bins.above()[1]) if stage else np.ones(scheme.n_strata)
+        alloc = aoa_allocate(budget, scheme.probs, sigma, floor)
+        for columns in _stage(portfolio, is_params, scheme, alloc, rng.split(stage + 1)):
+            bins.add(*columns)
+        counts = counts + alloc
+    return _estimates(scheme.probs, counts, bins.above()[1])
 
 
 def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
@@ -637,9 +678,28 @@ def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
 
     Uniform coverage of all strata suits whole-distribution targets such as
     quantile inversion, where adaptive allocation at one threshold would
-    starve the rest of the support.
+    starve the rest of the support.  The stage draws from ``rng.split(1)``.
     """
-    return _draw_pool(portfolio, is_params, scheme, [total_n], 1, rng)
+    counts = _proportional(scheme, total_n)
+    columns = list(_stage(portfolio, is_params, scheme, counts, rng.split(1)))
+    labels, conc, weight = (np.concatenate(c) for c in zip(*columns))
+    return SisSample(conc=conc, weight=weight, stratum=labels, probs=scheme.probs,
+                     counts=counts)
+
+
+def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
+                       scheme: StratificationScheme, total_n: int, rng: Rng,
+                       tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``proportional_sis_sample(...).ep_at(tau)``, from running tail sums.
+
+    The same draws, binned chunk by chunk and not kept, so the result is the
+    pooled one bit for bit (see ``_TailBins``) at a chunk's memory.
+    """
+    counts = _proportional(scheme, total_n)
+    bins = _TailBins(tau, scheme.n_strata, ce=False)
+    for columns in _stage(portfolio, is_params, scheme, counts, rng.split(1)):
+        bins.add(*columns)
+    return _ep_reading(scheme.probs, counts, *bins.above())
 
 
 class CommonDraws:
@@ -655,9 +715,9 @@ class CommonDraws:
     def __init__(self, portfolio: CityPortfolio, scheme: StratificationScheme,
                  total_n: int, rng: Rng):
         self.portfolio, self.scheme = portfolio, scheme
-        self.counts = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
+        self.counts = _proportional(scheme, total_n)
         self.stratum = np.repeat(np.arange(scheme.n_strata), self.counts)
-        self.chunks = tuple(_draw_scores(portfolio, scheme, chunk, chunk_rng)
+        self.chunks = tuple(_draw_scores(portfolio, scheme, chunk + 1, chunk_rng)
                             for chunk, chunk_rng in _chunks(self.stratum, rng.split(1)))
 
     def pool(self, is_params: IsParams) -> SisSample:

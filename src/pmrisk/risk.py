@@ -11,6 +11,10 @@ quantile's Monte Carlo noise at any budget.  A solve draws its random numbers
 once (``CommonDraws``) and each round re-tilts them.  No pool column is read
 here, apart from the curve pilot's interpolated quantile.
 
+Only a quantile keeps rows: the CaR rounds' pools and the identity-tilt
+pilots.  A CCaR (``sis_estimate``) and a curve (``proportional_ep_at``) are
+read from running per-stratum tail sums of their draws.
+
 A run's rows are one chain (``solve_cars``).  The first IS/SIS row takes its
 first threshold and tilt from the inverse-FORM point (``inverse_form``), and
 draws an identity-tilt pilot only where that solve fails, as naive does.  Each
@@ -40,6 +44,7 @@ from .estimators import (
     calibrate_is,
     default_scheme,
     inverse_form,
+    proportional_ep_at,
     proportional_sis_sample,
     sis_estimate,
 )
@@ -251,9 +256,7 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
                   portfolio.baseline() * 1.05)
     params, scheme = _design(portfolio, estimator, ref, budget, warnings)
     params = IsParams(mean_shift=params.mean_shift, theta=max(params.theta, 1.2))
-    pool = proportional_sis_sample(portfolio, params, scheme, budget, rng)
-
-    ep, halfwidth, hits = pool.ep_at(grid)
+    ep, halfwidth, hits = proportional_ep_at(portfolio, params, scheme, budget, rng, grid)
     return [CurvePoint(tau=float(t), ep=float(e), halfwidth95=float(h), hits=int(k))
             for t, e, h, k in zip(grid, ep, halfwidth, hits)]
 

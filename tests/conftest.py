@@ -12,7 +12,7 @@ import pytest
 
 from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, ghdist, paper_portfolio,
                     stratified_sample)
-from pmrisk.estimators import ONE_CELL
+from pmrisk.estimators import ONE_CELL, SisSample
 
 # Five-city GH fits (lam, alpha, delta, beta, mu)
 GH_ROWS = {
@@ -74,6 +74,23 @@ def kernel_node_sets():
         yield calls
     finally:
         ghdist._kernel_groups = groups
+
+
+@contextlib.contextmanager
+def sis_pools():
+    """Within the block, each ``SisSample`` built appends its row count to the
+    yielded list."""
+    rows, init = [], SisSample.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rows.append(self.conc.size)
+
+    SisSample.__init__ = counted
+    try:
+        yield rows
+    finally:
+        SisSample.__init__ = init
 
 
 @pytest.fixture(scope="session")

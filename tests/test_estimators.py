@@ -20,21 +20,25 @@ from pmrisk import (
     sis_estimate,
     stratified_sample,
 )
+from pmrisk import estimators
 from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
     CHUNK,
+    N_MIN,
     ONE_CELL,
+    STAGE_FRACTIONS,
     CommonDraws,
     SisSample,
     _concentration_and_gradient,
     _mixing_mode,
     default_scheme,
     inverse_form,
+    proportional_ep_at,
     proportional_sis_sample,
 )
 from pmrisk.statkit import normal_cdf, normal_quantile
 
-from conftest import CAR_ROWS, GH_ROWS, NU
+from conftest import CAR_ROWS, GH_ROWS, NU, sis_pools
 
 CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
@@ -532,6 +536,93 @@ class TestSisEstimate:
         assert abs(ep_nv.estimate - ep_sis.estimate) <= 3.0 * joint
 
 
+def _pooled_sis_estimate(portfolio, tau, params, scheme, total_n, rng):
+    """``sis_estimate`` with every row kept: the same stages on the same streams, each
+    allocated by AOA on the rows pooled so far, then the pooled ``SisSample``'s
+    estimates.  The AOA deviations are written out from the rows."""
+    floor = N_MIN if scheme.n_strata > 1 else 0
+    fractions = np.asarray(STAGE_FRACTIONS)
+    budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0)
+    conc, weight, labels = [], [], []
+    counts, sigma = np.zeros(scheme.n_strata, dtype=int), np.ones(scheme.n_strata)
+    for stage, budget in enumerate(budgets):
+        alloc = aoa_allocate(int(budget), scheme.probs, sigma, floor)
+        strata = np.repeat(np.arange(scheme.n_strata), alloc)
+        for c, start in enumerate(range(0, strata.size, estimators.CHUNK)):
+            chunk = strata[start:start + estimators.CHUNK]
+            draw = stratified_sample(portfolio, scheme, chunk + 1, params,
+                                     rng.split(stage + 1).split(c))
+            conc.append(portfolio_concentration(portfolio, marginal_transform(portfolio, draw)))
+            weight.append(likelihood_ratio(draw, params, portfolio.copula.nu))
+            labels.append(chunk)
+        counts = counts + alloc
+        pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
+                         stratum=np.concatenate(labels), probs=scheme.probs, counts=counts)
+        y = np.where(pool.conc > tau, pool.weight, 0.0)
+        if y.sum() > 0.0:
+            resid = pool.conc * y - (np.sum(pool.conc * y) / y.sum()) * y
+            sigma = np.array([resid[pool.stratum == i].std(ddof=1)
+                              for i in range(scheme.n_strata)])
+    return pool, pool.estimates(tau)
+
+
+class TestStreamedTailSums:
+    @pytest.mark.parametrize("estimator, counts, tau", [
+        ("naive", (1, 1), CAR_001),
+        ("is", (1, 1), CAR_001),
+        ("sis", (8, 4), CAR_001),
+        ("sis", (8, 4), 600.78),
+    ])
+    def test_sis_estimate_equals_the_pooled_rows(self, portfolio, monkeypatch,
+                                                 estimator, counts, tau):
+        # small chunks, so every stage's tail sums gather several chunks
+        monkeypatch.setattr(estimators, "CHUNK", 700)
+        scheme = StratificationScheme(counts)
+        params = (IsParams.identity(5) if estimator == "naive"
+                  else calibrate_is(portfolio, tau))
+        pool, want = _pooled_sis_estimate(portfolio, tau, params, scheme, 6_000, Rng(31))
+        with sis_pools() as pools:
+            got = sis_estimate(portfolio, tau, params, scheme, 6_000, Rng(31))
+        assert pools == []
+        hits = np.bincount(pool.stratum[pool.conc > tau], minlength=scheme.n_strata)
+        assert hits.sum() > 0
+        if estimator == "sis" and tau > 500.0:
+            assert (hits == 0).any()  # a stratum without a hit
+        for g, w in zip(got, want):
+            assert g.n == w.n == 6_000 and g.empty_tail == w.empty_tail
+            for field in ("estimate", "variance", "halfwidth95"):
+                assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-13)
+        assert np.isnan(got[0].naive_variance)
+        assert got[1].naive_variance == pytest.approx(want[1].naive_variance, rel=1e-13)
+        # the VR column's reference, from the pooled rows as the pool weights them
+        tail = pool.conc > tau
+        naive = pool.sample_weight[tail] @ (pool.conc[tail] - want[1].estimate) ** 2
+        assert got[1].naive_variance == pytest.approx(naive / want[0].estimate**2, rel=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["naive", "sis"])
+    def test_streamed_curve_equals_the_pooled_sample(self, portfolio, monkeypatch, estimator):
+        monkeypatch.setattr(estimators, "CHUNK", 1_000)
+        grid = np.arange(100.0, 901.0, 10.0)
+        if estimator == "naive":
+            params, scheme = IsParams.identity(5), ONE_CELL
+        else:
+            params, scheme = calibrate_is(portfolio, 300.0), default_scheme(portfolio, 8_000)
+        pooled = proportional_sis_sample(portfolio, params, scheme, 8_000, Rng(32))
+        with sis_pools() as pools:
+            ep, halfwidth, hits = proportional_ep_at(portfolio, params, scheme, 8_000,
+                                                     Rng(32), grid)
+        assert pools == []
+        want_ep, want_halfwidth, want_hits = pooled.ep_at(grid)
+        assert np.array_equal(hits, want_hits) and hits[0] > hits[-1]
+        np.testing.assert_allclose(ep, want_ep, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(halfwidth, want_halfwidth, rtol=1e-13, atol=0.0)
+        assert np.all(np.diff(ep) <= 0.0)
+        # one threshold reads as one grid point
+        one = proportional_ep_at(portfolio, params, scheme, 8_000, Rng(32), grid[20])
+        assert [np.ndim(v) for v in one] == [0, 0, 0]
+        assert one[2] == hits[20] and one[0] == pytest.approx(ep[20], rel=1e-13)
+
+
 class TestComposer:
     @staticmethod
     def _pool(counts, probs, seed):
@@ -591,7 +682,7 @@ class TestComposer:
             y = np.where(tail, pool.weight, 0.0)
             x = pool.conc * y
             want = [np.bincount(pool.stratum, weights=m, minlength=4)
-                    for m in (y, y * y, x, x * x, x * y)]
+                    for m in (y, y * y, x, x * x, x * y, x * pool.conc)]
             assert np.array_equal(hits[j], np.bincount(pool.stratum[tail], minlength=4))
             assert total_hits[j] == tail.sum()
             np.testing.assert_allclose(sums[:, j], want, rtol=1e-12, atol=0.0)

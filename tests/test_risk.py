@@ -136,6 +136,36 @@ class TestWeightedQuantile:
         with pytest.raises(DomainError):
             _one_stratum_pool([1.0, 2.0], [0.0, 0.0]).quantile(0.5)
 
+    @staticmethod
+    def _stable_quantile(pool: SisSample, alpha: float) -> float:
+        """``quantile`` as written with a stable sort of the concentrations."""
+        order = np.argsort(pool.conc, kind="stable")
+        cum = np.cumsum(pool.sample_weight[order])
+        idx = int(np.searchsorted(-(cum[-1] - cum), -(1.0 - (1.0 - alpha)), side="left"))
+        return float(pool.conc[order[min(idx, pool.conc.size - 1)]])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_a_stable_sort_on_random_pools(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(200, 400, 22)
+        counts[-1] += 10_000 - counts.sum()
+        labels = np.repeat(np.arange(22), counts)
+        pool = SisSample(conc=rng.lognormal(5.0, 0.4, labels.size),
+                         weight=rng.lognormal(0.0, 1.0, labels.size), stratum=labels,
+                         probs=np.full(22, 1.0 / 22), counts=counts)
+        for alpha in (0.3, 0.05, 0.01, 0.001, 1e-4, 1e-6):
+            assert pool.quantile(alpha) == self._stable_quantile(pool, alpha)
+
+    def test_matches_a_stable_sort_on_tied_concentrations(self):
+        # 10k rows on 40 distinct values, dyadic weights: every partial sum is
+        # exact, so ties may sort in any order
+        rng = np.random.default_rng(4)
+        pool = _one_stratum_pool(rng.integers(0, 40, 10_000).astype(float),
+                                 rng.integers(1, 64, 10_000) / 2.0**20)
+        total = pool.sample_weight.sum()
+        for alpha in np.concatenate([np.linspace(0.01, 0.99, 99) * total, [1e-9]]):
+            assert pool.quantile(alpha) == self._stable_quantile(pool, alpha)
+
 
 class TestRiskQuery:
     def test_rejects_alpha_out_of_range(self):
