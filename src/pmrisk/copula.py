@@ -199,9 +199,9 @@ class CopulaDraw:
 def dependent_vector(spec: CopulaSpec, chol: np.ndarray, z: np.ndarray,
                      y: np.ndarray | None) -> np.ndarray:
     corr = z @ chol.T
-    if spec.family == "normal":
-        return corr
-    return corr / np.sqrt(y / spec.nu)[:, None]
+    if spec.family == "t":
+        corr /= np.sqrt(y / spec.nu)[:, None]
+    return corr
 
 
 def copula_uniforms(spec: CopulaSpec, v: np.ndarray) -> np.ndarray:
@@ -222,7 +222,8 @@ class LogRatioMap(HermiteTable):
     """
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return super().__call__(np.arcsinh(v))
+        x = np.arcsinh(v, order="C")  # this call's own, so the values go into it
+        return super().__call__(x, out=x)
 
     def value_and_slope(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The log-ratios at v and their derivatives in v (through d asinh(v)/dv)."""

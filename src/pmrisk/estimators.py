@@ -25,7 +25,12 @@ three differ only in the tilt and the scheme they pass in.
 * One accumulator (``_TailBins``) bins each chunk's concentrations and
   likelihood ratios once into per-(threshold bin, stratum) counts and
   moment sums, at one threshold or at every threshold of a curve; the tail
-  sums above each threshold are their reverse cumulative sums.
+  sums above each threshold are their reverse cumulative sums.  A row's bin
+  takes no search: C > tau at one threshold, arithmetic on an evenly spaced
+  grid (every CLI grid), and ``searchsorted`` only for any other grid.
+* A chunk's arrays are its own, so the chunk loop reuses them in place
+  where nothing else holds them (the variates' divide, the map's values,
+  the exp of the log-ratios); public functions never change their arguments.
 * ``sis_estimate`` (every CCaR) and ``proportional_ep_at`` (a curve) keep
   only those sums: the AOA stages take their per-stratum deviations from
   them, and one composer each turns them into EP and CE (``_estimates``)
@@ -60,7 +65,7 @@ the peak memory of a 2e5-row curve sample rose by 15%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,16 +119,20 @@ class StratificationScheme:
     mu = 0); the mixing axis is the normal score of the chi-square mixing
     variable, which carries most of the residual likelihood-ratio variance.
     A stratum is one cell of the grid (flat 1-based index, C order), so
-    every cell has probability 1 / n_strata.
+    every cell has probability 1 / n_strata.  ``cells[:, i]`` is stratum
+    i + 1's (drift slice, mixing slice), 0-based.
     """
 
     counts: tuple[int, int]
+    cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
         if len(counts) != 2 or min(counts) < 1:
             raise DomainError("a scheme needs two stratum counts, each at least 1")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "cells",
+                           np.stack(np.unravel_index(np.arange(counts[0] * counts[1]), counts)))
 
     @property
     def n_strata(self) -> int:
@@ -322,7 +331,7 @@ def _draw_scores(portfolio: CityPortfolio, scheme: StratificationScheme,
     if hi - lo < width:
         scores = np.empty((m, width))
         scores[:, lo:hi] = normals
-        drift_cells, mixing_cells = np.unravel_index(labels - 1, scheme.counts)
+        drift_cells, mixing_cells = scheme.cells.take(labels - 1, axis=1)
         if lo:
             scores[:, 0] = _slice_scores(drift_cells, drift_slices, g.random(m))
         if hi < width:
@@ -506,24 +515,75 @@ class SisSample:
 class _TailBins:
     """Running row counts and moment sums per (threshold bin, stratum).
 
-    Bin b of a threshold grid holds the rows with b thresholds strictly below
-    their C.  ``add`` bins a batch of rows (0-based labels, C, W) once: its
-    bin by one ``searchsorted``, then one ``np.add.at`` per moment, which
-    adds the rows in order as one ``np.bincount`` over all of them would.  So
-    a sample binned chunk by chunk has the sums of the pooled sample, bit for
-    bit, and the streamed estimators keep no rows.  ``above`` reads the tail
-    sums above every threshold by a reverse cumulative sum over the bins.
+    Bin b of a threshold grid tau_0 < ... < tau_{K-1} holds the rows with b
+    thresholds strictly below their C, i.e. tau_{b-1} < C <= tau_b with
+    tau_{-1} = -inf and tau_K = inf: ``searchsorted(grid, C, side="left")``.
+    ``add`` bins a batch of rows (0-based labels, C, W) once, then adds one
+    ``np.add.at`` per moment, which adds the rows in order as one
+    ``np.bincount`` over all of them would.  So a sample binned chunk by
+    chunk has the sums of the pooled sample, bit for bit, and the streamed
+    estimators keep no rows.  ``above`` reads the tail sums above every
+    threshold by a reverse cumulative sum over the bins.
+
+    The grid must be finite and strictly increasing (``DomainError``
+    otherwise).  A bin is found without a search.  One threshold bins by
+    C > tau.  A grid of K >= 2 thresholds within a quarter step of
+    tau_0 + k h, h their mean step (every ``start:stop:step`` grid), bins by
+    arithmetic: b = ceil((C - tau_0) / h) (times 1 / h), clipped to [0, K],
+    is then off by at most one, so one comparison with the grid on each side
+    fixes it, and the rows that moved are checked against the grid.  A batch
+    that fails the check (a NaN or -inf C), and any other grid, bins by
+    ``searchsorted``.  Every route gives ``searchsorted``'s bins.
     """
 
     def __init__(self, tau, n_strata: int, ce: bool):
         self.scalar = np.ndim(tau) == 0
         self.grid = np.atleast_1d(np.asarray(tau, dtype=float))
+        if self.grid.ndim != 1 or not (np.all(np.isfinite(self.grid))
+                                       and np.all(self.grid[1:] > self.grid[:-1])):
+            raise DomainError("thresholds must be finite and strictly increasing")
         self.ce = ce
         self.binned = np.zeros((7 if ce else 3, self.grid.size + 1, n_strata))
+        # the arithmetic route's 1 / h, and the grid between -inf and inf ends,
+        # so that tau_{b-1} is low[b] and tau_b is high[b]
+        self.scale = None
+        k = self.grid.size
+        if k >= 2:
+            step = (self.grid[-1] - self.grid[0]) / (k - 1)
+            if np.all(np.abs(self.grid - (self.grid[0] + step * np.arange(k))) <= 0.25 * step):
+                self.scale = 1.0 / step
+            bounds = np.concatenate([[-np.inf], self.grid, [np.inf]])
+            self.low, self.high = bounds[:-1], bounds[1:]
+
+    def bins(self, conc: np.ndarray) -> np.ndarray:
+        """Each row's bin: the number of thresholds strictly below its C."""
+        if self.grid.size == 1:
+            return ~(conc <= self.grid[0])  # not C > tau: NaN goes above, as searchsorted puts it
+        if self.scale is None:
+            return self.searched_bins(conc)
+        guess = conc - self.grid[0]
+        guess *= self.scale
+        np.ceil(guess, out=guess)
+        # fmax/fmin, not clip: a NaN C gets a valid bin here and fails the check
+        np.fmax(guess, 0.0, out=guess)
+        np.fmin(guess, self.grid.size, out=guess)
+        bins = guess.astype(np.intp)
+        down = conc <= self.low.take(bins)
+        up = ~(conc <= self.high.take(bins))
+        moved = np.flatnonzero(down | up)
+        if moved.size:
+            c, b = conc[moved], bins[moved] + up[moved] - down[moved]
+            if not (np.all(self.low.take(b) < c) and np.all(c <= self.high.take(b))):
+                return self.searched_bins(conc)
+            bins[moved] = b
+        return bins
+
+    def searched_bins(self, conc: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.grid, conc, side="left")
 
     def add(self, stratum: np.ndarray, conc: np.ndarray, weight: np.ndarray) -> None:
         n_strata = self.binned.shape[2]
-        cell = np.searchsorted(self.grid, conc, side="left") * n_strata + stratum
+        cell = self.bins(conc) * n_strata + stratum
         flat = self.binned.reshape(len(self.binned), -1)
         flat[0] += np.bincount(cell, minlength=flat.shape[1])
         moments = [weight, weight * weight]
@@ -616,8 +676,13 @@ def _chunks(stratum: np.ndarray, rng: Rng):
 
 def _pool_columns(portfolio: CityPortfolio, draw: CopulaDraw,
                   is_params: IsParams) -> tuple[np.ndarray, np.ndarray]:
-    """(C, W) of one chunk drawn at ``is_params``."""
-    return (portfolio_concentration(portfolio, marginal_transform(portfolio, draw)),
+    """(C, W) of one chunk drawn at ``is_params``.
+
+    C is ``portfolio_concentration``'s, with the exp taken in place on the
+    chunk's own log-ratios.
+    """
+    r = marginal_transform(portfolio, draw)
+    return (np.exp(r, out=r) @ (portfolio.weights * portfolio.pm0),
             likelihood_ratio(draw, is_params, portfolio.copula.nu))
 
 

@@ -316,10 +316,10 @@ class HermiteTable:
     the cubic in x - ``anchors[k]`` that applies where
     ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
     Called on an (n, D) matrix (or one row of D), or an (n,) vector when
-    D = 1, it returns the values in the same shape, C-ordered.  It reads
-    one column at a time: the column's rows, then four gathers from that
-    column's own tables and Horner's rule, so a column-major input is read
-    contiguously.
+    D = 1, it returns the values in the same shape, C-ordered, in ``out``
+    when given (which may be x itself).  It reads one column at a time: the
+    column's rows, then four gathers from that column's own tables and
+    Horner's rule, so a column-major input is read contiguously.
 
     A row is found in O(1): a table of equal-width buckets over the knot
     range gives the first row of x's bucket, and the buckets are narrow
@@ -369,9 +369,9 @@ class HermiteTable:
         row += x >= upper.take(row)
         return row
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         columns = self.coef.shape[1]
-        out = np.empty(x.shape)
+        out = np.empty(x.shape) if out is None else out
         cells = out.reshape(-1, columns)
         for col, xc in enumerate(x.reshape(-1, columns).T):
             row = self.rows(xc)

@@ -12,7 +12,7 @@ import pytest
 
 from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, ghdist, paper_portfolio,
                     stratified_sample)
-from pmrisk.estimators import ONE_CELL, SisSample
+from pmrisk.estimators import ONE_CELL, SisSample, _TailBins
 
 # Five-city GH fits (lam, alpha, delta, beta, mu)
 GH_ROWS = {
@@ -91,6 +91,27 @@ def sis_pools():
         yield rows
     finally:
         SisSample.__init__ = init
+
+
+@contextlib.contextmanager
+def tail_bin_routes():
+    """Within the block, each batch of rows that ``_TailBins`` bins appends its
+    route to the yielded list: "one threshold", "arithmetic" or "searchsorted"."""
+    routes, bins, searched = [], _TailBins.bins, _TailBins.searched_bins
+
+    def counted_bins(self, conc):
+        routes.append("one threshold" if self.grid.size == 1 else "arithmetic")
+        return bins(self, conc)
+
+    def counted_searched(self, conc):
+        routes[-1] = "searchsorted"
+        return searched(self, conc)
+
+    _TailBins.bins, _TailBins.searched_bins = counted_bins, counted_searched
+    try:
+        yield routes
+    finally:
+        _TailBins.bins, _TailBins.searched_bins = bins, searched
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from pmrisk import (
@@ -21,6 +23,7 @@ from pmrisk import (
     stratified_sample,
 )
 from pmrisk import estimators
+from pmrisk.cli import _parse_tau_grid
 from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
     CHUNK,
@@ -30,6 +33,7 @@ from pmrisk.estimators import (
     CommonDraws,
     SisSample,
     _concentration_and_gradient,
+    _TailBins,
     _mixing_mode,
     default_scheme,
     inverse_form,
@@ -38,7 +42,7 @@ from pmrisk.estimators import (
 )
 from pmrisk.statkit import normal_cdf, normal_quantile
 
-from conftest import CAR_ROWS, GH_ROWS, NU, sis_pools
+from conftest import CAR_ROWS, GH_ROWS, NU, sis_pools, tail_bin_routes
 
 CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
@@ -621,6 +625,82 @@ class TestStreamedTailSums:
         one = proportional_ep_at(portfolio, params, scheme, 8_000, Rng(32), grid[20])
         assert [np.ndim(v) for v in one] == [0, 0, 0]
         assert one[2] == hits[20] and one[0] == pytest.approx(ep[20], rel=1e-13)
+
+
+def _edge_rows(grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Concentrations on every threshold, one ulp either side, below the first
+    and above the last, and uniform between, shuffled."""
+    span = grid[-1] - grid[0] + 1.0
+    rows = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                           [grid[0] - 1.0, grid[0] - 1e6 * span, grid[-1] + 1.0,
+                            grid[-1] + 1e6 * span],
+                           rng.uniform(grid[0] - 0.1 * span, grid[-1] + 0.1 * span, 5_000)])
+    return rng.permutation(rows)
+
+
+class TestTailBins:
+    """Each route bins a row as ``searchsorted(grid, C, side="left")`` does."""
+
+    @staticmethod
+    def _binned(grid, rows):
+        with tail_bin_routes() as routes:
+            got = _TailBins(grid, 3, ce=False).bins(rows)
+        assert np.array_equal(got, np.searchsorted(np.atleast_1d(grid), rows, side="left"))
+        return routes
+
+    @pytest.mark.parametrize("text, points", [("100:900:10", 81), ("0.1:7.3:0.1", 73),
+                                              ("0:1000:0.1", 10_001)])
+    def test_cli_grids_bin_by_arithmetic(self, text, points):
+        grid = np.array(_parse_tau_grid(text))
+        assert grid.size == points
+        assert self._binned(grid, _edge_rows(grid, np.random.default_rng(1))) == ["arithmetic"]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(start=st.floats(-1e3, 1e3), step=st.floats(1e-3, 1e2), count=st.integers(2, 3_000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_start_stop_step_grids_bin_by_arithmetic(self, start, step, count, seed):
+        grid = np.array([start + k * step for k in range(count)])  # as _parse_tau_grid builds it
+        assert self._binned(grid, _edge_rows(grid, np.random.default_rng(seed))) == ["arithmetic"]
+
+    def test_non_uniform_grid_bins_by_searchsorted(self):
+        grid = np.array([100.0, 150.0, 175.0, 400.0, 900.0])
+        rows = _edge_rows(grid, np.random.default_rng(2))
+        assert self._binned(grid, rows) == ["searchsorted"]
+
+    @pytest.mark.parametrize("tau", [352.03, [352.03]])
+    def test_one_threshold_bins_by_comparison(self, tau):
+        # a NaN row goes above the threshold, where searchsorted puts it
+        rows = np.append(_edge_rows(np.atleast_1d(tau), np.random.default_rng(3)), np.nan)
+        assert self._binned(tau, rows) == ["one threshold"]
+
+    def test_batch_failing_the_check_bins_by_searchsorted(self):
+        # a NaN or -inf row fails the arithmetic check, and the batch falls back
+        grid = np.array(_parse_tau_grid("100:900:10"))
+        rows = _edge_rows(grid, np.random.default_rng(4))
+        for bad in (np.nan, -np.inf):
+            assert self._binned(grid, np.append(rows, bad)) == ["searchsorted"]
+        assert self._binned(grid, np.append(rows, np.inf)) == ["arithmetic"]
+
+    def test_streamed_curve_chunks_bin_by_arithmetic(self, portfolio, monkeypatch):
+        monkeypatch.setattr(estimators, "CHUNK", 1_000)
+        grid = np.array(_parse_tau_grid("100:900:10"))
+        scheme = default_scheme(portfolio, 8_000)
+        with tail_bin_routes() as routes:
+            proportional_ep_at(portfolio, calibrate_is(portfolio, 300.0), scheme, 8_000,
+                               Rng(32), grid)
+        assert routes == ["arithmetic"] * 8
+
+    @pytest.mark.parametrize("tau", [[300.0, 200.0, 100.0], [100.0, np.nan], [100.0, 100.0],
+                                     [[100.0, 200.0]], np.nan])
+    def test_readers_refuse_a_grid_not_finite_and_increasing(self, portfolio, tau):
+        # a naive pool read [300, 200, 100] as EP 0.0954 at tau = 100 (0.5834 in
+        # increasing order), and [100, nan] as EP 0 at nan
+        pool = proportional_sis_sample(portfolio, IsParams.identity(5), ONE_CELL, 5_000, Rng(1))
+        for read in (pool.ep_at, pool.tail_sums):
+            with pytest.raises(DomainError, match="finite and strictly increasing"):
+                read(tau)
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            proportional_ep_at(portfolio, IsParams.identity(5), ONE_CELL, 5_000, Rng(1), tau)
 
 
 class TestComposer:

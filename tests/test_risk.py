@@ -25,7 +25,7 @@ from pmrisk.estimators import (
     inverse_form,
     proportional_sis_sample,
 )
-from pmrisk.risk import _STREAM_CAR, queries, solve_cars
+from pmrisk.risk import _STREAM_CAR, ESTIMATORS, queries, solve_cars
 
 from conftest import CAR_ROWS
 
@@ -348,6 +348,12 @@ class TestExceedanceCurve:
         with pytest.raises(DomainError):
             exceedance_curve(portfolio, np.array([200.0, 150.0]), "naive", 1000, 0)
 
+    @pytest.mark.parametrize("grid", [[300.0, 200.0, 100.0], [100.0, np.nan]])
+    def test_bad_grid_is_a_usage_error_before_any_draw(self, portfolio, grid):
+        # the samplers refuse such a grid too, with DomainError: this check comes first
+        with pytest.raises(UsageError):
+            exceedance_curve(portfolio, np.array(grid), "sis", 1000, 0)
+
     @pytest.mark.parametrize("grid", [[100.0, np.nan], [np.nan], [-np.inf, 200.0],
                                       [100.0, np.inf]])
     def test_rejects_nonfinite_threshold(self, portfolio, grid):
@@ -364,6 +370,35 @@ class TestExceedanceCurve:
         pts = exceedance_curve(portfolio, np.array([50.0, 80.0]), "sis", 4000, 6)
         assert pts[0].ep > 0.9
         assert pts[0].ep >= pts[1].ep
+
+
+class TestPm0Scaling:
+    """Doubling every PM0 doubles every C exactly (a power-of-two scale, so no
+    rounding), and the HL-RF steps that place the tilts do not change under it.
+    So with the thresholds doubled too, a curve keeps every bit, and a report's
+    CaR and CCaR double exactly."""
+
+    @staticmethod
+    def _doubled(portfolio):
+        return dataclasses.replace(portfolio, pm0=2.0 * portfolio.pm0)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_curve_keeps_every_bit(self, portfolio, estimator):
+        grid = np.arange(100.0, 901.0, 10.0)
+        want = exceedance_curve(portfolio, grid, estimator, 50_000, 3)
+        got = exceedance_curve(self._doubled(portfolio), 2.0 * grid, estimator, 50_000, 3)
+        assert [p.tau for p in got] == [2.0 * p.tau for p in want]
+        assert ([(p.ep, p.halfwidth95, p.hits) for p in got]
+                == [(p.ep, p.halfwidth95, p.hits) for p in want])
+        assert want[0].hits > want[-1].hits > 0
+
+    def test_sis_report_doubles_car_and_ccar(self, portfolio):
+        rows = queries([0.05, 0.01, 0.001], "sis", 10_000, 1)
+        want = build_report(portfolio, rows)
+        got = build_report(self._doubled(portfolio), rows)
+        for g, w in zip(got, want):
+            assert g.car == 2.0 * w.car and g.ccar == 2.0 * w.ccar
+            assert g.ccar_ci_pct == w.ccar_ci_pct and g.vr_factor == w.vr_factor
 
 
 class TestVarianceReduction:
