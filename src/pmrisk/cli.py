@@ -37,7 +37,7 @@ from .copula import CityPortfolio, CopulaSpec
 from .errors import CalibrationError, DataError, DomainError, NumericError, UsageError
 from .ghdist import gh_logpdf
 from .presets import portfolio_to_doc, resolve_portfolio
-from .risk import ESTIMATORS, build_report, exceedance_curve, queries, solve_cars
+from .risk import ESTIMATORS, _check_seed, build_report, exceedance_curve, queries, solve_cars
 from .statkit import Rng
 
 EXIT_OK = 0
@@ -308,6 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_seed(args.seed)  # before any input is read
         if args.command == "fit":
             fit(args.csv, args.out, args.seed, args.train_fraction)
         else:

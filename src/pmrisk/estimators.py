@@ -10,18 +10,22 @@ Three routes to EP = P(C > tau) and CE = E[C | C > tau]:
   over the drift direction and the mixing-variable score, with the
   replication budget spread over four stages by adaptive optimal allocation.
 
-All three run on one engine: labels -> ``stratified_sample`` -> tail sums
--> readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
+All three run on one engine: labels -> draw -> tilt -> tail sums ->
+readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
 likelihood ratio is exactly 1), and IS is SIS on a one-cell scheme, so the
-three differ only in the tilt and the scheme they pass in.
+three differ only in the tilt and the scheme they pass in to ``sis_estimate``.
 
-* A stage turns an allocation (replications per stratum) into a vector of
-  stratum labels, ordered by stratum, and draws it in chunks of ``CHUNK``
-  rows, one ``stratified_sample`` call per chunk (``_stage``).
-* ``stratified_sample`` is two steps: the tilt-free draw of the scores and
-  mixing values, then the tilt.  A stage tilts each chunk as it is drawn and
-  keeps no scores; ``CommonDraws`` keeps a proportional pool's scores, so a
-  CaR solve's rounds, which differ only in the tilt, re-tilt one draw.
+* One chunk loop (``_stage``).  A stage turns an allocation (replications
+  per stratum) into stratum labels, ordered by stratum, and draws each chunk
+  of ``CHUNK`` rows' tilt-free scores and mixing values (``_draw_scores``);
+  ``_tilted`` tilts each chunk (``_tilt``) and maps it to (C, W).
+  ``stratified_sample`` is the same two steps on one batch of labels.
+* One stage loop (``_stages``) runs a schedule of stage budgets at a
+  per-stratum floor: the paper's four AOA stages for ``sis_estimate`` (every
+  CCaR), one proportional stage for ``proportional_ep_at`` (a curve).  The
+  chunks are tilted as drawn and binned into the caller's accumulator, not
+  kept; the AOA stages take their deviations from it, and one composer each
+  reads EP and CE (``_estimates``) or EP on a grid (``_ep_reading``).
 * One accumulator (``_TailBins``) bins each chunk's concentrations and
   likelihood ratios once into per-(threshold bin, stratum) counts and
   moment sums, at one threshold or at every threshold of a curve; the tail
@@ -31,14 +35,11 @@ three differ only in the tilt and the scheme they pass in.
 * A chunk's arrays are its own, so the chunk loop reuses them in place
   where nothing else holds them (the variates' divide, the map's values,
   the exp of the log-ratios); public functions never change their arguments.
-* ``sis_estimate`` (every CCaR) and ``proportional_ep_at`` (a curve) keep
-  only those sums: the AOA stages take their per-stratum deviations from
-  them, and one composer each turns them into EP and CE (``_estimates``)
-  or EP on a grid (``_ep_reading``).
-* Only a quantile needs rows: ``proportional_sis_sample`` and
-  ``CommonDraws.pool`` return a pooled ``SisSample``, whose ``quantile``
-  reads a CaR and whose ``estimates`` and ``ep_at`` bin it with the same
-  accumulator and read it with the same composers.
+* Only a quantile needs rows: ``CommonDraws`` keeps one proportional stage's
+  tilt-free chunks, and ``pool`` tilts them into a pooled ``SisSample``, whose
+  ``quantile`` reads a CaR and whose ``estimates`` and ``ep_at`` bin it with
+  the same accumulator and composers.  A CaR solve's rounds re-tilt one draw;
+  an identity-tilt pilot is one ``pool`` call.
 
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
@@ -668,38 +669,42 @@ def _aoa_sigma(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return np.sqrt(_stratum_var(counts, s, ss))
 
 
-def _chunks(stratum: np.ndarray, rng: Rng):
-    """A stage's chunks of ``CHUNK`` rows: (0-based labels, ``rng.split(c)``) for chunk c."""
-    return ((stratum[start:start + CHUNK], rng.split(c))
-            for c, start in enumerate(range(0, stratum.size, CHUNK)))
+def _stage(portfolio: CityPortfolio, scheme: StratificationScheme, alloc: np.ndarray,
+           rng: Rng):
+    """A stage's chunks of ``CHUNK`` labels at allocation ``alloc``, ordered by stratum:
+    (0-based labels, scores, mixing), chunk c from ``_draw_scores`` on ``rng.split(c)``."""
+    stratum = np.repeat(np.arange(scheme.n_strata), alloc)
+    for c, start in enumerate(range(0, stratum.size, CHUNK)):
+        labels = stratum[start:start + CHUNK]
+        yield (labels, *_draw_scores(portfolio, scheme, labels + 1, rng.split(c)))
 
 
-def _pool_columns(portfolio: CityPortfolio, draw: CopulaDraw,
-                  is_params: IsParams) -> tuple[np.ndarray, np.ndarray]:
-    """(C, W) of one chunk drawn at ``is_params``.
-
-    C is ``portfolio_concentration``'s, with the exp taken in place on the
-    chunk's own log-ratios.
-    """
+def _tilted(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | None,
+            is_params: IsParams) -> tuple[np.ndarray, np.ndarray]:
+    """(C, W) of one of ``_stage``'s chunks under ``is_params``; C is
+    ``portfolio_concentration``'s, with the exp taken in place on the chunk's log-ratios."""
+    draw = _tilt(portfolio, scores, mixing, is_params)
     r = marginal_transform(portfolio, draw)
     return (np.exp(r, out=r) @ (portfolio.weights * portfolio.pm0),
             likelihood_ratio(draw, is_params, portfolio.copula.nu))
 
 
-def _stage(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
-           alloc: np.ndarray, rng: Rng):
-    """A stage's chunks at allocation ``alloc`` on the stage stream: (0-based labels, C, W).
+def _stages(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
+            budgets: list[int], floor: int, rng: Rng, bins: _TailBins) -> np.ndarray:
+    """Draw the stages of ``budgets`` into ``bins`` and return the rows per stratum.
 
-    Each chunk is one ``stratified_sample`` call, and its scores are not kept.
+    Stage s allocates by ``aoa_allocate`` at ``floor``, to p_i first and then
+    to p_i sigma_i from the CE sums binned so far (``_aoa_sigma``), and draws
+    from ``rng.split(s + 1)``; its chunks are tilted, binned and not kept.
     """
-    for chunk, chunk_rng in _chunks(np.repeat(np.arange(scheme.n_strata), alloc), rng):
-        draw = stratified_sample(portfolio, scheme, chunk + 1, is_params, chunk_rng)
-        yield (chunk, *_pool_columns(portfolio, draw, is_params))
-
-
-def _proportional(scheme: StratificationScheme, total_n: int) -> np.ndarray:
-    """The allocation of a proportional pool: p_i total_n, at least one row per stratum."""
-    return aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
+    counts = np.zeros(scheme.n_strata, dtype=int)
+    for stage, budget in enumerate(budgets):
+        sigma = _aoa_sigma(counts, bins.above()[1]) if stage else np.ones(scheme.n_strata)
+        alloc = aoa_allocate(budget, scheme.probs, sigma, floor)
+        for labels, scores, mixing in _stage(portfolio, scheme, alloc, rng.split(stage + 1)):
+            bins.add(labels, *_tilted(portfolio, scores, mixing, is_params))
+        counts = counts + alloc
+    return counts
 
 
 def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
@@ -709,12 +714,12 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
 
     Four stages consume the total budget; the first allocates proportionally
     to the stratum probabilities, later stages rebalance via ``aoa_allocate``
-    with standard deviations pooled over everything sampled so far.  A
-    one-cell scheme has no per-stratum floor: it is plain importance sampling
-    on the same four stages, and needs two replications.  Stage s draws from
-    ``rng.split(s + 1)``; its chunks go into running tail sums at tau and are
-    not kept, and the estimates equal ``SisSample.estimates`` on the pooled
-    rows.
+    with standard deviations pooled over everything sampled so far
+    (``_stages``).  A one-cell scheme has no per-stratum floor: it is plain
+    importance sampling on the same four stages, and needs two replications;
+    at ``IsParams.identity`` it is naive Monte Carlo.  The chunks go into
+    running tail sums at tau and are not kept, and the estimates equal
+    ``SisSample.estimates`` on the pooled rows.
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
@@ -726,79 +731,44 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     fractions = np.asarray(STAGE_FRACTIONS)
     budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
     bins = _TailBins(tau, scheme.n_strata, ce=True)
-    counts = np.zeros(scheme.n_strata, dtype=int)
-    for stage, budget in enumerate(budgets):
-        sigma = _aoa_sigma(counts, bins.above()[1]) if stage else np.ones(scheme.n_strata)
-        alloc = aoa_allocate(budget, scheme.probs, sigma, floor)
-        for columns in _stage(portfolio, is_params, scheme, alloc, rng.split(stage + 1)):
-            bins.add(*columns)
-        counts = counts + alloc
+    counts = _stages(portfolio, is_params, scheme, budgets, floor, rng, bins)
     return _estimates(scheme.probs, counts, bins.above()[1])
-
-
-def proportional_sis_sample(portfolio: CityPortfolio, is_params: IsParams,
-                            scheme: StratificationScheme, total_n: int,
-                            rng: Rng) -> SisSample:
-    """Single-stage stratified sample with allocation proportional to p.
-
-    Uniform coverage of all strata suits whole-distribution targets such as
-    quantile inversion, where adaptive allocation at one threshold would
-    starve the rest of the support.  The stage draws from ``rng.split(1)``.
-    """
-    counts = _proportional(scheme, total_n)
-    columns = list(_stage(portfolio, is_params, scheme, counts, rng.split(1)))
-    labels, conc, weight = (np.concatenate(c) for c in zip(*columns))
-    return SisSample(conc=conc, weight=weight, stratum=labels, probs=scheme.probs,
-                     counts=counts)
 
 
 def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
                        scheme: StratificationScheme, total_n: int, rng: Rng,
                        tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``proportional_sis_sample(...).ep_at(tau)``, from running tail sums.
+    """``CommonDraws(...).pool(is_params).ep_at(tau)``, from running tail sums.
 
-    The same draws, binned chunk by chunk and not kept, so the result is the
-    pooled one bit for bit (see ``_TailBins``) at a chunk's memory.
+    One proportional stage (``_stages`` of ``[total_n]`` at floor 1), binned and not
+    kept, so the result is the pooled one bit for bit (see ``_TailBins``) at a chunk's memory.
     """
-    counts = _proportional(scheme, total_n)
     bins = _TailBins(tau, scheme.n_strata, ce=False)
-    for columns in _stage(portfolio, is_params, scheme, counts, rng.split(1)):
-        bins.add(*columns)
+    counts = _stages(portfolio, is_params, scheme, [total_n], 1, rng, bins)
     return _ep_reading(scheme.probs, counts, *bins.above())
 
 
 class CommonDraws:
     """The random numbers of one proportional pool, drawn once and re-tilted.
 
-    Holds the tilt-free part of ``proportional_sis_sample``'s draw on the same
-    stream: the allocation, and each chunk's scores and mixing values.
-    ``pool(is_params)`` tilts them, and equals
-    ``proportional_sis_sample(portfolio, is_params, scheme, total_n, rng)`` bit
-    for bit, so a CaR solve's rounds, which differ only in the tilt, draw once.
+    Keeps the tilt-free chunks (``_stage``) of ``proportional_ep_at``'s stage:
+    p_i total_n rows in stratum i, at least one, on ``rng.split(1)``.
+    ``pool(is_params)`` tilts them into a pooled ``SisSample``, so a CaR
+    solve's rounds, which differ only in the tilt, draw once.  Uniform
+    coverage suits a quantile, where AOA at one threshold would starve the
+    rest of the support.
     """
 
     def __init__(self, portfolio: CityPortfolio, scheme: StratificationScheme,
                  total_n: int, rng: Rng):
         self.portfolio, self.scheme = portfolio, scheme
-        self.counts = _proportional(scheme, total_n)
-        self.stratum = np.repeat(np.arange(scheme.n_strata), self.counts)
-        self.chunks = tuple(_draw_scores(portfolio, scheme, chunk + 1, chunk_rng)
-                            for chunk, chunk_rng in _chunks(self.stratum, rng.split(1)))
+        self.counts = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
+        labels, scores, mixing = zip(*_stage(portfolio, scheme, self.counts, rng.split(1)))
+        self.stratum = np.concatenate(labels)
+        self.chunks = tuple(zip(scores, mixing))
 
     def pool(self, is_params: IsParams) -> SisSample:
-        draws = (_tilt(self.portfolio, *chunk, is_params) for chunk in self.chunks)
-        conc, weight = zip(*(_pool_columns(self.portfolio, draw, is_params) for draw in draws))
+        conc, weight = zip(*(_tilted(self.portfolio, scores, mixing, is_params)
+                             for scores, mixing in self.chunks))
         return SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
                          stratum=self.stratum, probs=self.scheme.probs, counts=self.counts)
-
-
-def is_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams, n: int,
-                rng: Rng) -> tuple[EstimateResult, EstimateResult]:
-    """IS estimates of EP and CE at threshold tau: SIS on one cell."""
-    return sis_estimate(portfolio, tau, is_params, ONE_CELL, n, rng)
-
-
-def naive_estimate(portfolio: CityPortfolio, tau: float, n: int,
-                   rng: Rng) -> tuple[EstimateResult, EstimateResult]:
-    """Naive Monte Carlo estimates of EP and CE at threshold tau."""
-    return is_estimate(portfolio, tau, IsParams.identity(portfolio.dimension), n, rng)

@@ -11,9 +11,9 @@ quantile's Monte Carlo noise at any budget.  A solve draws its random numbers
 once (``CommonDraws``) and each round re-tilts them.  No pool column is read
 here, apart from the curve pilot's interpolated quantile.
 
-Only a quantile keeps rows: the CaR rounds' pools and the identity-tilt
-pilots.  A CCaR (``sis_estimate``) and a curve (``proportional_ep_at``) are
-read from running per-stratum tail sums of their draws.
+Only a quantile keeps rows, each pool a ``CommonDraws.pool``: the CaR rounds'
+and the identity-tilt pilots'.  A CCaR (``sis_estimate``) and a curve
+(``proportional_ep_at``) are read from running per-stratum tail sums.
 
 A run's rows are one chain (``solve_cars``).  The first IS/SIS row takes its
 first threshold and tilt from the inverse-FORM point (``inverse_form``), and
@@ -45,7 +45,6 @@ from .estimators import (
     default_scheme,
     inverse_form,
     proportional_ep_at,
-    proportional_sis_sample,
     sis_estimate,
 )
 from .statkit import Rng
@@ -92,8 +91,15 @@ def _check_budget(budget, least: int) -> None:
         raise UsageError(f"budget must be at least {least}")
 
 
+def _check_seed(seed) -> None:
+    """An integer in [0, 2**64): ``Rng`` keys on the seed modulo 2**64, so others alias."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     """A run's rows: distinct alphas, largest first, each on its own stream."""
+    _check_seed(seed)
     unique = sorted({float(a) for a in alphas}, reverse=True)
     if not unique:
         raise UsageError("alpha list must be nonempty")
@@ -163,8 +169,8 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
         form = inverse_form(portfolio, query.alpha)
     pool = start
     if pool is None and form is None:
-        naive = _design(portfolio, "naive", None, query.budget, warnings)
-        pool = proportional_sis_sample(portfolio, *naive, query.budget, rng)
+        params, scheme = _design(portfolio, "naive", None, query.budget, warnings)
+        pool = CommonDraws(portfolio, scheme, query.budget, rng).pool(params)
     tau, tilt = form or (pool.quantile(query.alpha), None)
 
     trace, draws = [tau], None
@@ -244,12 +250,13 @@ def exceedance_curve(portfolio: CityPortfolio, tau_grid, estimator: str, budget:
     if estimator not in ESTIMATORS:
         raise UsageError(f"estimator must be one of {ESTIMATORS}")
     _check_budget(budget, 2)
+    _check_seed(seed)
 
     rng = Rng(seed).split(_STREAM_CURVE)
     ref = None
     if estimator != "naive":
-        naive = _design(portfolio, "naive", None, 2048, warnings)
-        pilot = proportional_sis_sample(portfolio, *naive, 2048, rng.split(5))
+        params, scheme = _design(portfolio, "naive", None, 2048, warnings)
+        pilot = CommonDraws(portfolio, scheme, 2048, rng.split(5)).pool(params)
         # clamp into the grid but never below the calibration domain.  Interpolated, not
         # ``pilot.quantile(0.1)``: its order statistic would move every IS/SIS curve
         ref = max(min(max(float(np.quantile(pilot.conc, 0.9)), grid[0]), grid[-1]),

@@ -12,6 +12,7 @@ import pytest
 
 from pmrisk import (CityPortfolio, CopulaSpec, GhParams, IsParams, ghdist, paper_portfolio,
                     stratified_sample)
+from pmrisk import estimators
 from pmrisk.estimators import ONE_CELL, SisSample, _TailBins
 
 # Five-city GH fits (lam, alpha, delta, beta, mu)
@@ -91,6 +92,24 @@ def sis_pools():
         yield rows
     finally:
         SisSample.__init__ = init
+
+
+@contextlib.contextmanager
+def stage_rows():
+    """Within the block, each chunk drawn through the chunk loop
+    (``estimators._stage``) appends its row count to the yielded list."""
+    rows, stage = [], estimators._stage
+
+    def counted(*args):
+        for chunk in stage(*args):
+            rows.append(chunk[0].size)
+            yield chunk
+
+    estimators._stage = counted
+    try:
+        yield rows
+    finally:
+        estimators._stage = stage
 
 
 @contextlib.contextmanager

@@ -24,8 +24,6 @@ from pmrisk import (
     exceedance_curve,
     gh_cdf,
     gh_quantile,
-    is_estimate,
-    naive_estimate,
     queries,
     sis_estimate,
     solve_car,
@@ -34,9 +32,9 @@ from pmrisk.calibration import LogRatioPanel, fit_gh_marginal, fit_t_copula
 from pmrisk.copula import CityPortfolio, marginal_transform
 from pmrisk.estimators import (
     ONE_CELL,
+    CommonDraws,
     calibrate_is,
     default_scheme,
-    proportional_sis_sample,
 )
 from pmrisk.ghdist import _log_bessel_point, _log_bessel_terms
 
@@ -84,8 +82,9 @@ def test_criterion_2_variance_reduction_ordering(portfolio):
     for alpha, car_ref, _ in CAR_ROWS:
         params = calibrate_is(portfolio, car_ref)
         scheme = default_scheme(portfolio, BUDGET)
-        _, ce_nv = naive_estimate(portfolio, car_ref, BUDGET, Rng(SEED + 1))
-        _, ce_is = is_estimate(portfolio, car_ref, params, BUDGET, Rng(SEED + 1))
+        _, ce_nv = sis_estimate(portfolio, car_ref, IsParams.identity(5), ONE_CELL, BUDGET,
+                                Rng(SEED + 1))
+        _, ce_is = sis_estimate(portfolio, car_ref, params, ONE_CELL, BUDGET, Rng(SEED + 1))
         _, ce_sis = sis_estimate(portfolio, car_ref, params, scheme, BUDGET, Rng(SEED + 1))
         # VR at equal budgets: the squared ratio of the 95% halfwidths
         vr_is = (ce_nv.halfwidth95 / ce_is.halfwidth95) ** 2
@@ -126,10 +125,10 @@ def test_criterion_3_figure2_regime(portfolio):
 
 def test_criterion_4_identity_tilt_equivalence(portfolio):
     identity = IsParams.identity(portfolio.dimension)
-    weight = proportional_sis_sample(portfolio, identity, ONE_CELL, 8192, Rng(77)).weight
+    weight = CommonDraws(portfolio, ONE_CELL, 8192, Rng(77)).pool(identity).weight
     assert np.all(weight == 1.0)
-    ep_nv, ce_nv = naive_estimate(portfolio, 352.03, 40_000, Rng(78))
-    ep_is, ce_is = is_estimate(portfolio, 352.03, identity, 40_000, Rng(78))
+    ep_nv, ce_nv = sis_estimate(portfolio, 352.03, IsParams.identity(5), ONE_CELL, 40_000, Rng(78))
+    ep_is, ce_is = sis_estimate(portfolio, 352.03, identity, ONE_CELL, 40_000, Rng(78))
     assert (ep_is.estimate, ep_is.variance, ep_is.halfwidth95) == (
         ep_nv.estimate, ep_nv.variance, ep_nv.halfwidth95,
     )
@@ -144,11 +143,11 @@ def test_criterion_5_single_city_analytic_oracle(single_city):
     assert exact[0] >= 0.5 and exact[-1] <= 2e-3 and exact[-1] >= 1e-3  # span check
     n = 30_000
     for tau, target in zip(taus, exact):
-        ep_nv, _ = naive_estimate(single_city, tau, n, Rng(95))
+        ep_nv, _ = sis_estimate(single_city, tau, IsParams.identity(1), ONE_CELL, n, Rng(95))
         assert abs(ep_nv.estimate - target) <= 3.0 * ep_nv.halfwidth95 / 1.96
 
         params = calibrate_is(single_city, tau)
-        ep_is, _ = is_estimate(single_city, tau, params, n, Rng(96))
+        ep_is, _ = sis_estimate(single_city, tau, params, ONE_CELL, n, Rng(96))
         assert abs(ep_is.estimate - target) <= 3.0 * ep_is.halfwidth95 / 1.96
 
         scheme = default_scheme(single_city, n)

@@ -227,6 +227,30 @@ class TestRunModes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "car", "curve", "fit"])
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, command, seed):
+        # Rng keys on the seed modulo 2**64: 2**64 would write seed 0's rows under
+        # a "# seed: 18446744073709551616" header
+        out = tmp_path / "x.out"
+        argv = {"curve": ["--preset", "paper", "--tau-grid", "100:300:100", "--budget", "500"],
+                "fit": ["--csv", str(_synthetic_csv(tmp_path, ["Bj"], 400, 11))]}.get(
+                    command, ["--preset", "paper", "--alpha", "0.05", "--budget", "1000"])
+        assert main([command, *argv, "--seed", seed, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: seed")
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    @pytest.mark.parametrize("command", ["car", "curve"])
+    def test_largest_seed_is_accepted(self, tmp_path, command):
+        top = str(2**64 - 1)
+        out = tmp_path / "x.csv"
+        argv = (["--tau-grid", "100:300:100", "--budget", "500"] if command == "curve"
+                else ["--alpha", "0.05", "--budget", "1000"])
+        assert main([command, "--preset", "paper", "--estimator", "naive", *argv,
+                     "--seed", top, "--out", str(out)]) == EXIT_OK
+        assert f"# seed: {top}" in out.read_text().splitlines()
+
     def test_curve_keeps_its_own_budget_floor(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main([

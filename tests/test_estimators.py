@@ -14,10 +14,8 @@ from pmrisk import (
     aoa_allocate,
     calibrate_is,
     gh_cdf,
-    is_estimate,
     likelihood_ratio,
     marginal_transform,
-    naive_estimate,
     portfolio_concentration,
     sis_estimate,
     stratified_sample,
@@ -38,7 +36,6 @@ from pmrisk.estimators import (
     default_scheme,
     inverse_form,
     proportional_ep_at,
-    proportional_sis_sample,
 )
 from pmrisk.statkit import normal_cdf, normal_quantile
 
@@ -49,14 +46,12 @@ CAR_001 = 352.03  # reference threshold for the 1% tail of the preset
 
 class TestLikelihoodRatio:
     def test_identity_tilt_is_exactly_one(self, portfolio):
-        weight = proportional_sis_sample(
-            portfolio, IsParams.identity(5), ONE_CELL, 4096, Rng(1)
-        ).weight
+        weight = CommonDraws(portfolio, ONE_CELL, 4096, Rng(1)).pool(IsParams.identity(5)).weight
         assert np.all(weight == 1.0)
 
     def test_unbiased_mean_one(self, portfolio):
         params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
-        weight = proportional_sis_sample(portfolio, params, ONE_CELL, 1_000_000, Rng(4)).weight
+        weight = CommonDraws(portfolio, ONE_CELL, 1_000_000, Rng(4)).pool(params).weight
         se = weight.std(ddof=1) / np.sqrt(weight.size)
         assert abs(weight.mean() - 1.0) <= 3.0 * se
 
@@ -79,33 +74,33 @@ class TestLikelihoodRatio:
 
 class TestNaiveEstimate:
     def test_zero_threshold_probability_one(self, portfolio):
-        ep, _ = naive_estimate(portfolio, 0.0, 2000, Rng(2))
+        ep, _ = sis_estimate(portfolio, 0.0, IsParams.identity(5), ONE_CELL, 2000, Rng(2))
         assert ep.estimate == 1.0
 
     def test_preset_tail_level(self, portfolio):
-        ep, _ = naive_estimate(portfolio, 239.32, 100_000, Rng(3))
+        ep, _ = sis_estimate(portfolio, 239.32, IsParams.identity(5), ONE_CELL, 100_000, Rng(3))
         se = ep.halfwidth95 / 1.96
         assert abs(ep.estimate - 0.05) <= 3.0 * se
 
     def test_single_city_analytic_tail(self, single_city):
-        ep, _ = naive_estimate(single_city, 150.0, 100_000, Rng(4))
+        ep, _ = sis_estimate(single_city, 150.0, IsParams.identity(1), ONE_CELL, 100_000, Rng(4))
         exact = 1.0 - gh_cdf(single_city.marginals[0], np.log(1.5))
         assert abs(ep.estimate - exact) <= 3.0 * ep.halfwidth95 / 1.96
 
     @pytest.mark.parametrize("n", [2000, 20_000])
     def test_naive_variance_of_a_naive_pool(self, portfolio, n):
         # both sum the tail's squared CE residuals: naive_variance over n, variance over n - 1
-        _, ce = naive_estimate(portfolio, 239.32, n, Rng(6))
+        _, ce = sis_estimate(portfolio, 239.32, IsParams.identity(5), ONE_CELL, n, Rng(6))
         assert ce.naive_variance / ce.variance == pytest.approx((n - 1) / n, rel=1e-10)
 
     def test_empty_tail_flagged(self, single_city):
-        ep, ce = naive_estimate(single_city, 1e9, 2000, Rng(5))
+        ep, ce = sis_estimate(single_city, 1e9, IsParams.identity(1), ONE_CELL, 2000, Rng(5))
         assert ep.estimate == 0.0
         assert ce.empty_tail and np.isnan(ce.estimate)
 
     def test_rejects_tiny_budget(self, portfolio):
         with pytest.raises(DomainError):
-            naive_estimate(portfolio, 100.0, 1, Rng(0))
+            sis_estimate(portfolio, 100.0, IsParams.identity(5), ONE_CELL, 1, Rng(0))
 
 
 class TestCalibrateIs:
@@ -236,8 +231,8 @@ class TestCalibrateIs:
 
     def test_variance_no_worse_than_naive(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        ep_nv, _ = naive_estimate(portfolio, CAR_001, 50_000, Rng(6))
-        ep_is, _ = is_estimate(portfolio, CAR_001, params, 50_000, Rng(6))
+        ep_nv, _ = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL, 50_000, Rng(6))
+        ep_is, _ = sis_estimate(portfolio, CAR_001, params, ONE_CELL, 50_000, Rng(6))
         assert ep_is.variance < ep_nv.variance
 
 
@@ -307,9 +302,19 @@ class TestCommonDraws:
         scheme = default_scheme(model, n) if estimator == "sis" else ONE_CELL
         tilts = ([IsParams.identity(5)] if estimator == "naive"
                  else [calibrate_is(model, tau) for tau in (CAR_001, 600.78)])
+        counts = aoa_allocate(n, scheme.probs, np.ones(scheme.n_strata), 1)
+        labels = np.repeat(np.arange(scheme.n_strata), counts)
         draws = CommonDraws(model, scheme, n, Rng(5))
         for params in tilts:  # each tilt re-reads the same draws
-            fresh = proportional_sis_sample(model, params, scheme, n, Rng(5))
+            # the pool drawn afresh: chunk c from stratified_sample on split(1).split(c)
+            conc, weight = [], []
+            for c, start in enumerate(range(0, n, CHUNK)):
+                draw = stratified_sample(model, scheme, labels[start:start + CHUNK] + 1, params,
+                                         Rng(5).split(1).split(c))
+                conc.append(portfolio_concentration(model, marginal_transform(model, draw)))
+                weight.append(likelihood_ratio(draw, params, model.copula.nu))
+            fresh = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
+                              stratum=labels, probs=scheme.probs, counts=counts)
             pool = draws.pool(params)
             for column in ("conc", "weight", "stratum", "counts", "probs"):
                 assert getattr(pool, column).tobytes() == getattr(fresh, column).tobytes()
@@ -317,8 +322,10 @@ class TestCommonDraws:
 
 class TestIsEstimate:
     def test_identity_tilt_bitwise_equal_to_naive(self, portfolio):
-        ep_nv, ce_nv = naive_estimate(portfolio, CAR_001, 20_000, Rng(7))
-        ep_is, ce_is = is_estimate(portfolio, CAR_001, IsParams.identity(5), 20_000, Rng(7))
+        ep_nv, ce_nv = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL,
+                                    20_000, Rng(7))
+        ep_is, ce_is = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL,
+                                    20_000, Rng(7))
         assert ep_is.estimate == ep_nv.estimate
         assert ep_is.variance == ep_nv.variance
         assert ce_is.estimate == ce_nv.estimate
@@ -326,15 +333,16 @@ class TestIsEstimate:
 
     def test_variance_reduction_at_one_percent_tail(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
-        _, ce_nv = naive_estimate(portfolio, CAR_001, 100_000, Rng(8))
-        _, ce_is = is_estimate(portfolio, CAR_001, params, 100_000, Rng(8))
+        _, ce_nv = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL,
+                                100_000, Rng(8))
+        _, ce_is = sis_estimate(portfolio, CAR_001, params, ONE_CELL, 100_000, Rng(8))
         assert (ce_nv.halfwidth95 / ce_is.halfwidth95) ** 2 >= 5.0
 
     def test_two_replications_suffice(self, portfolio):
         # one cell has no per-stratum floor: naive and IS keep accepting n = 2
         params = IsParams(mean_shift=np.full(5, 0.5), theta=1.5)
-        for ep, ce in (naive_estimate(portfolio, 100.0, 2, Rng(0)),
-                       is_estimate(portfolio, 100.0, params, 2, Rng(0))):
+        for ep, ce in (sis_estimate(portfolio, 100.0, IsParams.identity(5), ONE_CELL, 2, Rng(0)),
+                       sis_estimate(portfolio, 100.0, params, ONE_CELL, 2, Rng(0))):
             assert ep.n == ce.n == 2
             assert np.isfinite(ep.estimate) and np.isfinite(ep.variance)
 
@@ -343,8 +351,8 @@ class TestIsEstimate:
         exact = 1.0 - gh_cdf(single_city.marginals[0], np.log(tau / 100.0))
         assert 0.005 <= exact <= 0.015
         params = calibrate_is(single_city, tau)
-        ep_is, _ = is_estimate(single_city, tau, params, 50_000, Rng(9))
-        ep_nv, _ = naive_estimate(single_city, tau, 50_000, Rng(9))
+        ep_is, _ = sis_estimate(single_city, tau, params, ONE_CELL, 50_000, Rng(9))
+        ep_nv, _ = sis_estimate(single_city, tau, IsParams.identity(1), ONE_CELL, 50_000, Rng(9))
         assert abs(ep_is.estimate - exact) <= 3.0 * ep_is.halfwidth95 / 1.96
         assert ep_is.variance <= ep_nv.variance / 10.0
 
@@ -511,7 +519,7 @@ class TestSisEstimate:
         params = calibrate_is(portfolio, CAR_001)
         scheme = StratificationScheme((1, 1))
         ep_s, ce_s = sis_estimate(portfolio, CAR_001, params, scheme, 20_000, Rng(12))
-        ep_i, ce_i = is_estimate(portfolio, CAR_001, params, 20_000, Rng(12))
+        ep_i, ce_i = sis_estimate(portfolio, CAR_001, params, ONE_CELL, 20_000, Rng(12))
         assert ep_s.estimate == ep_i.estimate
         assert ce_s.estimate == ce_i.estimate
 
@@ -524,8 +532,9 @@ class TestSisEstimate:
     def test_beats_is_at_rare_threshold(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
         scheme = default_scheme(portfolio, 100_000)
-        _, ce_nv = naive_estimate(portfolio, CAR_001, 100_000, Rng(14))
-        _, ce_is = is_estimate(portfolio, CAR_001, params, 100_000, Rng(14))
+        _, ce_nv = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL,
+                                100_000, Rng(14))
+        _, ce_is = sis_estimate(portfolio, CAR_001, params, ONE_CELL, 100_000, Rng(14))
         _, ce_sis = sis_estimate(portfolio, CAR_001, params, scheme, 100_000, Rng(14))
         assert (ce_nv.halfwidth95 / ce_sis.halfwidth95) ** 2 >= 50.0
         assert ce_sis.halfwidth95 < ce_is.halfwidth95
@@ -534,7 +543,7 @@ class TestSisEstimate:
         tau = 239.32
         params = calibrate_is(portfolio, tau)
         scheme = default_scheme(portfolio, 50_000)
-        ep_nv, _ = naive_estimate(portfolio, tau, 50_000, Rng(15))
+        ep_nv, _ = sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL, 50_000, Rng(15))
         ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 50_000, Rng(15))
         joint = np.hypot(ep_nv.halfwidth95, ep_sis.halfwidth95) / 1.96
         assert abs(ep_nv.estimate - ep_sis.estimate) <= 3.0 * joint
@@ -611,7 +620,7 @@ class TestStreamedTailSums:
             params, scheme = IsParams.identity(5), ONE_CELL
         else:
             params, scheme = calibrate_is(portfolio, 300.0), default_scheme(portfolio, 8_000)
-        pooled = proportional_sis_sample(portfolio, params, scheme, 8_000, Rng(32))
+        pooled = CommonDraws(portfolio, scheme, 8_000, Rng(32)).pool(params)
         with sis_pools() as pools:
             ep, halfwidth, hits = proportional_ep_at(portfolio, params, scheme, 8_000,
                                                      Rng(32), grid)
@@ -695,7 +704,7 @@ class TestTailBins:
     def test_readers_refuse_a_grid_not_finite_and_increasing(self, portfolio, tau):
         # a naive pool read [300, 200, 100] as EP 0.0954 at tau = 100 (0.5834 in
         # increasing order), and [100, nan] as EP 0 at nan
-        pool = proportional_sis_sample(portfolio, IsParams.identity(5), ONE_CELL, 5_000, Rng(1))
+        pool = CommonDraws(portfolio, ONE_CELL, 5_000, Rng(1)).pool(IsParams.identity(5))
         for read in (pool.ep_at, pool.tail_sums):
             with pytest.raises(DomainError, match="finite and strictly increasing"):
                 read(tau)
@@ -793,8 +802,9 @@ class TestCrossEstimatorAgreement:
         params = calibrate_is(portfolio, tau)
         scheme = default_scheme(portfolio, 10_000)
         for k in range(30):
-            ep_nv, _ = naive_estimate(portfolio, tau, 10_000, Rng(1000 + k))
-            ep_is, _ = is_estimate(portfolio, tau, params, 10_000, Rng(2000 + k))
+            ep_nv, _ = sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL,
+                                    10_000, Rng(1000 + k))
+            ep_is, _ = sis_estimate(portfolio, tau, params, ONE_CELL, 10_000, Rng(2000 + k))
             ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 10_000, Rng(3000 + k))
             for a, b in ((ep_nv, ep_is), (ep_nv, ep_sis), (ep_is, ep_sis)):
                 joint = np.hypot(a.halfwidth95, b.halfwidth95) / 1.96
@@ -806,8 +816,9 @@ class TestCrossEstimatorAgreement:
         ordered = 0
         runs = 10
         for k in range(runs):
-            _, ce_nv = naive_estimate(portfolio, CAR_001, 20_000, Rng(4000 + k))
-            _, ce_is = is_estimate(portfolio, CAR_001, params, 20_000, Rng(5000 + k))
+            _, ce_nv = sis_estimate(portfolio, CAR_001, IsParams.identity(5), ONE_CELL,
+                                    20_000, Rng(4000 + k))
+            _, ce_is = sis_estimate(portfolio, CAR_001, params, ONE_CELL, 20_000, Rng(5000 + k))
             _, ce_sis = sis_estimate(portfolio, CAR_001, params, scheme, 20_000, Rng(6000 + k))
             if ce_sis.variance <= ce_is.variance <= ce_nv.variance:
                 ordered += 1
@@ -881,8 +892,8 @@ class TestFiveCityOracle:
         assert abs(oracle - recorded) <= 4.0 * np.hypot(oracle_se, recorded_se)
         params = calibrate_is(portfolio, tau)
         for scheme in (ONE_CELL, default_scheme(portfolio, 10_000)):
-            eps = np.array([proportional_sis_sample(portfolio, params, scheme, 10_000,
-                                                    Rng(seed)).ep_at(tau)[0]
+            eps = np.array([CommonDraws(portfolio, scheme, 10_000,
+                                        Rng(seed)).pool(params).ep_at(tau)[0]
                             for seed in range(1, 41)])
             se = eps.std(ddof=1) / np.sqrt(eps.size)
             assert abs(eps.mean() - oracle) <= 4.0 * np.hypot(se, oracle_se), (

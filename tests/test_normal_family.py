@@ -11,16 +11,14 @@ from pmrisk import (
     Rng,
     calibrate_is,
     gh_cdf,
-    is_estimate,
-    naive_estimate,
     sis_estimate,
 )
 from pmrisk.estimators import (
     ONE_CELL,
+    CommonDraws,
     StratificationScheme,
     _concentration_and_gradient,
     default_scheme,
-    proportional_sis_sample,
 )
 
 from conftest import GH_ROWS
@@ -39,10 +37,8 @@ def normal_single():
 
 
 def test_identity_weight_is_one(normal_portfolio):
-    weight = proportional_sis_sample(
-        normal_portfolio, IsParams.identity(5), ONE_CELL, 2048, Rng(1)
-    ).weight
-    assert np.all(weight == 1.0)
+    pool = CommonDraws(normal_portfolio, ONE_CELL, 2048, Rng(1)).pool(IsParams.identity(5))
+    assert np.all(pool.weight == 1.0)
 
 
 def test_calibration_keeps_theta_at_two(normal_portfolio):
@@ -69,7 +65,7 @@ def test_single_city_analytic_tail(normal_single):
     # with F = Phi the EP closed form is the same marginal tail
     tau = 300.0
     exact = 1.0 - gh_cdf(normal_single.marginals[0], np.log(3.0))
-    ep, _ = naive_estimate(normal_single, tau, 100_000, Rng(2))
+    ep, _ = sis_estimate(normal_single, tau, IsParams.identity(1), ONE_CELL, 100_000, Rng(2))
     assert abs(ep.estimate - exact) <= 3.0 * ep.halfwidth95 / 1.96
 
 
@@ -78,8 +74,9 @@ def test_estimators_agree_and_reduce_variance(normal_portfolio):
     params = calibrate_is(normal_portfolio, tau)
     scheme = default_scheme(normal_portfolio, 50_000)
     assert scheme.counts[1] == 1  # no mixing axis
-    ep_nv, ce_nv = naive_estimate(normal_portfolio, tau, 50_000, Rng(3))
-    ep_is, ce_is = is_estimate(normal_portfolio, tau, params, 50_000, Rng(3))
+    ep_nv, ce_nv = sis_estimate(normal_portfolio, tau, IsParams.identity(5), ONE_CELL,
+                                50_000, Rng(3))
+    ep_is, ce_is = sis_estimate(normal_portfolio, tau, params, ONE_CELL, 50_000, Rng(3))
     ep_sis, ce_sis = sis_estimate(normal_portfolio, tau, params, scheme, 50_000, Rng(3))
     for a, b in ((ep_nv, ep_is), (ep_nv, ep_sis)):
         joint = np.hypot(a.halfwidth95, b.halfwidth95) / 1.96

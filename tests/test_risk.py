@@ -10,6 +10,7 @@ from pmrisk import (
     build_report,
     compute_ccar,
     exceedance_curve,
+    gh_cdf,
     gh_quantile,
     solve_car,
 )
@@ -23,7 +24,6 @@ from pmrisk.estimators import (
     calibrate_is,
     default_scheme,
     inverse_form,
-    proportional_sis_sample,
 )
 from pmrisk.risk import _STREAM_CAR, ESTIMATORS, queries, solve_cars
 
@@ -34,18 +34,14 @@ ALPHAS = [alpha for alpha, _, _ in CAR_ROWS]
 
 def _spy_pools(monkeypatch) -> list:
     """Record (is the identity tilt, pool) for each pool ``risk`` draws: every
-    fresh proportional pool and every re-tilt of a solve's ``CommonDraws``."""
+    ``CommonDraws.pool``, the pilots' and the re-tilts of a solve's draws."""
     pools = []
 
     def record(is_params, pool):
         pools.append((is_params.theta == 2.0 and not is_params.mean_shift.any(), pool))
         return pool
 
-    def spy(portfolio, is_params, *args, **kwargs):
-        return record(is_params, proportional_sis_sample(portfolio, is_params, *args, **kwargs))
-
     retilt = CommonDraws.pool
-    monkeypatch.setattr("pmrisk.risk.proportional_sis_sample", spy)
     monkeypatch.setattr(CommonDraws, "pool", lambda draws, is_params: record(
         is_params, retilt(draws, is_params)))
     return pools
@@ -58,13 +54,13 @@ def _redrawn_solve(portfolio, query, start=None) -> tuple[float, SisSample]:
     rng = query.rng.split(_STREAM_CAR)
     pool = start
     if pool is None:
-        pool = proportional_sis_sample(portfolio, IsParams.identity(portfolio.dimension),
-                                       ONE_CELL, query.budget, rng)
+        pool = CommonDraws(portfolio, ONE_CELL, query.budget,
+                           rng).pool(IsParams.identity(portfolio.dimension))
     tau = pool.quantile(query.alpha)
     scheme = default_scheme(portfolio, query.budget) if query.estimator == "sis" else ONE_CELL
     while query.estimator != "naive":
-        pool = proportional_sis_sample(portfolio, calibrate_is(portfolio, tau), scheme,
-                                       query.budget, rng)
+        pool = CommonDraws(portfolio, scheme, query.budget,
+                           rng).pool(calibrate_is(portfolio, tau))
         ep, halfwidth, _ = pool.ep_at(tau)
         tau = pool.quantile(query.alpha)
         if abs(ep - query.alpha) <= halfwidth:
@@ -105,8 +101,6 @@ class TestPoolInterface:
             return wrapped[-1]
 
         retilt = CommonDraws.pool
-        monkeypatch.setattr("pmrisk.risk.proportional_sis_sample",
-                            lambda *args: readers_only(proportional_sis_sample(*args)))
         monkeypatch.setattr(CommonDraws, "pool",
                             lambda draws, is_params: readers_only(retilt(draws, is_params)))
         assert build_report(portfolio, rows) == report
@@ -209,6 +203,21 @@ class TestQueries:
         with pytest.raises(UsageError):
             queries(alphas, "sis", budget, 0)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, np.int64(-1), 1.0, True])
+    def test_seed_outside_64_bits_is_a_usage_error(self, portfolio, seed):
+        # Rng keys on the seed modulo 2**64: 2**64 would draw seed 0's rows
+        with pytest.raises(UsageError, match="seed"):
+            queries([0.05], "sis", 5000, seed)
+        with pytest.raises(UsageError, match="seed"):
+            exceedance_curve(portfolio, np.array([200.0, 300.0]), "naive", 1000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_every_64_bit_seed_is_accepted(self, portfolio, seed):
+        (row,) = queries([0.05], "sis", 5000, seed)
+        assert row.rng == Rng(Rng(0, seed).split(10).stream)
+        assert len(exceedance_curve(portfolio, np.array([200.0, 300.0]), "naive", 1000,
+                                    seed)) == 2
+
 
 class TestSolveCar:
     def test_monotone_in_alpha(self, portfolio):
@@ -279,8 +288,8 @@ class TestSolveCar:
         pools = _spy_pools(monkeypatch)
         solve_car(portfolio, query)
         # no pilot: round 1 samples at the FORM tilt on the CaR stream
-        first = proportional_sis_sample(portfolio, tilt, default_scheme(portfolio, 5_000),
-                                        5_000, query.rng.split(_STREAM_CAR))
+        first = CommonDraws(portfolio, default_scheme(portfolio, 5_000), 5_000,
+                            query.rng.split(_STREAM_CAR)).pool(tilt)
         assert not any(identity for identity, _ in pools)
         assert pools[0][1].ep_at(tau0) == first.ep_at(tau0)
 
@@ -370,6 +379,24 @@ class TestExceedanceCurve:
         pts = exceedance_curve(portfolio, np.array([50.0, 80.0]), "sis", 4000, 6)
         assert pts[0].ep > 0.9
         assert pts[0].ep >= pts[1].ep
+
+
+class TestZeroWeightReduction:
+    # Direction 16: one city at weight 1 and the others at 0 make C = PM0 exp(s X),
+    # X that city's GH law, so P(C > c) = 1 - G(log(c / PM0) / s) exactly
+    @pytest.mark.parametrize("city", range(5))
+    def test_car_exceedance_matches_the_city_law(self, portfolio, city):
+        one = dataclasses.replace(portfolio, weights=np.eye(5)[city])
+        law, pm0, scale = one.marginals[city], one.pm0[city], one.scale[city]
+        for estimator in ESTIMATORS:
+            for alpha in (0.01, 0.001):
+                for seed in (1, 2, 3):
+                    (query,) = queries([alpha], estimator, 20_000, seed)
+                    car, pool = solve_car(one, query)
+                    exact = 1.0 - gh_cdf(law, np.log(car / pm0) / scale)
+                    halfwidth = pool.ep_at(car)[1]
+                    assert abs(exact - alpha) <= 4.0 * halfwidth, (
+                        estimator, alpha, seed, exact, halfwidth)
 
 
 class TestPm0Scaling:
