@@ -189,9 +189,10 @@ class CopulaDraw:
     ``z`` is the normal matrix fed to the correlation factor (already
     mean-shifted when drawn under an IS density), ``y`` the chi-square mixing
     draws (t family only), ``v`` the dependent variates L z / sqrt(y/nu).
+    The engine's tilt step forms only ``v`` and passes None for the others.
     """
 
-    z: np.ndarray
+    z: np.ndarray | None
     y: np.ndarray | None
     v: np.ndarray
 
@@ -218,11 +219,12 @@ class LogRatioMap(HermiteTable):
 
     The knots are shared by all cities.  Rows 0 and K hold the exact values
     at the clipped uniforms, which is what the chain gives beyond the clip.
-    Called on an (n, D) variate matrix, it returns the (n, D) log-ratios.
+    Called on an (n, D) variate matrix, it returns the (n, D) log-ratios in its
+    memory order, so column-major variates are read a contiguous city at a time.
     """
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        x = np.arcsinh(v, order="C")  # this call's own, so the values go into it
+        x = np.arcsinh(v, order="K")  # this call's own, so the values go into it
         return super().__call__(x, out=x)
 
     def value_and_slope(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

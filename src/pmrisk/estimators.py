@@ -18,8 +18,9 @@ three differ only in the tilt and the scheme they pass in to ``sis_estimate``.
 * One chunk loop (``_stage``).  A stage turns an allocation (replications
   per stratum) into stratum labels, ordered by stratum, and draws each chunk
   of ``CHUNK`` rows' tilt-free scores and mixing values (``_draw_scores``);
-  ``_tilted`` tilts each chunk (``_tilt``) and maps it to (C, W).
-  ``stratified_sample`` is the same two steps on one batch of labels.
+  ``_tilted`` maps each to (C, W) with one matrix per tilt, A = L [w | B],
+  and no Z: city-major variates for the map, log W from the drift score.
+  ``stratified_sample`` draws the same variates and adds Z.
 * One stage loop (``_stages``) runs a schedule of stage budgets at a
   per-stratum floor: the paper's four AOA stages for ``sis_estimate`` (every
   CCaR), one proportional stage for ``proportional_ep_at`` (a curve).  The
@@ -33,8 +34,8 @@ three differ only in the tilt and the scheme they pass in to ``sis_estimate``.
   takes no search: C > tau at one threshold, arithmetic on an evenly spaced
   grid (every CLI grid), and ``searchsorted`` only for any other grid.
 * A chunk's arrays are its own, so the chunk loop reuses them in place
-  where nothing else holds them (the variates' divide, the map's values,
-  the exp of the log-ratios); public functions never change their arguments.
+  where nothing else holds them (the variates' shift and divide, the map's
+  values, the exps of r and log W); public functions never change theirs.
 * Only a quantile needs rows: ``CommonDraws`` keeps one proportional stage's
   tilt-free chunks, and ``pool`` tilts them into a pooled ``SisSample``, whose
   ``quantile`` reads a CaR and whose ``estimates`` and ``ep_at`` bin it with
@@ -73,7 +74,6 @@ import numpy as np
 from .copula import (
     CityPortfolio,
     CopulaDraw,
-    dependent_vector,
     marginal_transform,
     portfolio_concentration,
 )
@@ -170,9 +170,9 @@ class EstimateResult:
 def likelihood_ratio(draw: CopulaDraw, is_params: IsParams, nu: float | None):
     """Exact density ratio W of the original to the tilted sampling law.
 
-    The normal factor is exp(-mu'z + mu'mu/2) evaluated at the tilted draw z;
-    the chi-square factor is (theta/2)^(nu/2) * exp(-y/2 + y/theta).  At the
-    identity tilt every factor is exactly 1.
+    The normal factor is exp(-mu'z + mu'mu/2) at the tilted draw z, the
+    chi-square one (theta/2)^(nu/2) exp(-y/2 + y/theta), both exactly 1 at the
+    identity tilt.  The reference for ``_tilted``'s W from the drift score.
     """
     mu = is_params.mean_shift
     w = np.exp(-(draw.z @ mu) + 0.5 * (mu @ mu))
@@ -342,22 +342,29 @@ def _draw_scores(portfolio: CityPortfolio, scheme: StratificationScheme,
     return scores, mixing
 
 
-def _tilt(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | None,
-          is_params: IsParams) -> CopulaDraw:
-    """The draw of ``_draw_scores``'s (scores, mixing) under the tilt ``is_params``."""
-    dim = portfolio.dimension
-    # [w | B]: the Householder reflection I - v v' / |v_1|, v = w + sign(w_1) e_1,
-    # maps e_1 to -sign(w_1) w; its first column is set to w (I at w = e_1)
-    norm = np.linalg.norm(is_params.mean_shift)
-    w = is_params.mean_shift / norm if norm > 0.0 else np.eye(dim)[0]
+def _frame(mean_shift: np.ndarray) -> np.ndarray:
+    """[w | B], orthonormal with first column w = mu / |mu| (e_1 at mu = 0): B is
+    the Householder reflection I - v v' / |v_1|, v = w + sign(w_1) e_1, which
+    maps e_1 to -sign(w_1) w, with its first column set to w."""
+    norm = np.linalg.norm(mean_shift)
+    w = mean_shift / norm if norm > 0.0 else np.eye(mean_shift.size)[0]
     v = w.copy()
     v[0] += 1.0 if w[0] >= 0.0 else -1.0
-    frame = np.eye(dim) - np.outer(v, v) / abs(v[0])
+    frame = np.eye(w.size) - np.outer(v, v) / abs(v[0])
     frame[:, 0] = w
-    z = scores[:, :dim] @ frame.T
-    z += is_params.mean_shift
-    y = None if mixing is None else is_params.theta * mixing
-    return CopulaDraw(z=z, y=y, v=dependent_vector(portfolio.copula, portfolio.chol, z, y))
+    return frame
+
+
+def _variates(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | None,
+              is_params: IsParams) -> np.ndarray:
+    """V' = (A s' + b) / sqrt(theta mixing / nu) of ``_draw_scores``'s (scores, mixing):
+    (D, m), city-major, with A = L [w | B] and b = L mu formed per call, and no Z."""
+    mu, chol = is_params.mean_shift, portfolio.chol
+    v = (chol @ _frame(mu)) @ scores[:, :mu.size].T
+    v += (chol @ mu)[:, None]
+    if mixing is not None:
+        v /= np.sqrt(is_params.theta * mixing / portfolio.copula.nu)
+    return v
 
 
 def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
@@ -371,10 +378,14 @@ def stratified_sample(portfolio: CityPortfolio, scheme: StratificationScheme,
     quantile xi = normal_quantile((i-1+U)/I) of its slice, any other score a
     standard normal, so a one-slice axis draws no uniform.
 
-    Two steps: the tilt-free draw of the scores and mixing values
-    (``_draw_scores``), then the tilt (``_tilt``: frame, Z, Y and the variates).
+    The engine's draw (``_draw_scores``) and variates (``_variates``, column-
+    major, the bits its tilt step maps), with Z and Y = theta mixing added.
     """
-    return _tilt(portfolio, *_draw_scores(portfolio, scheme, strata, rng), is_params)
+    scores, mixing = _draw_scores(portfolio, scheme, strata, rng)
+    mu = is_params.mean_shift
+    return CopulaDraw(z=scores[:, :mu.size] @ _frame(mu).T + mu,
+                      y=None if mixing is None else is_params.theta * mixing,
+                      v=_variates(portfolio, scores, mixing, is_params).T)
 
 
 # grid ladder for default_scheme, largest first: (drift slices, mixing slices)
@@ -681,12 +692,21 @@ def _stage(portfolio: CityPortfolio, scheme: StratificationScheme, alloc: np.nda
 
 def _tilted(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | None,
             is_params: IsParams) -> tuple[np.ndarray, np.ndarray]:
-    """(C, W) of one of ``_stage``'s chunks under ``is_params``; C is
-    ``portfolio_concentration``'s, with the exp taken in place on the chunk's log-ratios."""
-    draw = _tilt(portfolio, scores, mixing, is_params)
-    r = marginal_transform(portfolio, draw)
-    return (np.exp(r, out=r) @ (portfolio.weights * portfolio.pm0),
-            likelihood_ratio(draw, is_params, portfolio.copula.nu))
+    """(C, W) of one of ``_stage``'s chunks under ``is_params``, with no Z.
+
+    C maps the city-major variates (``_variates``), the exp taken in place.
+    log W = -|mu| s_1 - |mu|^2 / 2 (z.mu = |mu| s_1 + |mu|^2, [w | B] being
+    orthonormal), plus (nu/2) log(theta/2) + (1 - theta/2) mixing for the t
+    family.  So W is ``likelihood_ratio``'s, and log W is 0 at the identity tilt.
+    """
+    v = _variates(portfolio, scores, mixing, is_params)
+    r = marginal_transform(portfolio, CopulaDraw(z=None, y=None, v=v.T))
+    norm, theta = np.linalg.norm(is_params.mean_shift), is_params.theta
+    log_w = scores[:, 0] * -norm - 0.5 * norm * norm
+    if mixing is not None:
+        log_w += (1.0 - 0.5 * theta) * mixing
+        log_w += 0.5 * portfolio.copula.nu * np.log(0.5 * theta)
+    return np.exp(r, out=r) @ (portfolio.weights * portfolio.pm0), np.exp(log_w, out=log_w)
 
 
 def _stages(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,

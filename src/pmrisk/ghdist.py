@@ -316,8 +316,8 @@ class HermiteTable:
     the cubic in x - ``anchors[k]`` that applies where
     ``searchsorted(knots, x, 'right') == k``.  Rows 0 and K are constants.
     Called on an (n, D) matrix (or one row of D), or an (n,) vector when
-    D = 1, it returns the values in the same shape, C-ordered, in ``out``
-    when given (which may be x itself).  It reads one column at a time: the
+    D = 1, it returns the values in the same shape, in ``out`` when given
+    (which may be x itself), else C-ordered.  It reads one column at a time: the
     column's rows, then four gathers from that column's own tables and
     Horner's rule, so a column-major input is read contiguously.
 

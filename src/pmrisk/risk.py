@@ -153,8 +153,9 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
     quantile of a fresh identity-tilt pilot.  Naive returns that tau.  IS/SIS
     then loop: each round tilts at the current tau (``calibrate_is``, or the
     FORM tilt in the first round), re-tilts the solve's ``CommonDraws``, drawn
-    once on the query's CaR stream, and takes the pool's quantile; so every
-    round samples on the same random numbers, bit for bit as a fresh draw.
+    once on the query's CaR stream (a pilot's, where its scheme is the rounds'),
+    and takes the pool's quantile; so every round samples on the same random
+    numbers, bit for bit as a fresh draw.
     The loop stops once the new pool's stratified EP at the previous tau lies
     within its 95% halfwidth of alpha, i.e. once that tau is inside the pool's
     test-inversion interval for the alpha-quantile (Glynn 1996), and returns
@@ -167,20 +168,21 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
     form = None
     if start is None and query.estimator != "naive":
         form = inverse_form(portfolio, query.alpha)
-    pool = start
+    pool, draws = start, None
     if pool is None and form is None:
         params, scheme = _design(portfolio, "naive", None, query.budget, warnings)
-        pool = CommonDraws(portfolio, scheme, query.budget, rng).pool(params)
+        draws = CommonDraws(portfolio, scheme, query.budget, rng)
+        pool = draws.pool(params)
     tau, tilt = form or (pool.quantile(query.alpha), None)
 
-    trace, draws = [tau], None
+    trace = [tau]
     while query.estimator != "naive":
         if len(trace) > CAR_MAX_ITER:
             raise NumericError(f"CaR iteration did not converge; trace: {trace}")
         params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
                                  f"alpha={query.alpha}: ", tilt)
         tilt = None
-        if draws is None:
+        if draws is None or draws.scheme.counts != scheme.counts:
             draws = CommonDraws(portfolio, scheme, query.budget, rng)
         pool = draws.pool(params)
         ep, halfwidth, _ = pool.ep_at(tau)

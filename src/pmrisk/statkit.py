@@ -8,6 +8,7 @@ domain checking, and one reproducible random source.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as _as_int
 
 import numpy as np
 from scipy import special
@@ -40,6 +41,10 @@ class Rng:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):  # Python ints: numpy ones overflow in _mix64's products
+        for name in ("seed", "stream"):
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)

@@ -31,8 +31,10 @@ from pmrisk.estimators import (
     CommonDraws,
     SisSample,
     _concentration_and_gradient,
+    _draw_scores,
     _TailBins,
     _mixing_mode,
+    _tilted,
     default_scheme,
     inverse_form,
     proportional_ep_at,
@@ -306,18 +308,62 @@ class TestCommonDraws:
         labels = np.repeat(np.arange(scheme.n_strata), counts)
         draws = CommonDraws(model, scheme, n, Rng(5))
         for params in tilts:  # each tilt re-reads the same draws
-            # the pool drawn afresh: chunk c from stratified_sample on split(1).split(c)
-            conc, weight = [], []
-            for c, start in enumerate(range(0, n, CHUNK)):
-                draw = stratified_sample(model, scheme, labels[start:start + CHUNK] + 1, params,
-                                         Rng(5).split(1).split(c))
-                conc.append(portfolio_concentration(model, marginal_transform(model, draw)))
-                weight.append(likelihood_ratio(draw, params, model.copula.nu))
+            # the pool drawn afresh: chunk c through the engine's tilt step on
+            # fresh draws from split(1).split(c)
+            conc, weight = zip(*(
+                _tilted(model, *_draw_scores(model, scheme, labels[start:start + CHUNK] + 1,
+                                             Rng(5).split(1).split(c)), params)
+                for c, start in enumerate(range(0, n, CHUNK))))
             fresh = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
                               stratum=labels, probs=scheme.probs, counts=counts)
             pool = draws.pool(params)
             for column in ("conc", "weight", "stratum", "counts", "probs"):
                 assert getattr(pool, column).tobytes() == getattr(fresh, column).tobytes()
+
+
+def _engine_chunks(run) -> list:
+    """((portfolio, scheme, labels, rng), tilt, (C, W)) of each chunk the engine
+    draws and tilts while ``run()`` runs, in order."""
+    draws, tilts = [], []
+    draw_scores, tilted = estimators._draw_scores, estimators._tilted
+    estimators._draw_scores = lambda *args: draws.append(args) or draw_scores(*args)
+    estimators._tilted = lambda *args: tilts.append((args[3], tilted(*args))) or tilts[-1][1]
+    try:
+        run()
+    finally:
+        estimators._draw_scores, estimators._tilted = draw_scores, tilted
+    assert len(draws) == len(tilts)
+    return [(args, *tilt) for args, tilt in zip(draws, tilts)]
+
+
+class TestTiltStep:
+    @pytest.mark.parametrize("family", ["t", "normal"])
+    @pytest.mark.parametrize("estimator", ["naive", "is", "sis"])
+    def test_engine_matches_the_closed_forms(self, portfolio, normal_portfolio, family,
+                                             estimator):
+        # the fused step's (C, W) against the draw's Z and Y taken through the
+        # closed forms: V = L Z / sqrt(Y/nu), the map, C and likelihood_ratio
+        model = portfolio if family == "t" else normal_portfolio
+        n = CHUNK + 1000  # a two-chunk pool, and four one-chunk AOA stages
+        scheme = default_scheme(model, n) if estimator == "sis" else ONE_CELL
+        tilts = ([IsParams.identity(5)] if estimator == "naive"
+                 else [calibrate_is(model, tau) for tau in (CAR_001, 600.78)])
+        for params in tilts:
+            chunks = _engine_chunks(lambda: (
+                CommonDraws(model, scheme, n, Rng(5)).pool(params),
+                sis_estimate(model, CAR_001, params, scheme, n, Rng(6))))
+            assert len(chunks) == 6
+            for (_, chunk_scheme, labels, rng), tilt, (conc, weight) in chunks:
+                assert tilt is params
+                draw = stratified_sample(model, chunk_scheme, labels, params, rng)
+                v = dependent_vector(model.copula, model.chol, draw.z, draw.y)
+                ref = portfolio_concentration(model, marginal_transform(
+                    model, CopulaDraw(z=draw.z, y=draw.y, v=v)))
+                np.testing.assert_allclose(conc, ref, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(weight, likelihood_ratio(draw, params, model.copula.nu),
+                                           rtol=1e-13, atol=0.0)
+                if estimator == "naive":
+                    assert np.all(weight == 1.0)
 
 
 class TestIsEstimate:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pmrisk.estimators import (
 )
 from pmrisk.risk import _STREAM_CAR, ESTIMATORS, queries, solve_cars
 
-from conftest import CAR_ROWS
+from conftest import CAR_ROWS, stage_rows
 
 ALPHAS = [alpha for alpha, _, _ in CAR_ROWS]
 
@@ -219,6 +220,19 @@ class TestQueries:
                                     seed)) == 2
 
 
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5)])
+    def test_numpy_integer_seeds_draw_the_python_int_streams(self, portfolio, seed):
+        # Rng keys on Python ints: numpy ones overflowed in its 64-bit stream mixing
+        grid = np.array([200.0, 300.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = queries([0.05, 0.01], "sis", 5000, seed)
+            curve = exceedance_curve(portfolio, grid, "is", 2000, seed)
+        assert rows == queries([0.05, 0.01], "sis", 5000, int(seed))
+        assert all(type(q.rng.seed) is int and type(q.rng.stream) is int for q in rows)
+        assert curve == exceedance_curve(portfolio, grid, "is", 2000, int(seed))
+
+
 class TestSolveCar:
     def test_monotone_in_alpha(self, portfolio):
         cars = [solve_car(portfolio, RiskQuery(alpha, "sis", 20_000, Rng(31)))[0]
@@ -281,6 +295,19 @@ class TestSolveCar:
             tau, chained = solve_car(portfolio, second, start=pool)
             ref_tau, ref_chained = _redrawn_solve(portfolio, second, start=pool)
             assert tau == ref_tau and chained.ep_at(tau) == ref_chained.ep_at(tau)
+
+    def test_an_is_pilot_is_drawn_once(self, portfolio, monkeypatch):
+        # without the FORM start, IS rounds re-tilt the pilot's draws (same
+        # scheme, same stream) instead of drawing them a second time
+        monkeypatch.setattr("pmrisk.risk.inverse_form", lambda portfolio, alpha: None)
+        query = RiskQuery(0.01, "is", 5_000, Rng(1))
+        with stage_rows() as drawn:
+            tau, pool = solve_car(portfolio, query)
+        assert sum(drawn) == 5_000
+        ref_tau, ref_pool = _redrawn_solve(portfolio, query)
+        assert tau == ref_tau
+        for column in ("conc", "weight", "stratum", "counts", "probs"):
+            assert getattr(pool, column).tobytes() == getattr(ref_pool, column).tobytes()
 
     def test_one_alpha_solve_starts_at_the_form_point(self, portfolio, monkeypatch):
         query = RiskQuery(0.01, "sis", 5_000, Rng(4))
