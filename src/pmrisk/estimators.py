@@ -39,8 +39,9 @@ three differ only in the tilt and the scheme they pass in to ``sis_estimate``.
 * Only a quantile needs rows: ``CommonDraws`` keeps one proportional stage's
   tilt-free chunks, and ``pool`` tilts them into a pooled ``SisSample``, whose
   ``quantile`` reads a CaR and whose ``estimates`` and ``ep_at`` bin it with
-  the same accumulator and composers.  A CaR solve's rounds re-tilt one draw;
-  an identity-tilt pilot is one ``pool`` call.
+  the same accumulator and composers.  A run's CaR rounds re-tilt one draw
+  (the pool keeps its ``draws`` and ``tilt``); an identity-tilt pilot is one
+  ``pool`` call.
 
 A draw makes no root solve or search: the mixing variable at normal score
 s is theta exp(q(s)), with q the tabulated ``CityPortfolio.mixing_quantile``,
@@ -460,6 +461,8 @@ class SisSample:
     ``sample_weight`` is p_i W / n_i, so plain weighted sums over the pool are
     unbiased for the corresponding expectations.  Only a CaR needs the rows
     (``quantile``); the tail readers bin them as the streamed estimators do.
+    A ``CommonDraws.pool`` keeps its ``draws`` and its ``tilt``, so a CaR
+    chain can re-tilt the one and sample its CCaR at the other.
     """
 
     conc: np.ndarray
@@ -467,6 +470,8 @@ class SisSample:
     stratum: np.ndarray
     probs: np.ndarray
     counts: np.ndarray
+    draws: CommonDraws | None = None
+    tilt: IsParams | None = None
 
     @property
     def sample_weight(self) -> np.ndarray:
@@ -773,8 +778,8 @@ class CommonDraws:
 
     Keeps the tilt-free chunks (``_stage``) of ``proportional_ep_at``'s stage:
     p_i total_n rows in stratum i, at least one, on ``rng.split(1)``.
-    ``pool(is_params)`` tilts them into a pooled ``SisSample``, so a CaR
-    solve's rounds, which differ only in the tilt, draw once.  Uniform
+    ``pool(is_params)`` tilts them into a pooled ``SisSample``, so a run's
+    CaR rounds, which differ only in the tilt, draw once.  Uniform
     coverage suits a quantile, where AOA at one threshold would starve the
     rest of the support.
     """
@@ -791,4 +796,5 @@ class CommonDraws:
         conc, weight = zip(*(_tilted(self.portfolio, scores, mixing, is_params)
                              for scores, mixing in self.chunks))
         return SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
-                         stratum=self.stratum, probs=self.scheme.probs, counts=self.counts)
+                         stratum=self.stratum, probs=self.scheme.probs, counts=self.counts,
+                         draws=self, tilt=is_params)

@@ -7,9 +7,9 @@ estimators the quantile pass is iterated with re-calibrated tilt parameters on
 common random numbers until the previous threshold is a plausible
 alpha-quantile of the new pool: its stratified EP there (``SisSample.ep_at``)
 lies within its own 95% halfwidth of alpha.  So the loop stops at the
-quantile's Monte Carlo noise at any budget.  A solve draws its random numbers
-once (``CommonDraws``) and each round re-tilts them.  No pool column is read
-here, apart from the curve pilot's interpolated quantile.
+quantile's Monte Carlo noise at any budget.  A run draws its CaR random
+numbers once (``CommonDraws``) and each round re-tilts them.  No pool column
+is read here, apart from the curve pilot's interpolated quantile.
 
 Only a quantile keeps rows, each pool a ``CommonDraws.pool``: the CaR rounds'
 and the identity-tilt pilots'.  A CCaR (``sis_estimate``) and a curve
@@ -19,7 +19,11 @@ A run's rows are one chain (``solve_cars``).  The first IS/SIS row takes its
 first threshold and tilt from the inverse-FORM point (``inverse_form``), and
 draws an identity-tilt pilot only where that solve fails, as naive does.  Each
 later row starts from the final pool that ``solve_car`` returned for the
-previous row, then runs the same loop on its own stream.
+previous row and re-tilts that pool's draws (row 0's) where its scheme and
+budget match theirs, else draws its own.  Each CCaR samples at its row's
+final tilt (``SisSample.tilt``) on its row's own stream, with no calibration
+of its own: the paper calibrates at the CaR, which lies in the same 95%
+interval.
 
 ``_design`` picks every tilt and stratification a query samples with, the
 pilots' identity tilt included, and each query function appends its warnings
@@ -67,7 +71,8 @@ _STREAM_CURVE = 4
 class RiskQuery:
     """One CaR/CCaR row, validated when built: ``queries`` builds a run's rows.
 
-    ``solve_car`` and ``compute_ccar`` draw from fixed substreams of ``rng``.
+    ``solve_car`` and ``compute_ccar`` draw from fixed substreams of ``rng``;
+    in a chain, only row 0's CaR substream is drawn (``solve_cars``).
     """
 
     alpha: float
@@ -103,8 +108,8 @@ def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     unique = sorted({float(a) for a in alphas}, reverse=True)
     if not unique:
         raise UsageError("alpha list must be nonempty")
-    # row k's stream, from the run's seed: a chained row's first tilt comes
-    # from its neighbour's pool, its rounds and CCaR from its own stream
+    # row k's stream, from the run's seed, feeds its CCaR (row 0's also the run's
+    # CaR draws): a chained row's first tilt comes from its neighbour's pool
     return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
                       rng=Rng(Rng(0, seed).split(10 + k).stream))
             for k, a in enumerate(unique)]
@@ -152,23 +157,25 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
     from ``inverse_form``; naive, and IS/SIS where that solve fails, take the
     quantile of a fresh identity-tilt pilot.  Naive returns that tau.  IS/SIS
     then loop: each round tilts at the current tau (``calibrate_is``, or the
-    FORM tilt in the first round), re-tilts the solve's ``CommonDraws``, drawn
-    once on the query's CaR stream (a pilot's, where its scheme is the rounds'),
-    and takes the pool's quantile; so every round samples on the same random
-    numbers, bit for bit as a fresh draw.
+    FORM tilt in the first round) and re-tilts the solve's ``CommonDraws``:
+    ``start.draws`` where they were drawn for this portfolio, scheme and
+    budget, else ones drawn once on the query's CaR stream (a pilot's, where
+    its scheme is the rounds'); so every round samples on the same random
+    numbers, bit for bit as a fresh draw of them.
     The loop stops once the new pool's stratified EP at the previous tau lies
     within its 95% halfwidth of alpha, i.e. once that tau is inside the pool's
     test-inversion interval for the alpha-quantile (Glynn 1996), and returns
     the new pool's quantile.  ``NumericError`` with the trace after
     ``CAR_MAX_ITER`` rounds.  The returned pool is the one tau was read from,
-    the next row's ``start``.  IS-calibration warnings are appended to
+    the next row's ``start``; its ``tilt`` is the stopping round's, the one
+    ``compute_ccar`` samples at.  IS-calibration warnings are appended to
     ``warnings`` when it is given.
     """
     rng = query.rng.split(_STREAM_CAR)
     form = None
     if start is None and query.estimator != "naive":
         form = inverse_form(portfolio, query.alpha)
-    pool, draws = start, None
+    pool, draws = start, None if start is None else start.draws
     if pool is None and form is None:
         params, scheme = _design(portfolio, "naive", None, query.budget, warnings)
         draws = CommonDraws(portfolio, scheme, query.budget, rng)
@@ -182,7 +189,8 @@ def solve_car(portfolio: CityPortfolio, query: RiskQuery, *,
         params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
                                  f"alpha={query.alpha}: ", tilt)
         tilt = None
-        if draws is None or draws.scheme.counts != scheme.counts:
+        if (draws is None or draws.portfolio is not portfolio
+                or draws.scheme.counts != scheme.counts or draws.counts.sum() != query.budget):
             draws = CommonDraws(portfolio, scheme, query.budget, rng)
         pool = draws.pool(params)
         ep, halfwidth, _ = pool.ep_at(tau)
@@ -200,7 +208,9 @@ def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
     Only row 0 starts without a pool (from the inverse-FORM point, or from a
     pilot for naive, whose rows all read that pilot's quantiles).  Rows from
     ``queries`` run largest alpha first, so each later row starts from a pool
-    tilted just below its own threshold.
+    tilted just below its own threshold.  IS/SIS rows of one scheme and budget
+    all re-tilt the ``CommonDraws`` of row 0's CaR stream, so their CaRs
+    correlate.
     """
     cars, pool = [], None
     for query in rows:
@@ -210,13 +220,17 @@ def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
 
 
 def compute_ccar(portfolio: CityPortfolio, query: RiskQuery, tau: float, *,
+                 tilt: IsParams | None = None,
                  warnings: list[str] | None = None) -> EstimateResult:
     """Conditional excess at tau = CaR_alpha, with a 95% confidence interval.
 
-    IS-calibration warnings are appended to ``warnings`` when it is given.
+    IS/SIS sample at ``tilt`` where it is given (a CaR solve's final
+    ``pool.tilt``), else at ``calibrate_is``'s tilt at tau, on the query's
+    CCaR stream.  IS-calibration warnings are appended to ``warnings`` when
+    it is given.
     """
     params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
-                             f"alpha={query.alpha}: ")
+                             f"alpha={query.alpha}: ", tilt)
     return sis_estimate(portfolio, tau, params, scheme, query.budget,
                         query.rng.split(_STREAM_CCAR))[1]
 
@@ -274,14 +288,17 @@ def build_report(portfolio: CityPortfolio, rows: list[RiskQuery], *,
                  warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
     """Table rows: one per query with CaR, CCaR, CI% and VR.
 
-    The CaRs are one ``solve_cars`` chain, as ``pmrisk car`` writes them.
-    VR is the CCaR's ``naive_variance`` over its ``variance``, both from the
-    CCaR's own sample, and 1 for naive.  Calibration warnings are appended to
-    ``warnings`` when it is given.
+    The CaRs are the ``solve_cars`` chain, as ``pmrisk car`` writes them, and
+    each CCaR samples at the tilt of its CaR's stopping round (``pool.tilt``),
+    calibrated at a tau inside the CaR's 95% test-inversion interval, not at
+    the CaR.  VR is the CCaR's ``naive_variance`` over its ``variance``, both
+    from the CCaR's own sample, and 1 for naive.  Calibration warnings are
+    appended to ``warnings`` when it is given.
     """
-    report = []
-    for query, tau in zip(rows, solve_cars(portfolio, rows, warnings=warnings)):
-        ce = compute_ccar(portfolio, query, tau, warnings=warnings)
+    report, pool = [], None
+    for query in rows:
+        tau, pool = solve_car(portfolio, query, start=pool, warnings=warnings)
+        ce = compute_ccar(portfolio, query, tau, tilt=pool.tilt, warnings=warnings)
         if ce.empty_tail:
             raise NumericError(f"empty tail at alpha={query.alpha}; increase the budget")
         if query.estimator == "naive":

@@ -25,6 +25,7 @@ from pmrisk.estimators import (
     calibrate_is,
     default_scheme,
     inverse_form,
+    sis_estimate,
 )
 from pmrisk.risk import _STREAM_CAR, ESTIMATORS, queries, solve_cars
 
@@ -48,11 +49,12 @@ def _spy_pools(monkeypatch) -> list:
     return pools
 
 
-def _redrawn_solve(portfolio, query, start=None) -> tuple[float, SisSample]:
+def _redrawn_solve(portfolio, query, start=None, rng=None) -> tuple[float, SisSample]:
     """The CaR loop with a fresh pool per round: the first tau from ``start`` or an
     identity-tilt pilot, then each round calibrated at the current tau and drawn
-    anew on the CaR stream, stopping as ``solve_car`` does."""
-    rng = query.rng.split(_STREAM_CAR)
+    anew on ``rng`` (the query's CaR stream by default), stopping as ``solve_car``
+    does."""
+    rng = query.rng.split(_STREAM_CAR) if rng is None else rng
     pool = start
     if pool is None:
         pool = CommonDraws(portfolio, ONE_CELL, query.budget,
@@ -78,13 +80,14 @@ def _one_stratum_pool(values, weights) -> SisSample:
 
 
 class _PoolReaders:
-    """A pool seen only through its readers: any other attribute is missing."""
+    """A pool seen only through its readers and the draws and tilt it was made
+    from: its columns, and any other attribute, are missing."""
 
     def __init__(self, pool: SisSample):
         self._pool = pool
 
     def __getattr__(self, name):
-        if name not in ("ep_at", "quantile", "estimates"):
+        if name not in ("ep_at", "quantile", "estimates", "draws", "tilt"):
             raise AttributeError(name)
         return getattr(self._pool, name)
 
@@ -284,7 +287,8 @@ class TestSolveCar:
     def test_without_the_form_start_rounds_equal_fresh_pools(self, portfolio, monkeypatch,
                                                              estimator):
         # a failed inverse-FORM solve falls back to the pilot, and re-tilting the
-        # solve's common draws gives each round's fresh pool bit for bit
+        # solve's common draws gives each round's fresh pool bit for bit; a chained
+        # solve re-tilts the first solve's draws, as fresh draws on its CaR stream
         monkeypatch.setattr("pmrisk.risk.inverse_form", lambda portfolio, alpha: None)
         for seed in (1, 2):
             first, second = (RiskQuery(alpha, estimator, 5_000, Rng(seed, k))
@@ -293,7 +297,8 @@ class TestSolveCar:
             ref_tau, ref_pool = _redrawn_solve(portfolio, first)
             assert tau == ref_tau and pool.ep_at(tau) == ref_pool.ep_at(tau)
             tau, chained = solve_car(portfolio, second, start=pool)
-            ref_tau, ref_chained = _redrawn_solve(portfolio, second, start=pool)
+            ref_tau, ref_chained = _redrawn_solve(portfolio, second, start=pool,
+                                                  rng=first.rng.split(_STREAM_CAR))
             assert tau == ref_tau and chained.ep_at(tau) == ref_chained.ep_at(tau)
 
     def test_an_is_pilot_is_drawn_once(self, portfolio, monkeypatch):
@@ -319,6 +324,24 @@ class TestSolveCar:
                             query.rng.split(_STREAM_CAR)).pool(tilt)
         assert not any(identity for identity, _ in pools)
         assert pools[0][1].ep_at(tau0) == first.ep_at(tau0)
+
+    @pytest.mark.parametrize("change", ["portfolio", "budget", "scheme"])
+    def test_a_start_pool_of_other_draws_is_never_retilted(self, portfolio, change):
+        # a start pool drawn for another portfolio, budget or scheme only gives the
+        # first tau: the rounds draw afresh on the query's own CaR stream
+        _, start = solve_car(portfolio, RiskQuery(0.05, "sis", 5_000, Rng(2)))
+        pf, query = portfolio, RiskQuery(0.01, "sis", 5_000, Rng(3))
+        if change == "portfolio":
+            pf = dataclasses.replace(portfolio, pm0=2.0 * portfolio.pm0)
+        elif change == "budget":
+            query = dataclasses.replace(query, budget=6_000)
+        else:
+            query = dataclasses.replace(query, estimator="is")
+        with stage_rows() as drawn:
+            tau, pool = solve_car(pf, query, start=start)
+        assert sum(drawn) == query.budget and pool.draws is not start.draws
+        ref_tau, ref_pool = _redrawn_solve(pf, query, start=start)
+        assert tau == ref_tau and pool.ep_at(tau) == ref_pool.ep_at(tau)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001])
     def test_single_city_matches_closed_form(self, single_city, alpha):
@@ -533,6 +556,59 @@ class TestReport:
         rows = build_report(portfolio, queries(ALPHAS, "sis", 5_000, 3))
         assert [tuple(map(float, line.split(","))) for line in body[1:]] == [
             dataclasses.astuple(row) for row in rows]
+
+    def test_a_report_draws_its_car_rows_once(self, portfolio, monkeypatch):
+        # one CommonDraws for the run's CaR rounds, one AOA sample per CCaR
+        made, init = [], CommonDraws.__init__
+        monkeypatch.setattr(CommonDraws, "__init__",
+                            lambda draws, *args: made.append(args[2]) or init(draws, *args))
+        with stage_rows() as drawn:
+            build_report(portfolio, queries(ALPHAS, "sis", 10_000, 1))
+        assert made == [10_000]
+        assert sum(drawn) == 10_000 + 5 * 10_000
+
+    @pytest.mark.parametrize("estimator", ["is", "sis"])
+    def test_each_ccar_samples_at_its_rows_final_tilt(self, portfolio, monkeypatch,
+                                                       estimator):
+        # calibrate_is runs only in CaR rounds, once in each but the run's first
+        # (the inverse-FORM tilt), and each CCaR samples at the tilt of its row's
+        # last pool, not at a tilt of its own
+        events = []
+        calibrate, retilt, sample = calibrate_is, CommonDraws.pool, sis_estimate
+
+        def calibrated(pf, tau):
+            events.append(("calibrate", calibrate(pf, tau)))
+            return events[-1][1]
+
+        monkeypatch.setattr("pmrisk.risk.calibrate_is", calibrated)
+        monkeypatch.setattr(CommonDraws, "pool", lambda draws, is_params: events.append(
+            ("pool", is_params)) or retilt(draws, is_params))
+        monkeypatch.setattr("pmrisk.risk.sis_estimate", lambda pf, tau, is_params, *args:
+                            events.append(("ccar", is_params)) or sample(pf, tau, is_params,
+                                                                          *args))
+        for seed in (1, 2, 3):
+            events.clear()
+            build_report(portfolio, queries(ALPHAS, estimator, 10_000, seed))
+            rounds = [(kind, params) for kind, params in events if kind != "ccar"]
+            pools = sum(kind == "pool" for kind, _ in rounds)
+            assert [kind for kind, _ in rounds] == ["pool"] + ["calibrate", "pool"] * (pools - 1)
+            assert all(made is used for (_, made), (_, used) in zip(rounds[1::2], rounds[2::2]))
+            ccars = [k for k, (kind, _) in enumerate(events) if kind == "ccar"]
+            assert len(ccars) == len(ALPHAS)
+            for k in ccars:
+                assert events[k - 1][0] == "pool" and events[k][1] is events[k - 1][1]
+
+    def test_later_rows_retilt_the_first_rows_draws(self, portfolio):
+        rows = queries(ALPHAS[:3], "sis", 5_000, 3)
+        cars = solve_cars(portfolio, rows)
+        # row 0 keeps the bits of a one-alpha run
+        assert cars[0] == solve_cars(portfolio, rows[:1])[0]
+        # later rows redraw, round by round, the random numbers of row 0's CaR stream
+        car, pool = solve_car(portfolio, rows[0])
+        for query, want in zip(rows[1:], cars[1:]):
+            car, pool = _redrawn_solve(portfolio, query, start=pool,
+                                       rng=rows[0].rng.split(_STREAM_CAR))
+            assert car == want
 
     def test_naive_rows_read_the_first_pilot(self, portfolio, monkeypatch):
         pools = _spy_pools(monkeypatch)
