@@ -8,7 +8,7 @@ Three routes to EP = P(C > tau) and CE = E[C | C > tau]:
   likelihood ratio, and
 * stratified importance sampling (SIS): the IS density stratified on a grid
   over the drift direction and the mixing-variable score, with the
-  replication budget spread over four stages by adaptive optimal allocation.
+  replication budget allocated over the strata from a pilot's tail sums.
 
 All three run on one engine: labels -> draw -> tilt -> tail sums ->
 readers.  Naive is IS at the identity tilt (mu = 0, theta = 2, where the
@@ -21,12 +21,11 @@ three differ only in the tilt and the scheme they pass in to ``sis_estimate``.
   ``_tilted`` maps each to (C, W) with one matrix per tilt, A = L [w | B],
   and no Z: city-major variates for the map, log W from the drift score.
   ``stratified_sample`` draws the same variates and adds Z.
-* One stage loop (``_stages``) runs a schedule of stage budgets at a
-  per-stratum floor: the paper's four AOA stages for ``sis_estimate`` (every
-  CCaR), one proportional stage for ``proportional_ep_at`` (a curve).  The
-  chunks are tilted as drawn and binned into the caller's accumulator, not
-  kept; the AOA stages take their deviations from it, and one composer each
-  reads EP and CE (``_estimates``) or EP on a grid (``_ep_reading``).
+* Each stage's allocation is fixed before it is drawn, so a stage is plain
+  stratified sampling.  Its chunks are tilted as drawn and binned into the
+  caller's accumulator, not kept (``_binned``, ``shared_estimates``), and
+  one composer each reads EP and CE (``_estimates``) or EP on a grid
+  (``_ep_reading``).
 * One accumulator (``_TailBins``) bins each chunk's concentrations and
   likelihood ratios once into per-(threshold bin, stratum) counts and
   moment sums, at one threshold or at every threshold of a curve; the tail
@@ -56,8 +55,9 @@ A scheme is the paper's grid, ``counts = (drift slices, mixing slices)``:
 the drift axis is the direction of the IS mean shift, the mixing axis the
 normal score of the chi-square mixing variable (t family only).
 
-Stream layout: stage s draws from ``rng.split(s + 1)`` (a one-stage pool
-from ``split(1)``), and chunk c of a stage from ``.split(c)`` of that.  A
+Stream layout: a stage draws from ``rng.split(1)``, a second stage (an
+allocated one, or block B) from ``rng.split(2)``, and chunk c from
+``.split(c)`` of that.  A
 chunk of m rows draws ``standard_normal((m, D - 1 + k))`` for the scores it
 does not stratify, k its one-slice axes (drift, and mixing for the t
 family), then one ``random(m)`` per stratified axis, drift first.  So
@@ -83,11 +83,13 @@ from .statkit import Rng, normal_quantile, t_quantile
 
 CHUNK = 1 << 14
 
-# SIS defaults: equiprobable strata, four stages consuming ~10/20/30/40% of
-# the total budget, at least N_MIN replications per stratum per stage.
+# SIS defaults: equiprobable strata, at least N_MIN replications per stratum per
+# stage, a MIX share of proportional allocation in an allocated stage, and
+# PILOT_SHARE of the budget for sis_estimate's pilot.
 N_STRATA = 22
 N_MIN = 10
-STAGE_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
+MIX = 0.3
+PILOT_SHARE = 0.25
 
 # cap on the HL-RF steps of calibrate_is
 _HLRF_STEPS = 100
@@ -397,11 +399,11 @@ _GRID_LADDER = ((24, 10), (20, 8), (16, 8), (12, 6), (10, 5), (8, 4), (6, 3),
 def default_scheme(portfolio: CityPortfolio, budget: int) -> StratificationScheme:
     """Stratification grid for a budget: IS drift axis x mixing score.
 
-    Picks the largest ladder grid whose per-stratum floor fits into the
-    smallest AOA stage.  The normal-copula family has no mixing variable and
-    gets the drift axis alone.
+    Picks the largest ladder grid whose per-stratum floor fits into a tenth
+    of the budget, well inside ``sis_estimate``'s pilot.  The normal-copula
+    family has no mixing variable and gets the drift axis alone.
     """
-    max_cells = max(int(budget * min(STAGE_FRACTIONS)) // N_MIN, 1)
+    max_cells = max(int(budget * 0.1) // N_MIN, 1)
     if portfolio.copula.family == "normal":
         return StratificationScheme((min(N_STRATA, max_cells), 1))
     return StratificationScheme(next(c for c in _GRID_LADDER if c[0] * c[1] <= max_cells))
@@ -462,7 +464,8 @@ class SisSample:
     unbiased for the corresponding expectations.  Only a CaR needs the rows
     (``quantile``); the tail readers bin them as the streamed estimators do.
     A ``CommonDraws.pool`` keeps its ``draws`` and its ``tilt``, so a CaR
-    chain can re-tilt the one and sample its CCaR at the other.
+    chain can re-tilt the one and sample its CCaR at the other, allocated
+    by ``allocation``.
     """
 
     conc: np.ndarray
@@ -527,6 +530,10 @@ class SisSample:
     def estimates(self, tau: float) -> tuple[EstimateResult, EstimateResult]:
         """EP and CE results at tau from the per-stratum tail sums (``_estimates``)."""
         return _estimates(self.probs, self.counts, self.tail_sums(tau)[1])
+
+    def allocation(self, tau: float, budget: int) -> np.ndarray:
+        """``_allocation`` of ``budget`` at tau with this pool as its pilot."""
+        return _allocation(budget, self.probs, self.counts, self.tail_sums(tau)[1])
 
 
 class _TailBins:
@@ -677,12 +684,22 @@ def _estimates(probs: np.ndarray, counts: np.ndarray,
 
 
 def _aoa_sigma(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Per-stratum deviations of the CE residual for AOA; ones before any tail hit."""
+    """Per-stratum deviations of the CE residual for an allocation; ones before any tail hit."""
     total_sy = sums[0].sum()
     if total_sy <= 0.0:
         return np.ones(counts.shape[0])
     s, ss = _residual_sums(sums, sums[2].sum() / total_sy)
     return np.sqrt(_stratum_var(counts, s, ss))
+
+
+def _allocation(budget: int, probs: np.ndarray, counts: np.ndarray,
+                sums: np.ndarray) -> np.ndarray:
+    """n_i ~ p_i ((1 - MIX) sigma_i / sum_j p_j sigma_j + MIX) from a pilot's CE tail sums
+    (``_aoa_sigma``; Etore & Jourdain 2010), floored at N_MIN on more than one cell."""
+    sigma = _aoa_sigma(counts, sums)
+    if probs @ sigma > 0.0:
+        sigma = (1.0 - MIX) * sigma / (probs @ sigma) + MIX
+    return aoa_allocate(budget, probs, sigma, N_MIN if probs.size > 1 else 0)
 
 
 def _stage(portfolio: CityPortfolio, scheme: StratificationScheme, alloc: np.ndarray,
@@ -714,50 +731,69 @@ def _tilted(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | N
     return np.exp(r, out=r) @ (portfolio.weights * portfolio.pm0), np.exp(log_w, out=log_w)
 
 
-def _stages(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
-            budgets: list[int], floor: int, rng: Rng, bins: _TailBins) -> np.ndarray:
-    """Draw the stages of ``budgets`` into ``bins`` and return the rows per stratum.
+def _binned(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
+            alloc: np.ndarray, rng: Rng, bins: _TailBins, shift: int = 0) -> None:
+    """Draw a stage at ``alloc`` on ``rng`` into ``bins`` as strata ``shift`` + i:
+    its chunks are tilted, binned and not kept."""
+    for labels, scores, mixing in _stage(portfolio, scheme, alloc, rng):
+        bins.add(labels + shift, *_tilted(portfolio, scores, mixing, is_params))
 
-    Stage s allocates by ``aoa_allocate`` at ``floor``, to p_i first and then
-    to p_i sigma_i from the CE sums binned so far (``_aoa_sigma``), and draws
-    from ``rng.split(s + 1)``; its chunks are tilted, binned and not kept.
+
+def shared_estimates(portfolio: CityPortfolio, scheme: StratificationScheme, rows,
+                     rng: Rng) -> list[tuple[EstimateResult, EstimateResult]]:
+    """EP and CE results of rows (tau, tilt, allocation n_k) read off one draw.
+
+    Block A, n_0, is drawn on ``rng.split(1)`` and block B, max_k n_k - n_0
+    more rows, on ``rng.split(2)``.  Row k re-tilts and bins the first n_{k,i}
+    rows of each stratum i (A's, then B's) as the chunks pass, so row 0 reads
+    what a one-row call draws, and the rows correlate (Glasserman 2004, 4.2).
     """
-    counts = np.zeros(scheme.n_strata, dtype=int)
-    for stage, budget in enumerate(budgets):
-        sigma = _aoa_sigma(counts, bins.above()[1]) if stage else np.ones(scheme.n_strata)
-        alloc = aoa_allocate(budget, scheme.probs, sigma, floor)
-        for labels, scores, mixing in _stage(portfolio, scheme, alloc, rng.split(stage + 1)):
-            bins.add(labels, *_tilted(portfolio, scores, mixing, is_params))
-        counts = counts + alloc
-    return counts
+    allocs = np.array([alloc for _, _, alloc in rows])
+    if allocs.shape[1] != scheme.n_strata:
+        raise DomainError("an allocation needs one count per stratum")
+    bins = [_TailBins(tau, scheme.n_strata, ce=True) for tau, _, _ in rows]
+    blocks = ((np.zeros_like(allocs[0]), allocs[0]), (allocs[0], allocs.max(axis=0) - allocs[0]))
+    for block, (before, alloc) in enumerate(blocks):
+        first, seen = np.cumsum(alloc) - alloc, 0  # each stratum's first row in the block
+        for labels, scores, mixing in _stage(portfolio, scheme, alloc, rng.split(block + 1)):
+            rank = before[labels] + np.arange(seen, seen + labels.size) - first[labels]
+            seen += labels.size
+            for (_, tilt, _), limit, acc in zip(rows, allocs, bins):
+                keep = rank < limit[labels]
+                if keep.any():
+                    keep = slice(None) if keep.all() else keep
+                    acc.add(labels[keep], *_tilted(portfolio, scores[keep],
+                                                   None if mixing is None else mixing[keep], tilt))
+    return [_estimates(scheme.probs, alloc, acc.above()[1]) for alloc, acc in zip(allocs, bins)]
 
 
 def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
                  scheme: StratificationScheme, total_n: int,
                  rng: Rng) -> tuple[EstimateResult, EstimateResult]:
-    """SIS estimates of EP and CE at threshold tau.
+    """SIS estimates of EP and CE at threshold tau: a pilot, then one allocated stage.
 
-    Four stages consume the total budget; the first allocates proportionally
-    to the stratum probabilities, later stages rebalance via ``aoa_allocate``
-    with standard deviations pooled over everything sampled so far
-    (``_stages``).  A one-cell scheme has no per-stratum floor: it is plain
-    importance sampling on the same four stages, and needs two replications;
-    at ``IsParams.identity`` it is naive Monte Carlo.  The chunks go into
-    running tail sums at tau and are not kept, and the estimates equal
-    ``SisSample.estimates`` on the pooled rows.
+    A ``PILOT_SHARE`` proportional pilot on ``rng.split(1)``, then the rest
+    allocated from its tail sums (``_allocation``) on ``rng.split(2)``.  The
+    stages' weights w_s = n_s / total_n are fixed in advance, so they compose
+    as 2I cells of probability w_s p_i.  A one-cell scheme draws one stage of
+    ``total_n`` >= 2 rows: IS, or naive Monte Carlo at ``IsParams.identity``.
+    No row is kept.
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
-    floor = N_MIN if scheme.n_strata > 1 else 0
-    if total_n < max(2, scheme.n_strata * floor * len(STAGE_FRACTIONS)):
-        raise DomainError(
-            "budget cannot cover two replications and the per-stratum floor in every stage"
-        )
-    fractions = np.asarray(STAGE_FRACTIONS)
-    budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0).tolist()
-    bins = _TailBins(tau, scheme.n_strata, ce=True)
-    counts = _stages(portfolio, is_params, scheme, budgets, floor, rng, bins)
-    return _estimates(scheme.probs, counts, bins.above()[1])
+    cells, pilot_n = scheme.n_strata, int(PILOT_SHARE * total_n)
+    if total_n < 2 or cells > 1 and min(pilot_n, total_n - pilot_n) < cells * N_MIN:
+        raise DomainError("budget cannot cover two replications and the floor in both stages")
+    if cells == 1:
+        return shared_estimates(portfolio, scheme, [(tau, is_params, [total_n])], rng)[0]
+    probs, bins = scheme.probs, _TailBins(tau, 2 * cells, ce=True)
+    pilot = aoa_allocate(pilot_n, probs, np.ones(cells), N_MIN)
+    _binned(portfolio, is_params, scheme, pilot, rng.split(1), bins)
+    alloc = _allocation(total_n - pilot_n, probs, pilot, bins.above()[1][:, :cells])
+    _binned(portfolio, is_params, scheme, alloc, rng.split(2), bins, cells)
+    weights = np.repeat([pilot_n, total_n - pilot_n], cells) / total_n
+    return _estimates(np.tile(probs, 2) * weights, np.concatenate([pilot, alloc]),
+                      bins.above()[1])
 
 
 def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
@@ -765,11 +801,12 @@ def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
                        tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``CommonDraws(...).pool(is_params).ep_at(tau)``, from running tail sums.
 
-    One proportional stage (``_stages`` of ``[total_n]`` at floor 1), binned and not
+    One proportional stage (at floor 1, on ``rng.split(1)``), binned and not
     kept, so the result is the pooled one bit for bit (see ``_TailBins``) at a chunk's memory.
     """
     bins = _TailBins(tau, scheme.n_strata, ce=False)
-    counts = _stages(portfolio, is_params, scheme, [total_n], 1, rng, bins)
+    counts = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
+    _binned(portfolio, is_params, scheme, counts, rng.split(1), bins)
     return _ep_reading(scheme.probs, counts, *bins.above())
 
 

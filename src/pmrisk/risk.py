@@ -12,7 +12,7 @@ numbers once (``CommonDraws``) and each round re-tilts them.  No pool column
 is read here, apart from the curve pilot's interpolated quantile.
 
 Only a quantile keeps rows, each pool a ``CommonDraws.pool``: the CaR rounds'
-and the identity-tilt pilots'.  A CCaR (``sis_estimate``) and a curve
+and the identity-tilt pilots'.  A CCaR (``shared_estimates``) and a curve
 (``proportional_ep_at``) are read from running per-stratum tail sums.
 
 A run's rows are one chain (``solve_cars``).  The first IS/SIS row takes its
@@ -20,10 +20,10 @@ first threshold and tilt from the inverse-FORM point (``inverse_form``), and
 draws an identity-tilt pilot only where that solve fails, as naive does.  Each
 later row starts from the final pool that ``solve_car`` returned for the
 previous row and re-tilts that pool's draws (row 0's) where its scheme and
-budget match theirs, else draws its own.  Each CCaR samples at its row's
-final tilt (``SisSample.tilt``) on its row's own stream, with no calibration
-of its own: the paper calibrates at the CaR, which lies in the same 95%
-interval.
+budget match theirs, else draws its own.  Each CCaR is one stage at its
+row's final tilt (``SisSample.tilt``; the paper calibrates at the CaR, which
+lies in the same 95% interval), allocated by that pool's tail sums at the
+CaR, and a report's CCaRs re-tilt one draw on row 0's CCaR stream.
 
 ``_design`` picks every tilt and stratification a query samples with, the
 pilots' identity tilt included, and each query function appends its warnings
@@ -49,6 +49,7 @@ from .estimators import (
     default_scheme,
     inverse_form,
     proportional_ep_at,
+    shared_estimates,
     sis_estimate,
 )
 from .statkit import Rng
@@ -72,7 +73,7 @@ class RiskQuery:
     """One CaR/CCaR row, validated when built: ``queries`` builds a run's rows.
 
     ``solve_car`` and ``compute_ccar`` draw from fixed substreams of ``rng``;
-    in a chain, only row 0's CaR substream is drawn (``solve_cars``).
+    in a chain or a report, only row 0's substreams are drawn.
     """
 
     alpha: float
@@ -108,8 +109,8 @@ def queries(alphas, estimator: str, budget: int, seed: int) -> list[RiskQuery]:
     unique = sorted({float(a) for a in alphas}, reverse=True)
     if not unique:
         raise UsageError("alpha list must be nonempty")
-    # row k's stream, from the run's seed, feeds its CCaR (row 0's also the run's
-    # CaR draws): a chained row's first tilt comes from its neighbour's pool
+    # row k's stream, from the run's seed; a run draws on row 0's alone (its
+    # CaR and CCaR draws), and a chained row's first tilt comes from its neighbour's pool
     return [RiskQuery(alpha=a, estimator=estimator, budget=budget,
                       rng=Rng(Rng(0, seed).split(10 + k).stream))
             for k, a in enumerate(unique)]
@@ -220,19 +221,35 @@ def solve_cars(portfolio: CityPortfolio, rows: list[RiskQuery], *,
 
 
 def compute_ccar(portfolio: CityPortfolio, query: RiskQuery, tau: float, *,
-                 tilt: IsParams | None = None,
+                 pool: SisSample | None = None,
                  warnings: list[str] | None = None) -> EstimateResult:
     """Conditional excess at tau = CaR_alpha, with a 95% confidence interval.
 
-    IS/SIS sample at ``tilt`` where it is given (a CaR solve's final
-    ``pool.tilt``), else at ``calibrate_is``'s tilt at tau, on the query's
-    CCaR stream.  IS-calibration warnings are appended to ``warnings`` when
-    it is given.
+    With ``pool``, the final pool of the query's CaR solve, as ``build_report``
+    reads its first row (``_ccars``); without, IS/SIS sample ``sis_estimate``
+    at ``calibrate_is``'s tilt at tau on the query's CCaR stream.
+    IS-calibration warnings are appended to ``warnings`` when it is given.
     """
+    if pool is not None:
+        return _ccars(portfolio, [query], [(tau, pool)], warnings)[0]
     params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
-                             f"alpha={query.alpha}: ", tilt)
+                             f"alpha={query.alpha}: ")
     return sis_estimate(portfolio, tau, params, scheme, query.budget,
                         query.rng.split(_STREAM_CCAR))[1]
+
+
+def _ccars(portfolio: CityPortfolio, rows: list[RiskQuery], solves,
+           warnings: list[str] | None) -> list[EstimateResult]:
+    """CE results of rows solved to (tau, final pool): each one stage at its pool's
+    tilt, allocated by the pool's tail sums at tau (``SisSample.allocation``), all
+    re-tilting one draw on row 0's CCaR stream (``shared_estimates``)."""
+    ccar_rows = []
+    for query, (tau, pool) in zip(rows, solves):
+        params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
+                                 f"alpha={query.alpha}: ", pool.tilt)
+        ccar_rows.append((tau, params, pool.allocation(tau, query.budget)))
+    return [ce for _, ce in shared_estimates(portfolio, scheme, ccar_rows,
+                                             rows[0].rng.split(_STREAM_CCAR))]
 
 
 @dataclass(frozen=True)
@@ -288,17 +305,22 @@ def build_report(portfolio: CityPortfolio, rows: list[RiskQuery], *,
                  warnings: list[str] | None = None) -> tuple[RiskRow, ...]:
     """Table rows: one per query with CaR, CCaR, CI% and VR.
 
-    The CaRs are the ``solve_cars`` chain, as ``pmrisk car`` writes them, and
-    each CCaR samples at the tilt of its CaR's stopping round (``pool.tilt``),
-    calibrated at a tau inside the CaR's 95% test-inversion interval, not at
-    the CaR.  VR is the CCaR's ``naive_variance`` over its ``variance``, both
-    from the CCaR's own sample, and 1 for naive.  Calibration warnings are
-    appended to ``warnings`` when it is given.
+    The CaRs are the ``solve_cars`` chain, as ``pmrisk car`` writes them,
+    and the CCaRs the rows' ``_ccars``, each at the tilt of its CaR's stopping
+    round, calibrated at a tau inside the CaR's 95% test-inversion interval,
+    not at the CaR.  Row 0 is a one-alpha run's row.  VR is the CCaR's
+    ``naive_variance`` over its ``variance``, both from the CCaR's own
+    sample, and 1 for naive.  Calibration warnings are appended to
+    ``warnings`` when it is given.
     """
-    report, pool = [], None
+    if len({(query.estimator, query.budget) for query in rows}) != 1:
+        raise UsageError("a report needs rows of one estimator and budget")
+    solves = []
     for query in rows:
-        tau, pool = solve_car(portfolio, query, start=pool, warnings=warnings)
-        ce = compute_ccar(portfolio, query, tau, tilt=pool.tilt, warnings=warnings)
+        solves.append(solve_car(portfolio, query, start=solves[-1][1] if solves else None,
+                                warnings=warnings))
+    report = []
+    for query, (tau, _), ce in zip(rows, solves, _ccars(portfolio, rows, solves, warnings)):
         if ce.empty_tail:
             raise NumericError(f"empty tail at alpha={query.alpha}; increase the budget")
         if query.estimator == "naive":

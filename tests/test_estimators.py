@@ -25,9 +25,9 @@ from pmrisk.cli import _parse_tau_grid
 from pmrisk.copula import CopulaDraw, dependent_vector
 from pmrisk.estimators import (
     CHUNK,
+    MIX,
     N_MIN,
     ONE_CELL,
-    STAGE_FRACTIONS,
     CommonDraws,
     SisSample,
     _concentration_and_gradient,
@@ -38,6 +38,7 @@ from pmrisk.estimators import (
     default_scheme,
     inverse_form,
     proportional_ep_at,
+    shared_estimates,
 )
 from pmrisk.statkit import normal_cdf, normal_quantile
 
@@ -344,7 +345,7 @@ class TestTiltStep:
         # the fused step's (C, W) against the draw's Z and Y taken through the
         # closed forms: V = L Z / sqrt(Y/nu), the map, C and likelihood_ratio
         model = portfolio if family == "t" else normal_portfolio
-        n = CHUNK + 1000  # a two-chunk pool, and four one-chunk AOA stages
+        n = CHUNK + 1000  # two chunks: a pool's, a one-cell stage's, or a pilot and a stage
         scheme = default_scheme(model, n) if estimator == "sis" else ONE_CELL
         tilts = ([IsParams.identity(5)] if estimator == "naive"
                  else [calibrate_is(model, tau) for tau in (CAR_001, 600.78)])
@@ -352,7 +353,7 @@ class TestTiltStep:
             chunks = _engine_chunks(lambda: (
                 CommonDraws(model, scheme, n, Rng(5)).pool(params),
                 sis_estimate(model, CAR_001, params, scheme, n, Rng(6))))
-            assert len(chunks) == 6
+            assert len(chunks) == 4
             for (_, chunk_scheme, labels, rng), tilt, (conc, weight) in chunks:
                 assert tilt is params
                 draw = stratified_sample(model, chunk_scheme, labels, params, rng)
@@ -594,38 +595,109 @@ class TestSisEstimate:
         joint = np.hypot(ep_nv.halfwidth95, ep_sis.halfwidth95) / 1.96
         assert abs(ep_nv.estimate - ep_sis.estimate) <= 3.0 * joint
 
+    def test_both_stages_cover_the_floor(self, portfolio):
+        # the pilot, a quarter of the budget, must give each of the 32 strata N_MIN rows
+        params, scheme = calibrate_is(portfolio, CAR_001), StratificationScheme((8, 4))
+        assert sis_estimate(portfolio, CAR_001, params, scheme, 1_280, Rng(16))[0].n == 1_280
+        with pytest.raises(DomainError):
+            sis_estimate(portfolio, CAR_001, params, scheme, 1_279, Rng(16))
+
+    @pytest.mark.parametrize("family", ["t", "normal"])
+    def test_default_scheme_keeps_its_grids(self, portfolio, normal_portfolio, family):
+        # the grids every CaR pool is drawn on, so these pin the CaR bytes
+        model = portfolio if family == "t" else normal_portfolio
+        want = {"t": [(4, 2), (10, 5), (12, 6), (24, 10), (24, 10)],
+                "normal": [(10, 1), (22, 1), (22, 1), (22, 1), (22, 1)]}[family]
+        budgets = (1_000, 5_000, 10_000, 100_000, 200_000)
+        assert [default_scheme(model, n).counts for n in budgets] == want
+
+
+def _reference_rows(portfolio, scheme, params, alloc, rng):
+    """A stage's rows as the reference draw gives them: (C, W, 0-based labels), chunk c
+    of ``CHUNK`` stratum-ordered labels from ``stratified_sample`` on ``rng.split(c)``."""
+    strata = np.repeat(np.arange(scheme.n_strata), alloc)
+    conc, weight = [], []
+    for c, start in enumerate(range(0, strata.size, estimators.CHUNK)):
+        draw = stratified_sample(portfolio, scheme, strata[start:start + estimators.CHUNK] + 1,
+                                 params, rng.split(c))
+        conc.append(portfolio_concentration(portfolio, marginal_transform(portfolio, draw)))
+        weight.append(likelihood_ratio(draw, params, portfolio.copula.nu))
+    return np.concatenate(conc), np.concatenate(weight), strata
+
 
 def _pooled_sis_estimate(portfolio, tau, params, scheme, total_n, rng):
-    """``sis_estimate`` with every row kept: the same stages on the same streams, each
-    allocated by AOA on the rows pooled so far, then the pooled ``SisSample``'s
-    estimates.  The AOA deviations are written out from the rows."""
-    floor = N_MIN if scheme.n_strata > 1 else 0
-    fractions = np.asarray(STAGE_FRACTIONS)
-    budgets = aoa_allocate(total_n, fractions, np.ones_like(fractions), 0)
-    conc, weight, labels = [], [], []
-    counts, sigma = np.zeros(scheme.n_strata, dtype=int), np.ones(scheme.n_strata)
-    for stage, budget in enumerate(budgets):
-        alloc = aoa_allocate(int(budget), scheme.probs, sigma, floor)
-        strata = np.repeat(np.arange(scheme.n_strata), alloc)
-        for c, start in enumerate(range(0, strata.size, estimators.CHUNK)):
-            chunk = strata[start:start + estimators.CHUNK]
-            draw = stratified_sample(portfolio, scheme, chunk + 1, params,
-                                     rng.split(stage + 1).split(c))
-            conc.append(portfolio_concentration(portfolio, marginal_transform(portfolio, draw)))
-            weight.append(likelihood_ratio(draw, params, portfolio.copula.nu))
-            labels.append(chunk)
-        counts = counts + alloc
-        pool = SisSample(conc=np.concatenate(conc), weight=np.concatenate(weight),
-                         stratum=np.concatenate(labels), probs=scheme.probs, counts=counts)
-        y = np.where(pool.conc > tau, pool.weight, 0.0)
-        if y.sum() > 0.0:
-            resid = pool.conc * y - (np.sum(pool.conc * y) / y.sum()) * y
-            sigma = np.array([resid[pool.stratum == i].std(ddof=1)
-                              for i in range(scheme.n_strata)])
+    """``sis_estimate`` with every row kept: on one cell one stage on ``rng.split(1)``,
+    else a quarter-budget proportional pilot on ``rng.split(1)`` and the rest
+    allocated from the pilot's rows on ``rng.split(2)``, pooled as 2I cells of
+    probability w_s p_i; then the pooled ``SisSample``'s estimates.  The allocation's
+    deviations are written out from the rows."""
+    cells, probs = scheme.n_strata, scheme.probs
+    if cells == 1:
+        conc, weight, labels = _reference_rows(portfolio, scheme, params, [total_n], rng.split(1))
+        pool = SisSample(conc=conc, weight=weight, stratum=labels, probs=probs,
+                         counts=np.array([total_n]))
+        return pool, pool.estimates(tau)
+    pilot_n = total_n // 4
+    pilot = aoa_allocate(pilot_n, probs, np.ones(cells), N_MIN)
+    conc, weight, labels = _reference_rows(portfolio, scheme, params, pilot, rng.split(1))
+    y = np.where(conc > tau, weight, 0.0)
+    resid = conc * y - (np.sum(conc * y) / y.sum()) * y
+    sigma = np.array([resid[labels == i].std(ddof=1) for i in range(cells)])
+    mixed = (1.0 - MIX) * sigma / (probs @ sigma) + MIX
+    alloc = aoa_allocate(total_n - pilot_n, probs, mixed, N_MIN)
+    rest = _reference_rows(portfolio, scheme, params, alloc, rng.split(2))
+    shares = np.repeat([pilot_n, total_n - pilot_n], cells) / total_n
+    pool = SisSample(conc=np.concatenate([conc, rest[0]]),
+                     weight=np.concatenate([weight, rest[1]]),
+                     stratum=np.concatenate([labels, rest[2] + cells]),
+                     probs=np.tile(probs, 2) * shares, counts=np.concatenate([pilot, alloc]))
     return pool, pool.estimates(tau)
 
 
 class TestStreamedTailSums:
+    @pytest.mark.parametrize("counts", [(1, 1), (8, 4)])
+    def test_each_shared_row_equals_its_prefix_rows(self, portfolio, monkeypatch, counts):
+        # rows at their own tau, tilt and allocation off one draw: row k's estimates
+        # are those of the pooled first n_{k,i} rows of each stratum, block A's
+        # (row 0's allocation, on split(1)) and then block B's (on split(2))
+        monkeypatch.setattr(estimators, "CHUNK", 700)
+        scheme, n = StratificationScheme(counts), 6_000
+        rows = []
+        for tau in (CAR_001, 600.78, 414.22):
+            params = calibrate_is(portfolio, tau)
+            pool = CommonDraws(portfolio, scheme, n, Rng(40)).pool(params)
+            rows.append((tau, params, pool.allocation(tau, n)))
+        allocs = np.array([alloc for _, _, alloc in rows])
+        if scheme.n_strata > 1:
+            assert ((allocs[1] > allocs[0]).any() and (allocs[1] < allocs[0]).any()
+                    and not (allocs == allocs[0]).all())
+        with sis_pools() as pools:
+            got = shared_estimates(portfolio, scheme, rows, Rng(41))
+        assert pools == []
+        block_b = allocs.max(axis=0) - allocs[0]
+        for (tau, params, alloc), (ep, ce) in zip(rows, got):
+            conc, weight, labels, rank = [], [], [], []
+            for block, before, rng in ((allocs[0], 0 * block_b, Rng(41).split(1)),
+                                       (block_b, allocs[0], Rng(41).split(2))):
+                if not block.any():
+                    continue
+                c, w, lab = _reference_rows(portfolio, scheme, params, block, rng)
+                conc.append(c)
+                weight.append(w)
+                labels.append(lab)
+                rank.append(before[lab] + np.arange(lab.size) - (np.cumsum(block) - block)[lab])
+            labels, rank = np.concatenate(labels), np.concatenate(rank)
+            keep = rank < alloc[labels]
+            pool = SisSample(conc=np.concatenate(conc)[keep], weight=np.concatenate(weight)[keep],
+                             stratum=labels[keep], probs=scheme.probs, counts=alloc)
+            assert np.array_equal(np.bincount(pool.stratum, minlength=scheme.n_strata), alloc)
+            want = pool.estimates(tau)
+            assert want[1].n == n and not want[1].empty_tail
+            for g, w in zip((ep, ce), want):
+                for field in ("estimate", "variance", "halfwidth95"):
+                    assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-13)
+            assert ce.naive_variance == pytest.approx(want[1].naive_variance, rel=1e-13)
+
     @pytest.mark.parametrize("estimator, counts, tau", [
         ("naive", (1, 1), CAR_001),
         ("is", (1, 1), CAR_001),
@@ -844,17 +916,24 @@ class TestComposer:
 
 class TestCrossEstimatorAgreement:
     def test_unbiasedness_chain_thirty_runs(self, portfolio):
+        # each pair's 30 differences in joint SEs, d_k, are N(0, 1) when both
+        # estimators are unbiased and report their SEs: their mean lies within 3 SE,
+        # 3 / sqrt(30), of 0, and their mean square below the 99.9% chi-square point.
+        # (A bound of 3 on each of the 90 |d_k| would fail 18% of correct stream layouts.)
         tau = 300.0
         params = calibrate_is(portfolio, tau)
         scheme = default_scheme(portfolio, 10_000)
-        for k in range(30):
-            ep_nv, _ = sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL,
-                                    10_000, Rng(1000 + k))
-            ep_is, _ = sis_estimate(portfolio, tau, params, ONE_CELL, 10_000, Rng(2000 + k))
-            ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 10_000, Rng(3000 + k))
-            for a, b in ((ep_nv, ep_is), (ep_nv, ep_sis), (ep_is, ep_sis)):
-                joint = np.hypot(a.halfwidth95, b.halfwidth95) / 1.96
-                assert abs(a.estimate - b.estimate) <= 3.0 * joint
+        runs = [(sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL, 10_000,
+                              Rng(1000 + k))[0],
+                 sis_estimate(portfolio, tau, params, ONE_CELL, 10_000, Rng(2000 + k))[0],
+                 sis_estimate(portfolio, tau, params, scheme, 10_000, Rng(3000 + k))[0])
+                for k in range(30)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            d = np.array([(run[i].estimate - run[j].estimate)
+                          / (np.hypot(run[i].halfwidth95, run[j].halfwidth95) / 1.96)
+                          for run in runs])
+            assert abs(d.mean()) <= 3.0 / np.sqrt(d.size), (i, j, d)
+            assert d @ d <= stats.chi2.ppf(0.999, d.size), (i, j, d)
 
     def test_variance_ordering_at_rare_threshold(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)
@@ -944,3 +1023,19 @@ class TestFiveCityOracle:
             se = eps.std(ddof=1) / np.sqrt(eps.size)
             assert abs(eps.mean() - oracle) <= 4.0 * np.hypot(se, oracle_se), (
                 scheme.counts, eps.mean(), oracle, se, oracle_se)
+
+    @pytest.mark.parametrize("tau", [CAR_001, 600.78])
+    def test_pool_allocated_ccar_matches_the_cmc_oracle(self, portfolio, tau):
+        # a CCaR's sampler: one stage at a 1e4 CaR pool's tilt, allocated by that
+        # pool's tail sums, drawn on a stream of its own
+        oracle, oracle_se = self.RECORDED[tau]
+        params, scheme = calibrate_is(portfolio, tau), default_scheme(portfolio, 10_000)
+        eps = []
+        for seed in range(1, 41):
+            pool = CommonDraws(portfolio, scheme, 10_000, Rng(seed).split(1)).pool(params)
+            row = (tau, params, pool.allocation(tau, 10_000))
+            (ep, _), = shared_estimates(portfolio, scheme, [row], Rng(seed).split(2))
+            eps.append(ep.estimate)
+        se = np.std(eps, ddof=1) / np.sqrt(len(eps))
+        assert abs(np.mean(eps) - oracle) <= 4.0 * np.hypot(se, oracle_se), (
+            np.mean(eps), oracle, se, oracle_se)

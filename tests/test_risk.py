@@ -18,6 +18,7 @@ from pmrisk import (
 from pmrisk.cli import main
 from pmrisk.errors import UsageError
 from pmrisk.estimators import (
+    N_MIN,
     ONE_CELL,
     CommonDraws,
     IsParams,
@@ -25,6 +26,7 @@ from pmrisk.estimators import (
     calibrate_is,
     default_scheme,
     inverse_form,
+    shared_estimates,
     sis_estimate,
 )
 from pmrisk.risk import _STREAM_CAR, ESTIMATORS, queries, solve_cars
@@ -87,7 +89,7 @@ class _PoolReaders:
         self._pool = pool
 
     def __getattr__(self, name):
-        if name not in ("ep_at", "quantile", "estimates", "draws", "tilt"):
+        if name not in ("ep_at", "quantile", "estimates", "allocation", "draws", "tilt"):
             raise AttributeError(name)
         return getattr(self._pool, name)
 
@@ -508,16 +510,30 @@ class TestReport:
         assert a == b
 
     def test_sis_report_draws_no_naive_reference(self, portfolio, monkeypatch):
-        estimators = []
+        # the CCaRs are one shared SIS draw, each row at a tilt, and nothing else samples
+        draws = []
 
-        def spy(portfolio, query, *args, **kwargs):
-            estimators.append(query.estimator)
-            return compute_ccar(portfolio, query, *args, **kwargs)
+        def spy(pf, scheme, ccar_rows, rng):
+            draws.append((scheme.counts, [tilt for _, tilt, _ in ccar_rows]))
+            return shared_estimates(pf, scheme, ccar_rows, rng)
 
-        monkeypatch.setattr("pmrisk.risk.compute_ccar", spy)
+        def never(*args):
+            raise AssertionError("a report samples no sis_estimate")
+
+        monkeypatch.setattr("pmrisk.risk.shared_estimates", spy)
+        monkeypatch.setattr("pmrisk.risk.sis_estimate", never)
         rows = build_report(portfolio, queries([0.05, 0.01], "sis", 20_000, 21))
-        assert estimators == ["sis", "sis"]
+        assert [counts for counts, _ in draws] == [default_scheme(portfolio, 20_000).counts]
+        tilts = draws[0][1]
+        assert len(tilts) == 2 and all(tilt.mean_shift.any() for tilt in tilts)
         assert all(np.isfinite(row.vr_factor) and row.vr_factor > 1.0 for row in rows)
+
+    def test_a_report_needs_rows_of_one_estimator_and_budget(self, portfolio):
+        # its CCaRs share one draw on one scheme, so it refuses mixed rows before sampling
+        sis, naive = queries([0.05], "sis", 5_000, 3), queries([0.01], "naive", 5_000, 3)
+        for rows in ([], sis + naive, sis + queries([0.01], "sis", 6_000, 3)):
+            with pytest.raises(UsageError):
+                build_report(portfolio, rows)
 
     def test_sis_report_draws_no_pilot(self, portfolio, monkeypatch):
         # row 0 starts from the inverse-FORM point, later rows from their neighbour's pool
@@ -558,45 +574,62 @@ class TestReport:
             dataclasses.astuple(row) for row in rows]
 
     def test_a_report_draws_its_car_rows_once(self, portfolio, monkeypatch):
-        # one CommonDraws for the run's CaR rounds, one AOA sample per CCaR
+        # one CommonDraws for the run's CaR rounds, and one draw for the five CCaRs:
+        # each stratum's rows up to the largest row's allocation there
         made, init = [], CommonDraws.__init__
         monkeypatch.setattr(CommonDraws, "__init__",
                             lambda draws, *args: made.append(args[2]) or init(draws, *args))
+        allocs, allocate = [], SisSample.allocation
+        monkeypatch.setattr(SisSample, "allocation", lambda pool, *args: allocs.append(
+            allocate(pool, *args)) or allocs[-1])
         with stage_rows() as drawn:
             build_report(portfolio, queries(ALPHAS, "sis", 10_000, 1))
         assert made == [10_000]
-        assert sum(drawn) == 10_000 + 5 * 10_000
+        allocs = np.array(allocs)
+        assert allocs.shape == (5, default_scheme(portfolio, 10_000).n_strata)
+        assert np.all(allocs.sum(axis=1) == 10_000) and allocs.min() >= N_MIN
+        assert sum(drawn) == 10_000 + allocs.max(axis=0).sum() < 10_000 + 3 * 10_000
 
     @pytest.mark.parametrize("estimator", ["is", "sis"])
     def test_each_ccar_samples_at_its_rows_final_tilt(self, portfolio, monkeypatch,
                                                        estimator):
         # calibrate_is runs only in CaR rounds, once in each but the run's first
         # (the inverse-FORM tilt), and each CCaR samples at the tilt of its row's
-        # last pool, not at a tilt of its own
+        # last pool, not at a tilt of its own: the CaR solves come first, each row's
+        # ending on a pool, and then one CCaR draw for all the rows
         events = []
-        calibrate, retilt, sample = calibrate_is, CommonDraws.pool, sis_estimate
+        calibrate, retilt, solve, share = calibrate_is, CommonDraws.pool, solve_car, \
+            shared_estimates
 
         def calibrated(pf, tau):
             events.append(("calibrate", calibrate(pf, tau)))
             return events[-1][1]
 
+        def solved(*args, **kwargs):
+            tau, pool = solve(*args, **kwargs)
+            events.append(("car", pool.tilt))
+            return tau, pool
+
         monkeypatch.setattr("pmrisk.risk.calibrate_is", calibrated)
         monkeypatch.setattr(CommonDraws, "pool", lambda draws, is_params: events.append(
             ("pool", is_params)) or retilt(draws, is_params))
-        monkeypatch.setattr("pmrisk.risk.sis_estimate", lambda pf, tau, is_params, *args:
-                            events.append(("ccar", is_params)) or sample(pf, tau, is_params,
-                                                                          *args))
+        monkeypatch.setattr("pmrisk.risk.solve_car", solved)
+        monkeypatch.setattr("pmrisk.risk.shared_estimates", lambda pf, scheme, rows, rng:
+                            events.append(("ccar", [tilt for _, tilt, _ in rows]))
+                            or share(pf, scheme, rows, rng))
         for seed in (1, 2, 3):
             events.clear()
             build_report(portfolio, queries(ALPHAS, estimator, 10_000, seed))
-            rounds = [(kind, params) for kind, params in events if kind != "ccar"]
+            rounds = [(kind, params) for kind, params in events if kind in ("calibrate", "pool")]
             pools = sum(kind == "pool" for kind, _ in rounds)
             assert [kind for kind, _ in rounds] == ["pool"] + ["calibrate", "pool"] * (pools - 1)
             assert all(made is used for (_, made), (_, used) in zip(rounds[1::2], rounds[2::2]))
-            ccars = [k for k, (kind, _) in enumerate(events) if kind == "ccar"]
-            assert len(ccars) == len(ALPHAS)
-            for k in ccars:
+            assert [kind for kind, _ in events].count("ccar") == 1 and events[-1][0] == "ccar"
+            cars = [k for k, (kind, _) in enumerate(events) if kind == "car"]
+            assert len(cars) == len(ALPHAS)
+            for row, k in enumerate(cars):
                 assert events[k - 1][0] == "pool" and events[k][1] is events[k - 1][1]
+                assert events[-1][1][row] is events[k - 1][1]
 
     def test_later_rows_retilt_the_first_rows_draws(self, portfolio):
         rows = queries(ALPHAS[:3], "sis", 5_000, 3)
