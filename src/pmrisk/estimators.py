@@ -56,8 +56,8 @@ the drift axis is the direction of the IS mean shift, the mixing axis the
 normal score of the chi-square mixing variable (t family only).
 
 Stream layout: a stage draws from ``rng.split(1)``, a second stage (an
-allocated one, or block B) from ``rng.split(2)``, and chunk c from
-``.split(c)`` of that.  A
+allocated one, a one-cell estimate's only one, or block B) from
+``rng.split(2)``, and chunk c from ``.split(c)`` of that.  A
 chunk of m rows draws ``standard_normal((m, D - 1 + k))`` for the scores it
 does not stratify, k its one-slice axes (drift, and mixing for the t
 family), then one ``random(m)`` per stratified axis, drift first.  So
@@ -732,11 +732,13 @@ def _tilted(portfolio: CityPortfolio, scores: np.ndarray, mixing: np.ndarray | N
 
 
 def _binned(portfolio: CityPortfolio, is_params: IsParams, scheme: StratificationScheme,
-            alloc: np.ndarray, rng: Rng, bins: _TailBins, shift: int = 0) -> None:
-    """Draw a stage at ``alloc`` on ``rng`` into ``bins`` as strata ``shift`` + i:
-    its chunks are tilted, binned and not kept."""
+            alloc: np.ndarray, rng: Rng, tau, ce: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Tail sums above tau (``_TailBins.above``) of a stage drawn at ``alloc`` on
+    ``rng``: its chunks are tilted, binned and not kept."""
+    bins = _TailBins(tau, scheme.n_strata, ce)
     for labels, scores, mixing in _stage(portfolio, scheme, alloc, rng):
-        bins.add(labels + shift, *_tilted(portfolio, scores, mixing, is_params))
+        bins.add(labels, *_tilted(portfolio, scores, mixing, is_params))
+    return bins.above()
 
 
 def shared_estimates(portfolio: CityPortfolio, scheme: StratificationScheme, rows,
@@ -775,25 +777,23 @@ def sis_estimate(portfolio: CityPortfolio, tau: float, is_params: IsParams,
     A ``PILOT_SHARE`` proportional pilot on ``rng.split(1)``, then the rest
     allocated from its tail sums (``_allocation``) on ``rng.split(2)``.  The
     stages' weights w_s = n_s / total_n are fixed in advance, so they compose
-    as 2I cells of probability w_s p_i.  A one-cell scheme draws one stage of
-    ``total_n`` >= 2 rows: IS, or naive Monte Carlo at ``IsParams.identity``.
+    as 2I cells of probability w_s p_i.  A one-cell scheme has no pilot and
+    needs two replications: IS, or naive Monte Carlo at ``IsParams.identity``.
     No row is kept.
     """
     if not np.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be a nonnegative finite threshold")
-    cells, pilot_n = scheme.n_strata, int(PILOT_SHARE * total_n)
+    cells, probs = scheme.n_strata, scheme.probs
+    pilot_n = int(PILOT_SHARE * total_n) if cells > 1 else 0
     if total_n < 2 or cells > 1 and min(pilot_n, total_n - pilot_n) < cells * N_MIN:
         raise DomainError("budget cannot cover two replications and the floor in both stages")
-    if cells == 1:
-        return shared_estimates(portfolio, scheme, [(tau, is_params, [total_n])], rng)[0]
-    probs, bins = scheme.probs, _TailBins(tau, 2 * cells, ce=True)
-    pilot = aoa_allocate(pilot_n, probs, np.ones(cells), N_MIN)
-    _binned(portfolio, is_params, scheme, pilot, rng.split(1), bins)
-    alloc = _allocation(total_n - pilot_n, probs, pilot, bins.above()[1][:, :cells])
-    _binned(portfolio, is_params, scheme, alloc, rng.split(2), bins, cells)
+    pilot = aoa_allocate(pilot_n, probs, np.ones(cells), N_MIN if cells > 1 else 0)
+    pilot_sums = _binned(portfolio, is_params, scheme, pilot, rng.split(1), tau, True)[1]
+    alloc = _allocation(total_n - pilot_n, probs, pilot, pilot_sums)
+    sums = _binned(portfolio, is_params, scheme, alloc, rng.split(2), tau, True)[1]
     weights = np.repeat([pilot_n, total_n - pilot_n], cells) / total_n
     return _estimates(np.tile(probs, 2) * weights, np.concatenate([pilot, alloc]),
-                      bins.above()[1])
+                      np.concatenate([pilot_sums, sums], axis=-1))
 
 
 def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
@@ -804,10 +804,9 @@ def proportional_ep_at(portfolio: CityPortfolio, is_params: IsParams,
     One proportional stage (at floor 1, on ``rng.split(1)``), binned and not
     kept, so the result is the pooled one bit for bit (see ``_TailBins``) at a chunk's memory.
     """
-    bins = _TailBins(tau, scheme.n_strata, ce=False)
     counts = aoa_allocate(total_n, scheme.probs, np.ones(scheme.n_strata), 1)
-    _binned(portfolio, is_params, scheme, counts, rng.split(1), bins)
-    return _ep_reading(scheme.probs, counts, *bins.above())
+    return _ep_reading(scheme.probs, counts,
+                       *_binned(portfolio, is_params, scheme, counts, rng.split(1), tau, False))
 
 
 class CommonDraws:

@@ -73,7 +73,7 @@ class RiskQuery:
     """One CaR/CCaR row, validated when built: ``queries`` builds a run's rows.
 
     ``solve_car`` and ``compute_ccar`` draw from fixed substreams of ``rng``;
-    in a chain or a report, only row 0's substreams are drawn.
+    in a run of ``queries``' rows, only row 0's substreams are drawn.
     """
 
     alpha: float
@@ -241,15 +241,24 @@ def compute_ccar(portfolio: CityPortfolio, query: RiskQuery, tau: float, *,
 def _ccars(portfolio: CityPortfolio, rows: list[RiskQuery], solves,
            warnings: list[str] | None) -> list[EstimateResult]:
     """CE results of rows solved to (tau, final pool): each one stage at its pool's
-    tilt, allocated by the pool's tail sums at tau (``SisSample.allocation``), all
-    re-tilting one draw on row 0's CCaR stream (``shared_estimates``)."""
-    ccar_rows = []
-    for query, (tau, pool) in zip(rows, solves):
-        params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
-                                 f"alpha={query.alpha}: ", pool.tilt)
-        ccar_rows.append((tau, params, pool.allocation(tau, query.budget)))
-    return [ce for _, ce in shared_estimates(portfolio, scheme, ccar_rows,
-                                             rows[0].rng.split(_STREAM_CCAR))]
+    tilt, allocated by the pool's tail sums at tau (``SisSample.allocation``), the
+    rows of one estimator and budget re-tilting one draw on the first one's CCaR
+    stream (``shared_estimates``)."""
+    ces = [None] * len(rows)
+    for key in dict.fromkeys((query.estimator, query.budget) for query in rows):
+        group = [k for k, query in enumerate(rows) if (query.estimator, query.budget) == key]
+        ccar_rows = []
+        for query, (tau, pool) in ((rows[k], solves[k]) for k in group):
+            params, scheme = _design(portfolio, query.estimator, tau, query.budget, warnings,
+                                     f"alpha={query.alpha}: ", pool.tilt)
+            # one cell needs no allocation (a naive row's pool may be a neighbour's)
+            alloc = pool.allocation(tau, query.budget) if scheme.n_strata > 1 else [query.budget]
+            ccar_rows.append((tau, params, alloc))
+        draw = shared_estimates(portfolio, scheme, ccar_rows,
+                                rows[group[0]].rng.split(_STREAM_CCAR))
+        for k, (_, ce) in zip(group, draw):
+            ces[k] = ce
+    return ces
 
 
 @dataclass(frozen=True)
@@ -308,13 +317,12 @@ def build_report(portfolio: CityPortfolio, rows: list[RiskQuery], *,
     The CaRs are the ``solve_cars`` chain, as ``pmrisk car`` writes them,
     and the CCaRs the rows' ``_ccars``, each at the tilt of its CaR's stopping
     round, calibrated at a tau inside the CaR's 95% test-inversion interval,
-    not at the CaR.  Row 0 is a one-alpha run's row.  VR is the CCaR's
-    ``naive_variance`` over its ``variance``, both from the CCaR's own
-    sample, and 1 for naive.  Calibration warnings are appended to
-    ``warnings`` when it is given.
+    not at the CaR.  Row 0 is a one-alpha run's row, and rows that mix
+    estimators or budgets share one CCaR draw per estimator and budget.  VR
+    is the CCaR's ``naive_variance`` over its ``variance``, both from the
+    CCaR's own sample, and 1 for naive.  Calibration warnings are appended
+    to ``warnings`` when it is given.
     """
-    if len({(query.estimator, query.budget) for query in rows}) != 1:
-        raise UsageError("a report needs rows of one estimator and budget")
     solves = []
     for query in rows:
         solves.append(solve_car(portfolio, query, start=solves[-1][1] if solves else None,

@@ -626,14 +626,14 @@ def _reference_rows(portfolio, scheme, params, alloc, rng):
 
 
 def _pooled_sis_estimate(portfolio, tau, params, scheme, total_n, rng):
-    """``sis_estimate`` with every row kept: on one cell one stage on ``rng.split(1)``,
+    """``sis_estimate`` with every row kept: on one cell one stage on ``rng.split(2)``,
     else a quarter-budget proportional pilot on ``rng.split(1)`` and the rest
     allocated from the pilot's rows on ``rng.split(2)``, pooled as 2I cells of
     probability w_s p_i; then the pooled ``SisSample``'s estimates.  The allocation's
     deviations are written out from the rows."""
     cells, probs = scheme.n_strata, scheme.probs
     if cells == 1:
-        conc, weight, labels = _reference_rows(portfolio, scheme, params, [total_n], rng.split(1))
+        conc, weight, labels = _reference_rows(portfolio, scheme, params, [total_n], rng.split(2))
         pool = SisSample(conc=conc, weight=weight, stratum=labels, probs=probs,
                          counts=np.array([total_n]))
         return pool, pool.estimates(tau)
@@ -916,24 +916,25 @@ class TestComposer:
 
 class TestCrossEstimatorAgreement:
     def test_unbiasedness_chain_thirty_runs(self, portfolio):
-        # each pair's 30 differences in joint SEs, d_k, are N(0, 1) when both
-        # estimators are unbiased and report their SEs: their mean lies within 3 SE,
-        # 3 / sqrt(30), of 0, and their mean square below the 99.9% chi-square point.
-        # (A bound of 3 on each of the 90 |d_k| would fail 18% of correct stream layouts.)
         tau = 300.0
         params = calibrate_is(portfolio, tau)
         scheme = default_scheme(portfolio, 10_000)
-        runs = [(sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL, 10_000,
-                              Rng(1000 + k))[0],
-                 sis_estimate(portfolio, tau, params, ONE_CELL, 10_000, Rng(2000 + k))[0],
-                 sis_estimate(portfolio, tau, params, scheme, 10_000, Rng(3000 + k))[0])
-                for k in range(30)]
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            d = np.array([(run[i].estimate - run[j].estimate)
-                          / (np.hypot(run[i].halfwidth95, run[j].halfwidth95) / 1.96)
-                          for run in runs])
-            assert abs(d.mean()) <= 3.0 / np.sqrt(d.size), (i, j, d)
-            assert d @ d <= stats.chi2.ppf(0.999, d.size), (i, j, d)
+        d = []
+        for k in range(30):
+            ep_nv, _ = sis_estimate(portfolio, tau, IsParams.identity(5), ONE_CELL,
+                                    10_000, Rng(1000 + k))
+            ep_is, _ = sis_estimate(portfolio, tau, params, ONE_CELL, 10_000, Rng(2000 + k))
+            ep_sis, _ = sis_estimate(portfolio, tau, params, scheme, 10_000, Rng(3000 + k))
+            for a, b in ((ep_nv, ep_is), (ep_nv, ep_sis), (ep_is, ep_sis)):
+                joint = np.hypot(a.halfwidth95, b.halfwidth95) / 1.96
+                assert abs(a.estimate - b.estimate) <= 3.0 * joint
+                d.append((a.estimate - b.estimate) / joint)
+        # each pair's 30 differences in joint SEs are N(0, 1) for unbiased estimators
+        # with honest SEs: their mean lies within 3 SE of 0, their mean square below
+        # the 99.9% chi-square point
+        for pair in np.array(d).reshape(30, 3).T:
+            assert abs(pair.mean()) <= 3.0 / np.sqrt(pair.size), pair
+            assert pair @ pair <= stats.chi2.ppf(0.999, pair.size), pair
 
     def test_variance_ordering_at_rare_threshold(self, portfolio):
         params = calibrate_is(portfolio, CAR_001)

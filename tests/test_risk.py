@@ -528,12 +528,18 @@ class TestReport:
         assert len(tilts) == 2 and all(tilt.mean_shift.any() for tilt in tilts)
         assert all(np.isfinite(row.vr_factor) and row.vr_factor > 1.0 for row in rows)
 
-    def test_a_report_needs_rows_of_one_estimator_and_budget(self, portfolio):
-        # its CCaRs share one draw on one scheme, so it refuses mixed rows before sampling
+    def test_mixed_rows_draw_one_ccar_draw_per_estimator_and_budget(self, portfolio,
+                                                                      monkeypatch):
+        assert build_report(portfolio, []) == ()
+        draws = []
+        monkeypatch.setattr("pmrisk.risk.shared_estimates",
+                            lambda pf, scheme, rows, rng: draws.append(len(rows))
+                            or shared_estimates(pf, scheme, rows, rng))
         sis, naive = queries([0.05], "sis", 5_000, 3), queries([0.01], "naive", 5_000, 3)
-        for rows in ([], sis + naive, sis + queries([0.01], "sis", 6_000, 3)):
-            with pytest.raises(UsageError):
-                build_report(portfolio, rows)
+        rows = build_report(portfolio, sis + naive + queries([0.02], "sis", 5_000, 4))
+        assert draws == [2, 1]
+        assert rows[0] == build_report(portfolio, sis)[0]
+        assert all(row.ccar > row.car for row in rows)
 
     def test_sis_report_draws_no_pilot(self, portfolio, monkeypatch):
         # row 0 starts from the inverse-FORM point, later rows from their neighbour's pool
